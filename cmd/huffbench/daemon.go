@@ -7,14 +7,16 @@ import (
 	"time"
 
 	"github.com/huffduff/huffduff/internal/chaos"
+	"github.com/huffduff/huffduff/internal/obs"
+	"github.com/huffduff/huffduff/internal/store"
 	"github.com/huffduff/huffduff/internal/telemetry"
 )
 
 // daemonRestart benchmarks the crash-recovery path of the campaign daemon:
-// three campaigns are journaled, the daemon is killed with one wedged
-// mid-run (chaos stall), and a second daemon replays the journal and runs
-// everything to completion. Wall time covers submit -> kill -> replay ->
-// drain; the count metrics are ungated sanity signals (campaigns_resumed
+// three campaigns are persisted, the daemon is killed with one wedged
+// mid-run (chaos stall), and a second daemon restores them from the store
+// and runs everything to completion. Wall time covers submit -> kill ->
+// restore -> drain; the count metrics are ungated sanity signals (campaigns_resumed
 // and campaigns_completed must both be 3 for the scenario to return at
 // all), so the scenario is safe under -deterministic-only gating.
 func daemonRestart() (Metrics, error) {
@@ -29,15 +31,18 @@ func daemonRestart() (Metrics, error) {
 
 	// Phase 1: every victim run stalls, so the first campaign wedges and
 	// the rest queue. Kill() simulates process death: nothing after the
-	// kill reaches the journal.
-	j1, err := telemetry.OpenJournal(dir, telemetry.JournalConfig{})
+	// kill reaches the store.
+	s1, err := store.Open(dir, store.SegmentConfig{})
 	if err != nil {
 		return nil, fmt.Errorf("daemon_restart: %w", err)
 	}
 	stall := chaos.NewDaemonFaults(chaos.DaemonFaultsConfig{StallProb: 1})
-	d1 := telemetry.NewDaemon(telemetry.DaemonConfig{
-		Workers: 1, QueueDepth: campaigns, Journal: j1, Faults: stall,
+	d1, err := telemetry.NewDaemon(telemetry.DaemonConfig{
+		Workers: 1, QueueDepth: campaigns, Store: s1, Faults: stall,
 	})
+	if err != nil {
+		return nil, fmt.Errorf("daemon_restart: %w", err)
+	}
 	for i := 0; i < campaigns; i++ {
 		if _, err := d1.Submit(spec); err != nil {
 			return nil, fmt.Errorf("daemon_restart submit: %w", err)
@@ -54,24 +59,26 @@ func daemonRestart() (Metrics, error) {
 		time.Sleep(5 * time.Millisecond)
 	}
 	d1.Kill()
-	if err := j1.Close(); err != nil {
+	if err := s1.Close(); err != nil {
 		return nil, fmt.Errorf("daemon_restart: %w", err)
 	}
 
-	// Phase 2: restart on the same journal directory and drain for real.
-	j2, err := telemetry.OpenJournal(dir, telemetry.JournalConfig{})
+	// Phase 2: restart on the same store and drain for real.
+	s2, err := store.Open(dir, store.SegmentConfig{})
 	if err != nil {
-		return nil, fmt.Errorf("daemon_restart replay: %w", err)
+		return nil, fmt.Errorf("daemon_restart restore: %w", err)
 	}
-	resumed := 0
-	for _, rc := range j2.Replayed() {
-		if !rc.Terminal() {
-			resumed++
-		}
-	}
-	d2 := telemetry.NewDaemon(telemetry.DaemonConfig{
-		Workers: 2, QueueDepth: campaigns, Journal: j2,
+	col := obs.NewCollector()
+	d2, err := telemetry.NewDaemon(telemetry.DaemonConfig{
+		Workers: 2, QueueDepth: campaigns, Store: s2, Recorder: col,
 	})
+	if err != nil {
+		return nil, fmt.Errorf("daemon_restart restore: %w", err)
+	}
+	resumed := col.CounterValue("daemon.requeues", "")
+	if resumed != campaigns {
+		return nil, fmt.Errorf("daemon_restart: restore requeued %g campaigns, want %d", resumed, campaigns)
+	}
 	deadline = time.Now().Add(5 * time.Minute)
 	completed := 0
 	for completed < campaigns {
@@ -93,14 +100,14 @@ func daemonRestart() (Metrics, error) {
 	if err := d2.Shutdown(ctx); err != nil {
 		return nil, fmt.Errorf("daemon_restart shutdown: %w", err)
 	}
-	stats := j2.Stats()
-	if err := j2.Close(); err != nil {
+	stats := s2.Stats()
+	if err := s2.Close(); err != nil {
 		return nil, fmt.Errorf("daemon_restart: %w", err)
 	}
 	return Metrics{
 		"wall_seconds":        time.Since(start).Seconds(),
-		"campaigns_resumed":   float64(resumed),
+		"campaigns_resumed":   resumed,
 		"campaigns_completed": float64(completed),
-		"journal_appends":     float64(stats.Appends),
+		"store_appends":       float64(stats.Appends),
 	}, nil
 }

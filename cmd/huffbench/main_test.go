@@ -295,8 +295,8 @@ func TestRealScenariosProduceRequiredMetrics(t *testing.T) {
 	if dm["campaigns_resumed"] != 3 || dm["campaigns_completed"] != 3 {
 		t.Errorf("daemon_restart recovery counts: %v", dm)
 	}
-	if dm["journal_appends"] <= 0 || dm["wall_seconds"] <= 0 {
-		t.Errorf("daemon_restart journal metrics missing: %v", dm)
+	if dm["store_appends"] <= 0 || dm["wall_seconds"] <= 0 {
+		t.Errorf("daemon_restart store metrics missing: %v", dm)
 	}
 	if _, err := os.Stat(path); err != nil {
 		t.Fatal(err)
@@ -324,10 +324,10 @@ func TestDeterministicOnlyGate(t *testing.T) {
 	// (machine-dependent), so a cross-machine -deterministic-only gate
 	// must tolerate it no matter how much its timing drifts.
 	prev = Record{Scenarios: map[string]Metrics{
-		"daemon_restart": {"wall_seconds": 2, "campaigns_resumed": 3, "campaigns_completed": 3, "journal_appends": 20},
+		"daemon_restart": {"wall_seconds": 2, "campaigns_resumed": 3, "campaigns_completed": 3, "store_appends": 20},
 	}}
 	next = Record{Scenarios: map[string]Metrics{
-		"daemon_restart": {"wall_seconds": 10, "campaigns_resumed": 3, "campaigns_completed": 3, "journal_appends": 27},
+		"daemon_restart": {"wall_seconds": 10, "campaigns_resumed": 3, "campaigns_completed": 3, "store_appends": 27},
 	}}
 	if got := compare(prev, next, true); len(got) != 0 {
 		t.Errorf("daemon_restart tripped the deterministic-only gate: %v", got)

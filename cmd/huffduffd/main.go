@@ -5,12 +5,15 @@
 // with device telemetry, a flight-recorder event dump, and pprof.
 //
 // With -data-dir the daemon is crash-safe: every submission and state
-// transition is journaled (fsync'd JSONL segments) before it is
-// acknowledged, and a restart on the same directory replays the journal,
+// transition is written, fsync'd, to an embedded segment-log store under
+// <data-dir>/store before the daemon acts on it, and a restart on the same
+// directory rebuilds the campaign table from one scan of the store,
 // preserves campaign IDs and terminal results, and requeues whatever was
-// queued or running when the process died. Terminal campaigns are
-// additionally persisted into an embedded segment-log store under
-// <data-dir>/store, which serves the queryable history:
+// queued, running, or waiting on a retry when the process died. A store
+// that cannot be read back at start is fatal, since serving without it
+// would reuse stored campaign IDs. A <data-dir>/journal directory left by
+// an older build is ignored, so its in-flight campaigns are not resumed.
+// The store also serves the queryable history:
 //
 //	curl 'localhost:9120/campaigns?model=smallcnn&state=done&limit=10'
 //	curl 'localhost:9120/campaigns/aggregate?by=model'
@@ -29,7 +32,7 @@
 //
 // SIGINT/SIGTERM drain the worker pool before exit; during the drain
 // /healthz reports "draining" with 503 and new submissions are refused.
-// Anything not finished by -drain stays requeueable in the journal.
+// Anything not finished by -drain stays requeueable in the store.
 package main
 
 import (
@@ -79,42 +82,33 @@ func main() {
 	}
 	rec := obs.Fanout(sinks...)
 
-	var journal *telemetry.Journal
 	var hist store.Store
+	storeDir := filepath.Join(*dataDir, "store")
 	if *dataDir != "" {
-		j, err := telemetry.OpenJournal(filepath.Join(*dataDir, "journal"), telemetry.JournalConfig{Obs: rec})
-		cli.Check(err)
-		journal = j
-		terminal, requeued := 0, 0
-		for _, rc := range j.Replayed() {
-			if rc.Terminal() {
-				terminal++
-			} else {
-				requeued++
-			}
-		}
-		log.Printf("journal %s: replayed %d finished campaign(s), requeued %d interrupted",
-			filepath.Join(*dataDir, "journal"), terminal, requeued)
-
-		storeDir := filepath.Join(*dataDir, "store")
 		seg, err := store.Open(storeDir, store.SegmentConfig{Obs: rec})
 		cli.Check(err)
 		hist = seg
-		st := seg.Stats()
-		log.Printf("store %s: %d campaign(s), %d event batch(es) across %d segment(s)",
-			storeDir, st.Records, st.EventBatches, st.Segments)
 	}
 
-	d := telemetry.NewDaemon(telemetry.DaemonConfig{
+	// A store NewDaemon cannot read back is fatal: serving on would reuse
+	// stored campaign IDs.
+	d, err := telemetry.NewDaemon(telemetry.DaemonConfig{
 		Workers:    *workers,
 		QueueDepth: *queue,
 		Recorder:   rec,
-		Journal:    journal,
 		Store:      hist,
 		Flight:     flight,
 		JobTimeout: *jobTO,
 		Retry:      telemetry.RetryPolicy{MaxAttempts: *retryMax, BaseDelay: *retryBase},
 	})
+	cli.Check(err)
+	if hist != nil {
+		restored := len(d.Campaigns())
+		requeued := int(col.CounterValue("daemon.requeues", ""))
+		st := hist.Stats()
+		log.Printf("store %s: %d finished campaign(s), requeued %d interrupted; %d event batch(es) across %d segment(s)",
+			storeDir, restored-requeued, requeued, st.EventBatches, st.Segments)
+	}
 	srv := telemetry.NewServer(telemetry.ServerOptions{
 		Collector: col,
 		Flight:    flight,
@@ -145,15 +139,10 @@ func main() {
 	ctx, cancel := context.WithTimeout(context.Background(), *drain)
 	defer cancel()
 	if err := d.Shutdown(ctx); err != nil {
-		log.Printf("shutdown: %v (unfinished campaigns stay requeueable in the journal)", err)
+		log.Printf("shutdown: %v (unfinished campaigns stay requeueable in the store)", err)
 	}
 	if err := srv.Shutdown(ctx); err != nil {
 		log.Printf("http shutdown: %v", err)
-	}
-	if journal != nil {
-		if err := journal.Close(); err != nil {
-			log.Printf("journal: %v", err)
-		}
 	}
 	if hist != nil {
 		if err := hist.Close(); err != nil {

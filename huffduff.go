@@ -238,16 +238,17 @@ func NewConvergeLedger(rec ObsRecorder) *ConvergeLedger { return converge.NewLed
 // "geometry", "timing", "finalize") an attack error originated in.
 func AttackStage(err error) (string, bool) { return faults.StageOf(err) }
 
-// Durable campaign history: the embedded store behind huffduffd's
-// queryable /campaigns surface, usable standalone for longitudinal
-// experiment datasets (per-model aggregates over many runs).
+// Durable campaign history: the embedded store that is huffduffd's
+// write-ahead log and serves its /campaigns aggregates, usable standalone
+// for longitudinal experiment datasets (per-model aggregates over many
+// runs).
 type (
-	// CampaignStore is the history interface: put/lookup/scan terminal
-	// campaign records, per-campaign event batches, and per-model
-	// aggregates. NewMemoryCampaignStore and OpenCampaignStore return the
+	// CampaignStore is the history interface: put/lookup/scan campaign
+	// records (the latest per ID wins), per-campaign event batches, and
+	// per-model aggregates over the terminal ones. NewMemoryCampaignStore and OpenCampaignStore return the
 	// two implementations, which serve identical results.
 	CampaignStore = store.Store
-	// StoredCampaign is one terminal campaign: indexed columns (model,
+	// StoredCampaign is one campaign state: indexed columns (model,
 	// state, finish time, wall seconds, queries) plus an opaque payload.
 	StoredCampaign = store.CampaignRecord
 	// CampaignQuery filters and paginates a campaign scan.

@@ -13,7 +13,7 @@ import (
 // DaemonFaultsConfig sets daemon-level fault intensities. Where the trace
 // fault model (Config) corrupts what the attacker observes, this one breaks
 // the campaign daemon itself: workers that panic mid-attack, device runs
-// that stall past the job deadline, and journal writes that fail. The zero
+// that stall past the job deadline, and durable writes that fail. The zero
 // value injects nothing.
 type DaemonFaultsConfig struct {
 	// Seed drives all injection randomness.
@@ -25,16 +25,16 @@ type DaemonFaultsConfig struct {
 	// StallProb is the per-victim-Run probability of blocking until the
 	// job context is done — a device run that hangs past its deadline.
 	StallProb float64
-	// JournalErrProb is the per-append probability of failing a journal
+	// WriteErrProb is the per-write probability of failing a durable
 	// write, exercising the degraded-but-running path.
-	JournalErrProb float64
+	WriteErrProb float64
 	// Obs, when set, receives per-class `chaos.daemon_faults` counters.
 	Obs obs.Recorder
 }
 
 // DaemonStats counts injected daemon-level faults.
 type DaemonStats struct {
-	Runs, Panics, Stalls, JournalCalls, JournalErrs int
+	Runs, Panics, Stalls, WriteCalls, WriteErrs int
 }
 
 // DaemonFaults injects daemon-level failures per a seeded schedule. Safe
@@ -99,16 +99,16 @@ func (f *DaemonFaults) BeforeRun(ctx context.Context) error {
 	return nil
 }
 
-// JournalFault is the journal's fault hook (telemetry.JournalConfig.Fault):
-// it returns an injected write error with probability JournalErrProb.
-func (f *DaemonFaults) JournalFault() error {
+// WriteFault is consulted before every durable write the daemon makes: it
+// returns an injected write error with probability WriteErrProb.
+func (f *DaemonFaults) WriteFault() error {
 	f.mu.Lock()
 	defer f.mu.Unlock()
-	f.stats.JournalCalls++
-	if f.cfg.JournalErrProb > 0 && f.rng.Float64() < f.cfg.JournalErrProb {
-		f.stats.JournalErrs++
-		f.countFault("journal")
-		return fmt.Errorf("chaos: injected journal write failure: %w", faults.ErrTransient)
+	f.stats.WriteCalls++
+	if f.cfg.WriteErrProb > 0 && f.rng.Float64() < f.cfg.WriteErrProb {
+		f.stats.WriteErrs++
+		f.countFault("write")
+		return fmt.Errorf("chaos: injected durable write failure: %w", faults.ErrTransient)
 	}
 	return nil
 }

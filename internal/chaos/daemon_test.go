@@ -47,23 +47,23 @@ func TestDaemonFaultsStallUnwedgedByDeadline(t *testing.T) {
 	}
 }
 
-func TestDaemonFaultsJournal(t *testing.T) {
-	f := NewDaemonFaults(DaemonFaultsConfig{JournalErrProb: 1})
-	err := f.JournalFault()
+func TestDaemonFaultsWrite(t *testing.T) {
+	f := NewDaemonFaults(DaemonFaultsConfig{WriteErrProb: 1})
+	err := f.WriteFault()
 	if err == nil {
-		t.Fatal("JournalErrProb=1 JournalFault returned nil")
+		t.Fatal("WriteErrProb=1 WriteFault returned nil")
 	}
 	if !errors.Is(err, faults.ErrTransient) {
-		t.Errorf("journal fault = %v, want wrapped ErrTransient", err)
+		t.Errorf("write fault = %v, want wrapped ErrTransient", err)
 	}
-	if st := f.Stats(); st.JournalCalls != 1 || st.JournalErrs != 1 {
+	if st := f.Stats(); st.WriteCalls != 1 || st.WriteErrs != 1 {
 		t.Errorf("stats = %+v", st)
 	}
 
 	// Probability zero never injects.
 	quiet := NewDaemonFaults(DaemonFaultsConfig{})
 	for i := 0; i < 100; i++ {
-		if err := quiet.JournalFault(); err != nil {
+		if err := quiet.WriteFault(); err != nil {
 			t.Fatalf("zero-probability injector returned %v", err)
 		}
 		if err := quiet.BeforeRun(context.Background()); err != nil {
@@ -74,10 +74,10 @@ func TestDaemonFaultsJournal(t *testing.T) {
 
 func TestDaemonFaultsReproducible(t *testing.T) {
 	schedule := func() []bool {
-		f := NewDaemonFaults(DaemonFaultsConfig{Seed: 42, JournalErrProb: 0.5})
+		f := NewDaemonFaults(DaemonFaultsConfig{Seed: 42, WriteErrProb: 0.5})
 		out := make([]bool, 64)
 		for i := range out {
-			out[i] = f.JournalFault() != nil
+			out[i] = f.WriteFault() != nil
 		}
 		return out
 	}

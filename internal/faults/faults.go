@@ -63,8 +63,8 @@ const (
 	ClassUnknown   = "unknown"
 )
 
-// Class maps an error to its fault class, for metric labels, journal
-// records, and daemon retry decisions. Context deadline/cancel errors
+// Class maps an error to its fault class, for metric labels, stored
+// campaign records, and daemon retry decisions. Context deadline/cancel errors
 // classify the same as the explicit sentinels, so a deadline that surfaced
 // straight from context.Context still reads as ClassDeadline.
 func Class(err error) string {

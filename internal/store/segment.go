@@ -24,8 +24,8 @@ import (
 // Every record carries a monotone log sequence number (LSN); the latest LSN
 // for a (kind, ID) pair wins, which is what makes compaction free to
 // reorder files: supersedence is decided by LSN, never by file position.
-// Appends go to a single active segment, fsync'd per record (the journal's
-// durability discipline), and rotate by size. Every open starts a fresh
+// Appends go to a single active segment, fsync'd per record so an
+// acknowledged record survives a crash, and rotate by size. Every open starts a fresh
 // active segment, so a torn tail from a crash is never appended after — it
 // is skipped and counted during recovery instead. Sealed segments get a
 // sidecar index holding the indexed columns and frame offsets, so reopening

@@ -1,12 +1,12 @@
-// Package store is the daemon's durable campaign history: an embedded,
-// stdlib-only store for everything a campaign leaves behind once it reaches
-// a terminal state — the full CampaignSnapshot payload, its convergence
-// summary, and the flight-recorder event batch captured over its run —
-// behind one Store interface with two implementations. Memory is the
-// ephemeral table the daemon uses without a data directory; Segment is an
-// append-only segment log (the fsync discipline of the telemetry journal)
-// with per-segment sidecar indexes, crash-safe recovery that skips and
-// counts a torn tail, and background compaction that drops superseded
+// Package store is the daemon's durable campaign log: an embedded,
+// stdlib-only store for the latest state per campaign — the full
+// CampaignSnapshot payload, written at every state transition, and for a
+// finished campaign its convergence summary and the flight-recorder event
+// batch captured over its run — behind one Store interface with two
+// implementations. Memory is the ephemeral table the daemon uses without a
+// data directory; Segment is an append-only segment log, fsync'd per
+// record, with per-segment sidecar indexes, crash-safe recovery that skips
+// and counts a torn tail, and background compaction that drops superseded
 // records and merges small segments. Both backends serve the same query
 // surface — point lookup, filtered time-range listing, and per-model
 // aggregation — identically and in deterministic ascending-ID order, which
@@ -19,7 +19,7 @@ import (
 	"sort"
 )
 
-// CampaignRecord is one terminal campaign as the store holds it: the
+// CampaignRecord is one campaign state as the store holds it: the
 // indexed columns every query path filters and aggregates on, plus the
 // opaque payload (the daemon's full CampaignSnapshot JSON) that listings
 // return. The store never decodes Payload; the columns are extracted by the
@@ -30,10 +30,11 @@ type CampaignRecord struct {
 	ID int `json:"id"`
 	// Model is the victim model name — the per-model scan and aggregation key.
 	Model string `json:"model"`
-	// State is the terminal state, "done" or "failed".
+	// State is the campaign state; only the terminal "done" and "failed"
+	// count in aggregates.
 	State string `json:"state"`
-	// FinishedNS is the terminal timestamp in Unix nanoseconds — the
-	// time-range scan key.
+	// FinishedNS is the terminal timestamp in Unix nanoseconds (0 before
+	// the campaign finishes) — the time-range scan key.
 	FinishedNS int64 `json:"finished_ns"`
 	// WallSeconds is the wall time of the final attempt, feeding the
 	// per-model p50/p95 aggregates.
@@ -42,8 +43,9 @@ type CampaignRecord struct {
 	Queries int64 `json:"queries"`
 	// Degraded marks a campaign that finished with a degraded solution space.
 	Degraded bool `json:"degraded"`
-	// Payload is the writer's full record (for the daemon: the terminal
-	// CampaignSnapshot, convergence summary included), returned verbatim.
+	// Payload is the writer's full record (for the daemon: the
+	// CampaignSnapshot, convergence summary included once terminal),
+	// returned verbatim.
 	Payload json.RawMessage `json:"payload,omitempty"`
 }
 
@@ -65,7 +67,7 @@ type EventBatch struct {
 // everything. Results are always in ascending-ID order, so Offset/Limit
 // windows are stable across identical stores regardless of backend.
 type Query struct {
-	// State keeps only campaigns in this terminal state ("" = any).
+	// State keeps only campaigns in this state ("" = any).
 	State string `json:"state,omitempty"`
 	// Model keeps only campaigns of this victim model ("" = any).
 	Model string `json:"model,omitempty"`
@@ -91,10 +93,10 @@ func (q Query) Match(r CampaignRecord) bool {
 	return true
 }
 
-// ModelAggregate is one model's slice of the stored history: how many
-// campaigns ran, how they ended, what they cost. This is the per-model view
-// attack papers report — query budgets and wall costs over many runs, not
-// one snapshot.
+// ModelAggregate is one model's slice of the stored terminal history: how
+// many campaigns finished, how they ended, what they cost. This is the
+// per-model view attack papers report — query budgets and wall costs over
+// many runs, not one snapshot.
 type ModelAggregate struct {
 	Model     string `json:"model"`
 	Campaigns int    `json:"campaigns"`
@@ -133,20 +135,20 @@ type Stats struct {
 	TornRecords uint64 `json:"torn_records"`
 }
 
-// Store is the campaign-history store: append terminal campaigns and their
-// event batches, read them back by ID, filtered listing, or per-model
-// aggregate. Implementations are safe for concurrent use, and both backends
-// answer every read identically (deterministic ascending-ID order) over the
-// same contents.
+// Store is the campaign store: append campaign records (the latest per ID
+// wins) and event batches, read them back by ID, filtered listing, or
+// per-model aggregate. Implementations are safe for concurrent use, and
+// both backends answer every read identically (deterministic ascending-ID
+// order) over the same contents.
 type Store interface {
-	// PutCampaign appends (or supersedes) one terminal campaign record.
+	// PutCampaign appends (or supersedes) one campaign record.
 	PutCampaign(rec CampaignRecord) error
 	// Campaign returns the record for one campaign ID.
 	Campaign(id int) (CampaignRecord, bool, error)
 	// Campaigns lists records matching q, ascending ID, paginated.
 	Campaigns(q Query) ([]CampaignRecord, error)
-	// AggregateByModel folds the whole history into per-model aggregates,
-	// sorted by model name.
+	// AggregateByModel folds the terminal history into per-model
+	// aggregates, sorted by model name.
 	AggregateByModel() ([]ModelAggregate, error)
 	// PutEvents appends (or supersedes) one campaign's event batch.
 	PutEvents(batch EventBatch) error
@@ -173,22 +175,26 @@ func applyWindow(recs []CampaignRecord, q Query) []CampaignRecord {
 	return recs
 }
 
-// aggregateRecords computes the per-model aggregates over a record set.
-// Shared by both backends so the aggregate endpoint is backend-agnostic.
+// aggregateRecords computes the per-model aggregates over the terminal
+// records of a record set: a queued, running, or retrying campaign is not
+// history yet. Shared by both backends so the aggregate endpoint is
+// backend-agnostic.
 func aggregateRecords(recs []CampaignRecord) []ModelAggregate {
 	byModel := map[string]*ModelAggregate{}
 	walls := map[string][]float64{}
 	for _, r := range recs {
+		if r.State != "done" && r.State != "failed" {
+			continue
+		}
 		agg := byModel[r.Model]
 		if agg == nil {
 			agg = &ModelAggregate{Model: r.Model}
 			byModel[r.Model] = agg
 		}
 		agg.Campaigns++
-		switch r.State {
-		case "done":
+		if r.State == "done" {
 			agg.Done++
-		case "failed":
+		} else {
 			agg.Failed++
 		}
 		if r.Degraded {

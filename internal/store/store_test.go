@@ -105,14 +105,49 @@ func newSegmentStore(t *testing.T, cfg SegmentConfig) *Segment {
 
 // TestBackendConformance runs the same query matrix against both backends
 // over the same contents and requires byte-identical results: listings,
-// point lookups, aggregates, and event batches.
+// point lookups, aggregates, and event batches. The contents include a
+// queued and a running campaign, which must leave the aggregate and the
+// done listing exactly as the terminal corpus alone gives them.
 func TestBackendConformance(t *testing.T) {
 	recs := testCorpus()
+	terminal := NewMemory()
+	defer terminal.Close()
+	fillStore(t, terminal, recs)
+	wantAgg, err := terminal.AggregateByModel()
+	if err != nil {
+		t.Fatal(err)
+	}
+	wantDone, err := terminal.Campaigns(Query{State: "done"})
+	if err != nil {
+		t.Fatal(err)
+	}
+
+	recs = append(recs, testRec(31, "smallcnn", "queued", 0, 0, 0, false), testRec(32, "lenet5", "running", 0, 0, 0, false))
 	mem := NewMemory()
 	defer mem.Close()
 	seg := newSegmentStore(t, SegmentConfig{})
 	fillStore(t, mem, recs)
 	fillStore(t, seg, recs)
+	for _, b := range []struct {
+		name string
+		s    Store
+	}{{"memory", mem}, {"segment", seg}} {
+		name, s := b.name, b.s
+		agg, err := s.AggregateByModel()
+		if err != nil {
+			t.Fatalf("%s AggregateByModel: %v", name, err)
+		}
+		if a, b := mustJSON(t, agg), mustJSON(t, wantAgg); a != b {
+			t.Errorf("%s: non-terminal campaigns changed the aggregate:\n got %s\nwant %s", name, a, b)
+		}
+		done, err := s.Campaigns(Query{State: "done"})
+		if err != nil {
+			t.Fatalf("%s Campaigns: %v", name, err)
+		}
+		if a, b := mustJSON(t, done), mustJSON(t, wantDone); a != b {
+			t.Errorf("%s: non-terminal campaigns changed the done listing:\n got %s\nwant %s", name, a, b)
+		}
+	}
 
 	for _, q := range testQueries() {
 		memOut, err := mem.Campaigns(q)

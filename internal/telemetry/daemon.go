@@ -1,10 +1,10 @@
 // Package telemetry turns the post-hoc observability of internal/obs into a
 // live service: a campaign daemon that runs attack jobs on a supervised,
-// bounded worker pool — with a durable write-ahead journal, crash-resume,
-// per-campaign retries, and real backpressure — and an HTTP server exposing
-// Prometheus metrics, live campaign progress (including per-layer
-// accelerator telemetry), a JSONL event stream, and pprof — what an
-// operator watches while campaigns run, instead of what a post-mortem
+// bounded worker pool — with the campaign store as its write-ahead log,
+// crash-resume, per-campaign retries, and real backpressure — and an HTTP
+// server exposing Prometheus metrics, live campaign progress (including
+// per-layer accelerator telemetry), a JSONL event stream, and pprof — what
+// an operator watches while campaigns run, instead of what a post-mortem
 // reads after they end.
 package telemetry
 
@@ -14,6 +14,7 @@ import (
 	"fmt"
 	"math/rand"
 	"sync"
+	"sync/atomic"
 	"time"
 
 	"github.com/huffduff/huffduff/internal/accel"
@@ -114,7 +115,7 @@ type CampaignSnapshot struct {
 	Started   *time.Time `json:"started,omitempty"`
 	Finished  *time.Time `json:"finished,omitempty"`
 	// Attempts counts run attempts so far (1 on the first run); Resumed
-	// marks a campaign reconstructed from the journal after a restart.
+	// marks a campaign restored from the store after a restart.
 	Attempts int  `json:"attempts,omitempty"`
 	Resumed  bool `json:"resumed,omitempty"`
 	// Stage is the pipeline stage most recently entered; ProbeDone/Total
@@ -228,24 +229,20 @@ type DaemonConfig struct {
 	Workers int
 	// QueueDepth bounds the submitted-but-unstarted backlog (default 16);
 	// submissions beyond it are rejected (HTTP 429 with Retry-After)
-	// rather than buffered without bound. Journal requeues and retries are
+	// rather than buffered without bound. Restart requeues and retries are
 	// internal and exempt.
 	QueueDepth int
 	// Recorder receives every campaign's spans and metrics — typically an
 	// obs.Fanout of the serving Collector, a FlightRecorder, and an
 	// optional JSONL file sink. Nil runs campaigns uninstrumented.
 	Recorder obs.Recorder
-	// Journal, when set, makes the daemon crash-safe: submissions and
-	// state transitions are journaled durably, and campaigns replayed from
-	// the journal at construction are requeued. Nil keeps the daemon
-	// ephemeral.
-	Journal *Journal
-	// Store is the campaign-history store terminal campaigns are persisted
-	// into and the queryable read path (/campaigns filters, /campaigns/
-	// aggregate) is served from. Nil defaults to an in-memory store, so the
-	// query surface behaves identically with and without a data directory;
-	// a segment store additionally survives restarts. The daemon does not
-	// close the store — the owner that opened it does.
+	// Store is the daemon's durable log: every submission and state
+	// transition is written to it as the campaign's latest record, and
+	// NewDaemon rebuilds the campaign table from it. It also serves the
+	// per-model aggregate and the stored event tails. Nil defaults to an
+	// in-memory store, which keeps the daemon ephemeral behind an identical
+	// query surface; a segment store makes it crash-safe. The daemon does
+	// not close the store — the owner that opened it does.
 	Store store.Store
 	// Flight, when set alongside Store, is the flight recorder whose event
 	// tail is captured into the store (the events of the campaign's final
@@ -258,7 +255,7 @@ type DaemonConfig struct {
 	// it per job.
 	JobTimeout time.Duration
 	// Faults, when set, injects daemon-level failures (worker panics,
-	// stalled runs, journal write errors) for chaos testing.
+	// stalled runs, store write errors) for chaos testing.
 	Faults *chaos.DaemonFaults
 	// RetryAfter is the backoff hint returned with queue-full rejections
 	// (default 5s).
@@ -278,9 +275,6 @@ type Daemon struct {
 	mu sync.Mutex
 	// closed is guarded by mu; draining: no new submissions.
 	closed bool
-	// killed is guarded by mu; crash simulation: no state updates, no
-	// journal writes.
-	killed bool
 	// queued is guarded by mu; externally-submitted jobs awaiting a worker.
 	queued int
 	// nextID is guarded by mu.
@@ -291,6 +285,17 @@ type Daemon struct {
 	campaigns []*campaign
 	// retryRng is guarded by mu.
 	retryRng *rand.Rand
+
+	// wmu serializes durable writes with each other and with Kill. Lock
+	// order: mu, then wmu.
+	wmu sync.Mutex
+	// killed is crash simulation: no state updates, no durable writes. Kill
+	// sets it holding wmu, so no write is in progress once it is set.
+	killed atomic.Bool
+	// writeFailing is set while the most recent durable write failed.
+	writeFailing atomic.Bool
+	// writeErrors counts failed durable writes.
+	writeErrors atomic.Uint64
 }
 
 // ErrQueueFull rejects submissions beyond the configured backlog.
@@ -299,11 +304,12 @@ var ErrQueueFull = errors.New("telemetry: job queue full")
 // ErrShuttingDown rejects submissions after Shutdown began.
 var ErrShuttingDown = errors.New("telemetry: daemon shutting down")
 
-// NewDaemon starts the worker pool and returns the running daemon. With a
-// journal configured, campaigns replayed from it are restored first:
-// terminal ones keep their IDs and results, and the rest are requeued
-// (ahead of any new submission) with a journaled requeue marker.
-func NewDaemon(cfg DaemonConfig) *Daemon {
+// NewDaemon starts the worker pool and returns the running daemon. The
+// campaign table is first rebuilt from the store: terminal campaigns keep
+// their IDs and results, and the rest are requeued ahead of any new
+// submission. A store that cannot be read back is an error: the daemon
+// never starts writing over a history it could not restore.
+func NewDaemon(cfg DaemonConfig) (*Daemon, error) {
 	if cfg.Workers <= 0 {
 		cfg.Workers = 2
 	}
@@ -317,26 +323,19 @@ func NewDaemon(cfg DaemonConfig) *Daemon {
 	if cfg.Store == nil {
 		cfg.Store = store.NewMemory()
 	}
-	//lint:ignore ctxflow the daemon owns the process-lifetime root context; Kill/Shutdown cancel it
-	ctx, cancel := context.WithCancel(context.Background())
 	d := &Daemon{
 		cfg:      cfg,
-		ctx:      ctx,
-		cancel:   cancel,
 		nextID:   1,
 		byID:     map[int]*campaign{},
 		retryRng: rand.New(rand.NewSource(cfg.Retry.Seed)),
 	}
-	var requeue []*campaign
-	if cfg.Journal != nil {
-		requeue = d.restore(cfg.Journal.Replayed())
+	requeue, err := d.restore()
+	if err != nil {
+		return nil, err
 	}
-	// Reconcile with the campaign store: stored history the journal no
-	// longer covers is restored, and journal-terminal campaigns the store
-	// missed (a crash between journal append and store append) are persisted
-	// now — after this the two are replay-equivalent.
-	d.restoreFromStore()
-	// Extra capacity beyond QueueDepth absorbs journal requeues and retry
+	//lint:ignore ctxflow the daemon owns the process-lifetime root context; Kill/Shutdown cancel it
+	d.ctx, d.cancel = context.WithCancel(context.Background())
+	// Extra capacity beyond QueueDepth absorbs restart requeues and retry
 	// re-enqueues, which bypass submission backpressure; retries that
 	// still find the channel full simply reschedule their timer.
 	d.jobs = make(chan *campaign, cfg.QueueDepth+len(requeue)+cfg.Workers+16)
@@ -353,56 +352,10 @@ func NewDaemon(cfg DaemonConfig) *Daemon {
 			}
 		}()
 	}
-	return d
+	return d, nil
 }
 
-// restore rebuilds the campaign table from journal replay and returns the
-// non-terminal campaigns to requeue, journaling the requeue transition.
-func (d *Daemon) restore(replayed []ReplayedCampaign) []*campaign {
-	var requeue []*campaign
-	for _, rc := range replayed {
-		c := &campaign{snap: CampaignSnapshot{
-			ID:        rc.ID,
-			Spec:      rc.Spec,
-			State:     rc.State,
-			Submitted: rc.Submitted,
-			Started:   rc.Started,
-			Finished:  rc.Finished,
-			Attempts:  rc.Attempts,
-			Resumed:   true,
-		}}
-		c.ledger = converge.NewLedger(d.cfg.Recorder)
-		if rc.Terminal() {
-			// The in-memory convergence history died with the old process;
-			// a restored terminal campaign serves an empty, closed ledger.
-			c.ledger.Close()
-			if rc.State == StateFailed {
-				c.snap.Error, c.snap.ErrorClass = rc.Error, rc.Class
-			} else {
-				c.snap.SolutionCount = rc.Solutions
-				c.snap.VictimQueries = rc.Queries
-				c.snap.VictimRetries = rc.Retries
-				c.snap.Degraded = rc.Degraded
-			}
-		} else {
-			c.snap.State = StateQueued
-			c.snap.Started = nil
-			requeue = append(requeue, c)
-			d.journalState(c.snap.ID, StateChange{State: StateQueued, Attempt: rc.Attempts})
-		}
-		d.byID[rc.ID] = c
-		d.campaigns = append(d.campaigns, c)
-		if rc.ID >= d.nextID {
-			d.nextID = rc.ID + 1
-		}
-	}
-	if len(requeue) > 0 {
-		d.count("daemon.requeues", "", float64(len(requeue)))
-	}
-	return requeue
-}
-
-// Submit validates, journals, and enqueues a job, returning its queued
+// Submit validates, persists, and enqueues a job, returning its queued
 // snapshot. The job runs as soon as a worker frees up. Beyond QueueDepth
 // unstarted jobs, Submit rejects with ErrQueueFull — the backpressure the
 // HTTP layer translates to 429 + Retry-After.
@@ -439,20 +392,20 @@ func (d *Daemon) Submit(spec JobSpec) (CampaignSnapshot, error) {
 		d.count("daemon.queue_rejections", "", 1)
 		return CampaignSnapshot{}, ErrQueueFull
 	}
-	// Journal before acknowledging: once the caller sees 202 the job
-	// survives a crash. A failing journal degrades durability, not
-	// availability — the append error is counted and /healthz reports
-	// degraded, but the job still runs.
-	if d.cfg.Journal != nil {
-		_ = d.cfg.Journal.AppendSubmit(c.snap.ID, now, spec)
-	}
+	// Persist before acknowledging: once the caller sees 202 the job
+	// survives a crash. A failing store degrades durability, not
+	// availability — the write error is counted and /healthz reports
+	// degraded, but the job still runs. Holding d.mu keeps the worker's
+	// running record behind this one.
+	snap := c.snapshot()
+	d.persist(snap)
 	d.nextID++
 	d.queued++
 	d.byID[c.snap.ID] = c
 	d.campaigns = append(d.campaigns, c)
 	d.count("daemon.jobs_submitted", "", 1)
 	d.gauge("daemon.queue_depth", float64(d.queued))
-	return c.snapshot(), nil
+	return snap, nil
 }
 
 // RetryAfterHint is the backoff the HTTP layer advertises on queue-full
@@ -509,18 +462,18 @@ func (d *Daemon) ProgressLedger(id int) (*converge.Ledger, bool) {
 
 // Health is the liveness/readiness view /healthz serves.
 type Health struct {
-	// Status is "ok", "degraded" (journal failing — still serving, with
-	// durability at risk), or "draining" (Shutdown has begun; served with
-	// 503 so load-balancers stop routing here).
+	// Status is "ok", "degraded" (the most recent durable write failed —
+	// still serving, with durability at risk until a write succeeds), or
+	// "draining" (Shutdown has begun; served with 503 so load-balancers
+	// stop routing here).
 	Status string `json:"status"`
 	// Queued is the unstarted external backlog against QueueDepth.
 	Queued     int `json:"queued"`
 	QueueDepth int `json:"queue_depth"`
 	Workers    int `json:"workers"`
 	Campaigns  int `json:"campaigns"`
-	// Journal state, present when a journal is configured.
-	JournalErrors uint64 `json:"journal_errors,omitempty"`
-	JournalBytes  uint64 `json:"journal_bytes,omitempty"`
+	// WriteErrors counts failed durable writes since start.
+	WriteErrors uint64 `json:"write_errors,omitempty"`
 }
 
 // Health reports the daemon's current health classification.
@@ -535,13 +488,9 @@ func (d *Daemon) Health() Health {
 	}
 	closed := d.closed
 	d.mu.Unlock()
-	if j := d.cfg.Journal; j != nil {
-		st := j.Stats()
-		h.JournalErrors = st.Errors
-		h.JournalBytes = st.Bytes
-		if j.Failing() {
-			h.Status = "degraded"
-		}
+	h.WriteErrors = d.writeErrors.Load()
+	if d.writeFailing.Load() {
+		h.Status = "degraded"
 	}
 	if closed {
 		h.Status = "draining"
@@ -550,11 +499,11 @@ func (d *Daemon) Health() Health {
 }
 
 // Shutdown stops accepting jobs and lets the workers drain the queue and
-// finish running campaigns — in-flight work is journaled at every
+// finish running campaigns — in-flight work is persisted at every
 // transition, so anything still unfinished when ctx expires is requeueable
 // on the next start rather than lost. On ctx expiry the per-job contexts
 // are canceled so workers abandon their campaigns promptly (the campaigns
-// stay non-terminal in the journal), and Shutdown returns ctx's error.
+// stay non-terminal in the store), and Shutdown returns ctx's error.
 func (d *Daemon) Shutdown(ctx context.Context) error {
 	d.mu.Lock()
 	if !d.closed {
@@ -574,7 +523,7 @@ func (d *Daemon) Shutdown(ctx context.Context) error {
 	}
 	// Drain deadline expired: abort running campaigns. Their run() sees a
 	// canceled context during drain and parks them back to queued without
-	// a terminal journal record, so a restart resumes them.
+	// a terminal store record, so a restart resumes them.
 	d.cancel()
 	select {
 	case <-done:
@@ -585,31 +534,24 @@ func (d *Daemon) Shutdown(ctx context.Context) error {
 	return fmt.Errorf("telemetry: shutdown: %w", ctx.Err())
 }
 
-// Kill simulates a crash, for restart testing: the journal stops
-// persisting immediately (as if the process died mid-write), worker
-// contexts are canceled, and workers are torn down without journaling any
-// further transitions. The daemon is unusable afterwards; start a new one
-// on the same journal directory to resume.
+// Kill simulates a crash, for restart testing: durable writes stop
+// immediately (as if the process died mid-write), worker contexts are
+// canceled, and workers are torn down without persisting any further
+// transitions. Once Kill returns, nothing more reaches the store. The
+// daemon is unusable afterwards; start a new one on the same store to
+// resume.
 func (d *Daemon) Kill() {
 	d.mu.Lock()
-	d.killed = true
+	d.wmu.Lock()
+	d.killed.Store(true)
+	d.wmu.Unlock()
 	if !d.closed {
 		d.closed = true
 		close(d.jobs)
 	}
 	d.mu.Unlock()
-	if d.cfg.Journal != nil {
-		d.cfg.Journal.Disable()
-	}
 	d.cancel()
 	d.wg.Wait()
-}
-
-// isKilled reports whether Kill has begun.
-func (d *Daemon) isKilled() bool {
-	d.mu.Lock()
-	defer d.mu.Unlock()
-	return d.killed
 }
 
 // isDraining reports whether Shutdown has begun.
@@ -633,22 +575,12 @@ func (d *Daemon) gauge(name string, v float64) {
 	}
 }
 
-// journalState appends a state transition when a journal is configured.
-// Append failures are counted by the journal itself and surface through
-// /healthz as degraded; the daemon keeps running.
-func (d *Daemon) journalState(id int, ch StateChange) {
-	if d.cfg.Journal == nil || id == 0 {
-		return
-	}
-	_ = d.cfg.Journal.AppendState(id, time.Now(), ch)
-}
-
 // run executes one attempt of a campaign end to end, publishing progress
-// into the record, transitions into the journal, and spans/metrics into
+// into the record, transitions into the store, and spans/metrics into
 // the shared recorder; on a retryable failure it schedules the next
 // attempt with exponential backoff.
 func (d *Daemon) run(c *campaign) {
-	if d.isKilled() {
+	if d.killed.Load() {
 		return
 	}
 	started := time.Now()
@@ -660,18 +592,19 @@ func (d *Daemon) run(c *campaign) {
 		s.Started = &started
 		s.Error, s.ErrorClass = "", ""
 	})
-	spec := c.snapshot().Spec
-	d.journalState(c.snapshot().ID, StateChange{State: StateRunning, Attempt: attempt})
+	snap := c.snapshot()
+	d.persist(snap)
+	spec := snap.Spec
 	d.count("daemon.jobs_started", "model="+spec.Model, 1)
 
 	res, err := d.execute(c, spec)
-	if d.isKilled() {
+	if d.killed.Load() {
 		// Crash simulation: the process is "dead"; nothing more happened.
 		return
 	}
 	if err != nil && d.isDraining() && errors.Is(err, context.Canceled) {
 		// Aborted by the shutdown drain deadline, not failed: park the
-		// campaign back to queued. The journal's last record for it is
+		// campaign back to queued. The store's last record for it is
 		// non-terminal, so the next start requeues it.
 		c.update(func(s *CampaignSnapshot) { s.State = StateQueued })
 		return
@@ -708,16 +641,7 @@ func (d *Daemon) finishDone(c *campaign, res *attack.Result, started, finished t
 	c.ledger.Close()
 	sum := c.ledger.Summary()
 	c.update(func(s *CampaignSnapshot) { s.Converge = &sum })
-	snap := c.snapshot()
-	d.persistTerminal(snap, started, finished)
-	d.journalState(snap.ID, StateChange{
-		State:     StateDone,
-		Attempt:   snap.Attempts,
-		Solutions: snap.SolutionCount,
-		Queries:   snap.VictimQueries,
-		Retries:   snap.VictimRetries,
-		Degraded:  snap.Degraded,
-	})
+	d.persistTerminal(c.snapshot())
 	d.count("daemon.campaigns", "state=done", 1)
 	if d.cfg.Recorder != nil {
 		d.cfg.Recorder.Observe("daemon.campaign.seconds", "model="+spec.Model, finished.Sub(started).Seconds())
@@ -735,11 +659,7 @@ func (d *Daemon) finishFailed(c *campaign, err error, class string, started, fin
 	c.ledger.Close()
 	sum := c.ledger.Summary()
 	c.update(func(s *CampaignSnapshot) { s.Converge = &sum })
-	snap := c.snapshot()
-	d.persistTerminal(snap, started, finished)
-	d.journalState(snap.ID, StateChange{
-		State: StateFailed, Attempt: snap.Attempts, Error: snap.Error, Class: class,
-	})
+	d.persistTerminal(c.snapshot())
 	d.count("daemon.campaigns", "state=failed", 1)
 	d.count("daemon.failures", "class="+class, 1)
 	if d.cfg.Recorder != nil {
@@ -747,7 +667,7 @@ func (d *Daemon) finishFailed(c *campaign, err error, class string, started, fin
 	}
 }
 
-// scheduleRetry journals the retrying state and re-enqueues the campaign
+// scheduleRetry persists the retrying state and re-enqueues the campaign
 // after an exponential-backoff delay with jitter.
 func (d *Daemon) scheduleRetry(c *campaign, attempt int, err error, class string) {
 	c.update(func(s *CampaignSnapshot) {
@@ -755,9 +675,7 @@ func (d *Daemon) scheduleRetry(c *campaign, attempt int, err error, class string
 		s.Error = err.Error()
 		s.ErrorClass = class
 	})
-	d.journalState(c.snapshot().ID, StateChange{
-		State: StateRetrying, Attempt: attempt, Error: err.Error(), Class: class,
-	})
+	d.persist(c.snapshot())
 	d.count("daemon.retries", "class="+class, 1)
 	time.AfterFunc(d.backoff(attempt), func() { d.requeue(c) })
 }
@@ -784,7 +702,7 @@ func (d *Daemon) backoff(attempt int) time.Duration {
 }
 
 // requeue re-enqueues a retrying campaign. After shutdown began the
-// campaign stays journaled as retrying — requeueable on the next start. A
+// campaign stays stored as retrying — requeueable on the next start. A
 // full channel (transient, retries bypass backpressure accounting but not
 // channel capacity) reschedules the attempt.
 func (d *Daemon) requeue(c *campaign) {

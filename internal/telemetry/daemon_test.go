@@ -25,6 +25,17 @@ func tinySpec() JobSpec {
 	return JobSpec{Model: "smallcnn", Trials: 2, Q: 6}
 }
 
+// newTestDaemon starts a daemon on cfg, failing the test if its store
+// cannot be restored.
+func newTestDaemon(t *testing.T, cfg DaemonConfig) *Daemon {
+	t.Helper()
+	d, err := NewDaemon(cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return d
+}
+
 // TestDaemonEndToEnd is the live-telemetry integration test: it starts the
 // daemon and HTTP server on a loopback port, submits two concurrent
 // campaigns, and watches them through the same endpoints an operator would
@@ -36,7 +47,7 @@ func TestDaemonEndToEnd(t *testing.T) {
 	flight := obs.NewFlightRecorder(obs.DefaultFlightEvents)
 	rec := obs.Fanout(col, flight)
 
-	d := NewDaemon(DaemonConfig{Workers: 2, QueueDepth: 8, Recorder: rec})
+	d := newTestDaemon(t, DaemonConfig{Workers: 2, QueueDepth: 8, Recorder: rec})
 	srv := NewServer(ServerOptions{
 		Collector: col,
 		Flight:    flight,
@@ -210,7 +221,7 @@ func TestDaemonEndToEnd(t *testing.T) {
 }
 
 func TestSubmitValidation(t *testing.T) {
-	d := NewDaemon(DaemonConfig{Workers: 1})
+	d := newTestDaemon(t, DaemonConfig{Workers: 1})
 	defer d.Shutdown(context.Background())
 	for _, spec := range []JobSpec{
 		{Model: "nonesuch"},
@@ -230,7 +241,7 @@ func TestQueueFull(t *testing.T) {
 	// the rejection is 429 with both a Retry-After header and a structured
 	// JSON body, so clients can back off programmatically.
 	stall := chaos.NewDaemonFaults(chaos.DaemonFaultsConfig{StallProb: 1})
-	d := NewDaemon(DaemonConfig{Workers: 1, QueueDepth: 1, Faults: stall, RetryAfter: 7 * time.Second})
+	d := newTestDaemon(t, DaemonConfig{Workers: 1, QueueDepth: 1, Faults: stall, RetryAfter: 7 * time.Second})
 	defer d.Kill()
 	srv := NewServer(ServerOptions{Campaigns: d, Submitter: d, Health: d, DisablePprof: true})
 	l, err := net.Listen("tcp", "127.0.0.1:0")

@@ -3,50 +3,118 @@ package telemetry
 import (
 	"encoding/json"
 	"fmt"
-	"sort"
-	"time"
 
 	"github.com/huffduff/huffduff/internal/converge"
 	"github.com/huffduff/huffduff/internal/obs"
 	"github.com/huffduff/huffduff/internal/store"
 )
 
-// This file is the daemon's bridge to the campaign store: terminal
-// snapshots (and their flight-recorder tails) are persisted on the way down,
-// the filtered/paginated /campaigns listing and the per-model aggregate are
-// served back out of it, and at construction the store and the journal are
-// reconciled so either one alone can rebuild the served history.
+// This file is the daemon's bridge to the campaign store, its one durable
+// log: every state transition is written through one write path as the
+// campaign's latest record (terminal ones add the flight-recorder tail of
+// their final attempt), the per-model aggregate and stored event tails are
+// served back out of it, and at construction one scan of it rebuilds the
+// campaign table.
 
 // terminalState reports whether a campaign state is terminal.
 func terminalState(state string) bool {
 	return state == StateDone || state == StateFailed
 }
 
-// persistTerminal writes a terminal campaign into the store: the full
-// snapshot as the record payload, plus the flight-recorder events of the
-// final attempt window as the campaign's event batch. Store failures are
-// counted (daemon.store_errors) and never fail the campaign.
-func (d *Daemon) persistTerminal(snap CampaignSnapshot, started, finished time.Time) {
-	rec, err := recordFromSnapshot(snap)
+// restore rebuilds the campaign table from the store's latest record per
+// campaign and returns the campaigns to requeue. Terminal campaigns are
+// served read-only from their stored payload; anything queued, running, or
+// waiting on a retry when the last process died is requeued as queued —
+// re-running a half-finished attack is safe because campaigns are
+// idempotent (seeded RNGs, simulated device). IDs resume past the highest
+// stored one. A failed scan is returned, not skipped: without it the daemon
+// would not know the highest stored ID, and its next submission would
+// supersede a stored campaign. Runs before the worker pool starts, so no
+// locking.
+func (d *Daemon) restore() ([]*campaign, error) {
+	recs, err := d.cfg.Store.Campaigns(store.Query{})
 	if err != nil {
-		d.count("daemon.store_errors", "op=encode", 1)
+		return nil, fmt.Errorf("telemetry: restoring campaigns from the store: %w", err)
+	}
+	var requeue []*campaign
+	for _, rec := range recs {
+		d.nextID = rec.ID + 1 // ascending ID; never reuse one, even undecodable
+		snap, err := snapshotFromRecord(rec)
+		if err != nil {
+			d.count("daemon.store_errors", "op=restore", 1)
+			continue
+		}
+		snap.Resumed = true
+		c := &campaign{snap: snap, ledger: converge.NewLedger(d.cfg.Recorder)}
+		if terminalState(snap.State) {
+			// The in-memory convergence history died with the old process;
+			// a restored terminal campaign serves an empty, closed ledger.
+			c.ledger.Close()
+		} else {
+			c.snap.State = StateQueued
+			c.snap.Started = nil
+			requeue = append(requeue, c)
+		}
+		d.byID[rec.ID] = c
+		d.campaigns = append(d.campaigns, c)
+	}
+	if len(requeue) > 0 {
+		d.count("daemon.requeues", "", float64(len(requeue)))
+	}
+	return requeue, nil
+}
+
+// write is the daemon's one durable write path. After Kill it writes
+// nothing; otherwise the chaos write fault, when configured, is consulted
+// before put. Callers encode before calling, so only the store write holds
+// wmu. The outcome sets the degraded flag /healthz reports — the most
+// recent write decides, so a success clears it. A failed write is counted
+// and never fails the campaign: availability over durability.
+func (d *Daemon) write(op string, put func() error) {
+	d.wmu.Lock()
+	defer d.wmu.Unlock()
+	if d.killed.Load() {
 		return
 	}
-	if !started.IsZero() && !finished.IsZero() {
-		// Only override the snapshot-derived value when both endpoints are
-		// real: the restore path can reach here with a zero started (journal
-		// snapshot missing Started), and finished.Sub(zero) would record ~54
-		// years of wall time and skew the per-model percentiles.
-		rec.WallSeconds = finished.Sub(started).Seconds()
+	var err error
+	if d.cfg.Faults != nil {
+		err = d.cfg.Faults.WriteFault()
 	}
-	if err := d.cfg.Store.PutCampaign(rec); err != nil {
-		d.count("daemon.store_errors", "op=put_campaign", 1)
+	if err == nil {
+		err = put()
 	}
-	if d.cfg.Flight == nil {
+	d.writeFailing.Store(err != nil)
+	if err != nil {
+		d.writeErrors.Add(1)
+		d.count("daemon.store_errors", "op="+op, 1)
+	}
+}
+
+// persist writes snap as its campaign's latest record. An encoding error
+// counts as a failed write.
+func (d *Daemon) persist(snap CampaignSnapshot) {
+	rec, encErr := recordFromSnapshot(snap)
+	d.write("put_campaign", func() error {
+		if encErr != nil {
+			return encErr
+		}
+		if err := d.cfg.Store.PutCampaign(rec); err != nil {
+			return fmt.Errorf("telemetry: storing campaign %d: %w", snap.ID, err)
+		}
+		return nil
+	})
+}
+
+// persistTerminal writes a terminal campaign: the snapshot as its final
+// record, plus the flight-recorder events of its final attempt window as
+// the campaign's event batch.
+func (d *Daemon) persistTerminal(snap CampaignSnapshot) {
+	d.persist(snap)
+	if d.cfg.Flight == nil || snap.Started == nil || snap.Finished == nil {
 		return
 	}
 	var tail []obs.Event
-	startNS, endNS := started.UnixNano(), finished.UnixNano()
+	startNS, endNS := snap.Started.UnixNano(), snap.Finished.UnixNano()
 	for _, ev := range d.cfg.Flight.Events() {
 		if ev.TS >= startNS && ev.TS <= endNS {
 			tail = append(tail, ev)
@@ -55,24 +123,26 @@ func (d *Daemon) persistTerminal(snap CampaignSnapshot, started, finished time.T
 	if len(tail) == 0 {
 		return
 	}
-	raw, err := json.Marshal(tail)
-	if err != nil {
-		d.count("daemon.store_errors", "op=encode", 1)
-		return
-	}
-	batch := store.EventBatch{
-		CampaignID: snap.ID,
-		FirstNS:    tail[0].TS,
-		LastNS:     tail[len(tail)-1].TS,
-		Events:     raw,
-	}
-	if err := d.cfg.Store.PutEvents(batch); err != nil {
-		d.count("daemon.store_errors", "op=put_events", 1)
-	}
+	raw, encErr := json.Marshal(tail)
+	d.write("put_events", func() error {
+		if encErr != nil {
+			return fmt.Errorf("telemetry: encoding campaign %d events: %w", snap.ID, encErr)
+		}
+		batch := store.EventBatch{
+			CampaignID: snap.ID,
+			FirstNS:    tail[0].TS,
+			LastNS:     tail[len(tail)-1].TS,
+			Events:     raw,
+		}
+		if err := d.cfg.Store.PutEvents(batch); err != nil {
+			return fmt.Errorf("telemetry: storing campaign %d events: %w", snap.ID, err)
+		}
+		return nil
+	})
 }
 
-// recordFromSnapshot extracts the store's indexed columns from a terminal
-// snapshot and embeds the snapshot itself as the payload.
+// recordFromSnapshot extracts the store's indexed columns from a snapshot
+// and embeds the snapshot itself as the payload.
 func recordFromSnapshot(snap CampaignSnapshot) (store.CampaignRecord, error) {
 	payload, err := json.Marshal(snap)
 	if err != nil {
@@ -105,71 +175,6 @@ func snapshotFromRecord(rec store.CampaignRecord) (CampaignSnapshot, error) {
 	return snap, nil
 }
 
-// restoreFromStore reconciles the construction-time campaign table with the
-// store, in both directions: stored terminal campaigns the journal replay
-// did not produce are restored into the table (full payload — device stats
-// and convergence summary included, which the journal never had), journal
-// replay already in the table gets its snapshot enriched from the stored
-// payload, and journal-terminal campaigns missing from the store are
-// persisted now. Runs before the worker pool starts, so no locking.
-func (d *Daemon) restoreFromStore() {
-	recs, err := d.cfg.Store.Campaigns(store.Query{})
-	if err != nil {
-		d.count("daemon.store_errors", "op=restore", 1)
-		return
-	}
-	inStore := make(map[int]bool, len(recs))
-	merged := false
-	for _, rec := range recs {
-		inStore[rec.ID] = true
-		if c, ok := d.byID[rec.ID]; ok {
-			// The journal replayed this campaign. If it is terminal, the
-			// stored payload is a superset of the journal's view — overlay it.
-			if terminalState(c.snap.State) {
-				if snap, err := snapshotFromRecord(rec); err == nil {
-					snap.Resumed = true
-					c.snap = snap
-				}
-			}
-			continue
-		}
-		snap, err := snapshotFromRecord(rec)
-		if err != nil {
-			d.count("daemon.store_errors", "op=restore", 1)
-			continue
-		}
-		snap.Resumed = true
-		c := &campaign{snap: snap, ledger: converge.NewLedger(d.cfg.Recorder)}
-		c.ledger.Close()
-		d.byID[snap.ID] = c
-		d.campaigns = append(d.campaigns, c)
-		if snap.ID >= d.nextID {
-			d.nextID = snap.ID + 1
-		}
-		merged = true
-	}
-	if merged {
-		sort.Slice(d.campaigns, func(i, j int) bool {
-			return d.campaigns[i].snap.ID < d.campaigns[j].snap.ID
-		})
-	}
-	// Reverse direction: journal-terminal campaigns the store never saw
-	// (e.g. a crash after the journal append but before the store append).
-	for _, c := range d.campaigns {
-		if !terminalState(c.snap.State) || inStore[c.snap.ID] {
-			continue
-		}
-		var started, finished time.Time
-		if c.snap.Started != nil {
-			started = *c.snap.Started
-		}
-		if c.snap.Finished != nil {
-			finished = *c.snap.Finished
-		}
-		d.persistTerminal(c.snap, started, finished)
-	}
-}
-
 // matchSnapshot applies a store query's filters to a live snapshot, with the
 // same semantics the store applies to its records: a SinceNS filter only
 // ever matches finished campaigns.
@@ -184,56 +189,6 @@ func matchSnapshot(q store.Query, s CampaignSnapshot) bool {
 		return false
 	}
 	return true
-}
-
-// CampaignsQuery serves the filtered, paginated campaign listing: live (and
-// this process's terminal) campaigns from the in-memory table, merged with
-// stored history this process never ran, ascending ID. This is the read
-// path behind GET /campaigns?state=&model=&since=&limit=&offset=.
-func (d *Daemon) CampaignsQuery(q store.Query) ([]CampaignSnapshot, error) {
-	snaps := d.Campaigns() // ascending ID already
-	out := make([]CampaignSnapshot, 0, len(snaps))
-	have := make(map[int]bool, len(snaps))
-	for _, s := range snaps {
-		have[s.ID] = true
-		if matchSnapshot(q, s) {
-			out = append(out, s)
-		}
-	}
-	// The in-memory table covers everything after restoreFromStore, but the
-	// store may have gained records since (another writer on a shared
-	// store); merge defensively. Pagination happens after the merge — the
-	// window is over the combined history.
-	recs, err := d.cfg.Store.Campaigns(store.Query{State: q.State, Model: q.Model, SinceNS: q.SinceNS})
-	if err != nil {
-		return nil, fmt.Errorf("campaign store scan: %w", err)
-	}
-	mergedAny := false
-	for _, rec := range recs {
-		if have[rec.ID] {
-			continue
-		}
-		snap, err := snapshotFromRecord(rec)
-		if err != nil {
-			continue
-		}
-		out = append(out, snap)
-		mergedAny = true
-	}
-	if mergedAny {
-		sort.Slice(out, func(i, j int) bool { return out[i].ID < out[j].ID })
-	}
-	if q.Offset > 0 {
-		if q.Offset >= len(out) {
-			out = out[:0]
-		} else {
-			out = out[q.Offset:]
-		}
-	}
-	if q.Limit > 0 && q.Limit < len(out) {
-		out = out[:q.Limit]
-	}
-	return out, nil
 }
 
 // AggregateByModel serves the per-model aggregate over the stored terminal

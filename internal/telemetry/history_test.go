@@ -60,32 +60,27 @@ func normalizeResumed(t *testing.T, snaps []CampaignSnapshot) string {
 }
 
 // TestStoreKillRestart is the acceptance-criterion integration test: a
-// daemon with a journal, a segment store, and a flight recorder runs three
-// campaigns to done and one to failed, is killed, and a restart on the same
-// data dir must serve the full pre-crash history — filtered listings,
-// per-model aggregates, and per-campaign stored event tails — identically.
+// daemon with a segment store and a flight recorder runs three campaigns to
+// done and one to failed, is killed, and a restart on the same store must
+// serve the full pre-crash history — filtered listings, per-model
+// aggregates, and per-campaign stored event tails — identically.
 func TestStoreKillRestart(t *testing.T) {
 	if testing.Short() {
 		t.Skip("runs full smallcnn campaigns; skipped in -short (CI runs it in a dedicated race step)")
 	}
-	dir := t.TempDir()
-	journalDir, storeDir := dir+"/journal", dir+"/store"
+	storeDir := t.TempDir()
 
 	// Phase 1: run campaigns to terminal states with everything wired.
 	col1 := obs.NewCollector()
 	flight1 := obs.NewFlightRecorder(obs.DefaultFlightEvents)
 	rec1 := obs.Fanout(col1, flight1)
-	j1, err := OpenJournal(journalDir, JournalConfig{Obs: rec1})
-	if err != nil {
-		t.Fatal(err)
-	}
 	s1, err := store.Open(storeDir, store.SegmentConfig{Obs: rec1})
 	if err != nil {
 		t.Fatal(err)
 	}
-	d1 := NewDaemon(DaemonConfig{
+	d1 := newTestDaemon(t, DaemonConfig{
 		Workers: 2, QueueDepth: 8,
-		Recorder: rec1, Journal: j1, Store: s1, Flight: flight1,
+		Recorder: rec1, Store: s1, Flight: flight1,
 		Retry: RetryPolicy{MaxAttempts: 1, BaseDelay: 5 * time.Millisecond},
 	})
 	base1, stop1 := startServer(t, d1, col1)
@@ -141,9 +136,6 @@ func TestStoreKillRestart(t *testing.T) {
 	// Crash.
 	d1.Kill()
 	stop1()
-	if err := j1.Close(); err != nil {
-		t.Fatal(err)
-	}
 	if err := s1.Close(); err != nil {
 		t.Fatal(err)
 	}
@@ -153,17 +145,12 @@ func TestStoreKillRestart(t *testing.T) {
 	// stored event tails — byte-identically (modulo the Resumed mark).
 	col2 := obs.NewCollector()
 	rec2 := obs.Fanout(col2)
-	j2, err := OpenJournal(journalDir, JournalConfig{Obs: rec2})
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer j2.Close()
 	s2, err := store.Open(storeDir, store.SegmentConfig{Obs: rec2})
 	if err != nil {
 		t.Fatal(err)
 	}
 	defer s2.Close()
-	d2 := NewDaemon(DaemonConfig{Workers: 1, QueueDepth: 8, Recorder: rec2, Journal: j2, Store: s2})
+	d2 := newTestDaemon(t, DaemonConfig{Workers: 1, QueueDepth: 8, Recorder: rec2, Store: s2})
 	defer d2.Kill()
 	base2, stop2 := startServer(t, d2, col2)
 	defer stop2()
@@ -322,9 +309,9 @@ func TestBackendsServeIdenticalResponses(t *testing.T) {
 		}
 	}
 
-	dMem := NewDaemon(DaemonConfig{Workers: 1, Store: mem})
+	dMem := newTestDaemon(t, DaemonConfig{Workers: 1, Store: mem})
 	defer dMem.Kill()
-	dSeg := NewDaemon(DaemonConfig{Workers: 1, Store: seg})
+	dSeg := newTestDaemon(t, DaemonConfig{Workers: 1, Store: seg})
 	defer dSeg.Kill()
 	baseMem, stopMem := startServer(t, dMem, nil)
 	defer stopMem()
@@ -389,171 +376,40 @@ func TestBackendsServeIdenticalResponses(t *testing.T) {
 	}
 }
 
-// TestJournalStoreReplayEquivalence proves either durability layer alone can
-// rebuild the served history: a journal-only restart reproduces the campaign
-// set and outcomes, and a store-only restart reproduces the full listing
-// byte-for-byte.
-func TestJournalStoreReplayEquivalence(t *testing.T) {
-	if testing.Short() {
-		t.Skip("runs full smallcnn campaigns; skipped in -short")
-	}
-	dir := t.TempDir()
-	journalDir, storeDir := dir+"/journal", dir+"/store"
-
-	j1, err := OpenJournal(journalDir, JournalConfig{})
-	if err != nil {
-		t.Fatal(err)
-	}
-	s1, err := store.Open(storeDir, store.SegmentConfig{})
-	if err != nil {
-		t.Fatal(err)
-	}
-	d1 := NewDaemon(DaemonConfig{Workers: 2, Journal: j1, Store: s1})
-	for i := 0; i < 2; i++ {
-		if _, err := d1.Submit(tinySpec()); err != nil {
-			t.Fatal(err)
-		}
-	}
-	for id := 1; id <= 2; id++ {
-		waitState(t, d1, id, 4*time.Minute, StateDone)
-	}
-	d1.Kill()
-	if err := j1.Close(); err != nil {
-		t.Fatal(err)
-	}
-	if err := s1.Close(); err != nil {
-		t.Fatal(err)
-	}
-
-	// Baseline: both layers present.
-	openBoth := func() (*Daemon, func()) {
-		j, err := OpenJournal(journalDir, JournalConfig{})
-		if err != nil {
-			t.Fatal(err)
-		}
-		s, err := store.Open(storeDir, store.SegmentConfig{})
-		if err != nil {
-			t.Fatal(err)
-		}
-		d := NewDaemon(DaemonConfig{Workers: 1, Journal: j, Store: s})
-		return d, func() { d.Kill(); j.Close(); s.Close() }
-	}
-	dBoth, stopBoth := openBoth()
-	baseline, err := dBoth.CampaignsQuery(store.Query{})
-	if err != nil {
-		t.Fatal(err)
-	}
-	baselineJSON := normalizeResumed(t, append([]CampaignSnapshot(nil), baseline...))
-	stopBoth()
-	if len(baseline) != 2 {
-		t.Fatalf("baseline has %d campaigns, want 2", len(baseline))
-	}
-
-	// Journal only (fresh in-memory store): same campaigns and outcomes.
-	jOnly, err := OpenJournal(journalDir, JournalConfig{})
-	if err != nil {
-		t.Fatal(err)
-	}
-	dJournal := NewDaemon(DaemonConfig{Workers: 1, Journal: jOnly})
-	fromJournal, err := dJournal.CampaignsQuery(store.Query{})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(fromJournal) != len(baseline) {
-		t.Fatalf("journal-only restart has %d campaigns, want %d", len(fromJournal), len(baseline))
-	}
-	for i, c := range fromJournal {
-		want := baseline[i]
-		if c.ID != want.ID || c.State != want.State ||
-			c.SolutionCount != want.SolutionCount || c.VictimQueries != want.VictimQueries {
-			t.Errorf("journal-only campaign %d diverges: got {id=%d state=%s sol=%d q=%d}, want {id=%d state=%s sol=%d q=%d}",
-				i, c.ID, c.State, c.SolutionCount, c.VictimQueries,
-				want.ID, want.State, want.SolutionCount, want.VictimQueries)
-		}
-	}
-	// The reconciliation persisted the journal's history into the (memory)
-	// store, so aggregates work without a durable store too.
-	aggs, err := dJournal.AggregateByModel()
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(aggs) != 1 || aggs[0].Campaigns != 2 {
-		t.Errorf("journal-only aggregate = %+v, want one model with 2 campaigns", aggs)
-	}
-	dJournal.Kill()
-	jOnly.Close()
-
-	// Store only (fresh journal): the full listing, byte-for-byte.
-	jFresh, err := OpenJournal(t.TempDir(), JournalConfig{})
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer jFresh.Close()
-	sOnly, err := store.Open(storeDir, store.SegmentConfig{})
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer sOnly.Close()
-	dStore := NewDaemon(DaemonConfig{Workers: 1, Journal: jFresh, Store: sOnly})
-	defer dStore.Kill()
-	fromStore, err := dStore.CampaignsQuery(store.Query{})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if got := normalizeResumed(t, fromStore); got != baselineJSON {
-		t.Errorf("store-only restart diverges from baseline:\n got %s\nwant %s", got, baselineJSON)
-	}
-	// And the ID high-water mark survives via the store alone.
-	snap, err := dStore.Submit(tinySpec())
-	if err != nil {
-		t.Fatal(err)
-	}
-	if snap.ID != 3 {
-		t.Errorf("store-only restart reused ID %d, want 3", snap.ID)
-	}
-}
-
-// TestPersistTerminalZeroStart guards the restore reverse-reconcile path: a
-// journal-replayed snapshot can be terminal with Finished set but Started
-// missing, and persisting it must not derive wall seconds from the zero time
-// (finished.Sub(zero) is ~54 years, which would permanently skew the stored
-// record and the per-model p50/p95 aggregates).
-func TestPersistTerminalZeroStart(t *testing.T) {
-	mem := store.NewMemory()
-	defer mem.Close()
-	d := NewDaemon(DaemonConfig{Workers: 1, Store: mem})
-	defer d.Kill()
-
+// TestRecordFromSnapshot pins the store columns extracted from snapshots
+// the daemon writes: a live campaign is not finished and has no wall time,
+// and a terminal one without a start time (the zero-start case) must not
+// derive wall seconds from the zero time — finished.Sub(zero) is ~54 years,
+// which would permanently skew the per-model p50/p95 aggregates.
+func TestRecordFromSnapshot(t *testing.T) {
 	fin := time.Date(2026, 8, 1, 12, 0, 0, 0, time.UTC)
-	snap := fixedSnapshot(1, "smallcnn", StateDone, fin, 100, false)
-	snap.Started = nil
-	d.persistTerminal(snap, time.Time{}, fin)
-
-	rec, ok, err := mem.Campaign(1)
-	if err != nil || !ok {
-		t.Fatalf("campaign not persisted: ok=%v err=%v", ok, err)
-	}
-	if rec.WallSeconds != 0 {
-		t.Errorf("WallSeconds = %v with no start time, want 0", rec.WallSeconds)
-	}
-	aggs, err := mem.AggregateByModel()
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(aggs) != 1 || aggs[0].P50WallSeconds != 0 || aggs[0].P95WallSeconds != 0 {
-		t.Errorf("zero-start campaign skewed aggregates: %+v", aggs)
-	}
-
-	// A snapshot with both endpoints real still gets the caller's wall time.
-	started := fin.Add(-2 * time.Second)
-	snap2 := fixedSnapshot(2, "smallcnn", StateDone, fin, 100, false)
-	d.persistTerminal(snap2, started, fin)
-	rec, ok, err = mem.Campaign(2)
-	if err != nil || !ok {
-		t.Fatalf("campaign 2 not persisted: ok=%v err=%v", ok, err)
-	}
-	if rec.WallSeconds != 2 {
-		t.Errorf("WallSeconds = %v, want 2 (override from real endpoints)", rec.WallSeconds)
+	done := fixedSnapshot(1, "smallcnn", StateDone, fin, 100, true)
+	zeroStart := fixedSnapshot(2, "smallcnn", StateDone, fin, 100, false)
+	zeroStart.Started = nil
+	running := fixedSnapshot(3, "vggs", StateRunning, fin, 7, false)
+	running.Finished = nil
+	for _, tc := range []struct {
+		snap       CampaignSnapshot
+		finishedNS int64
+		wall       float64
+	}{
+		{done, fin.UnixNano(), 3},
+		{zeroStart, fin.UnixNano(), 0},
+		{running, 0, 0},
+	} {
+		rec, err := recordFromSnapshot(tc.snap)
+		if err != nil {
+			t.Fatal(err)
+		}
+		s := tc.snap
+		if rec.ID != s.ID || rec.Model != s.Spec.Model || rec.State != s.State ||
+			rec.Queries != int64(s.VictimQueries) || rec.Degraded != s.Degraded {
+			t.Errorf("campaign %d: columns %+v do not match the snapshot", s.ID, rec)
+		}
+		if rec.FinishedNS != tc.finishedNS || rec.WallSeconds != tc.wall {
+			t.Errorf("campaign %d: finished_ns %d, wall %v; want %d, %v",
+				s.ID, rec.FinishedNS, rec.WallSeconds, tc.finishedNS, tc.wall)
+		}
 	}
 }
 

@@ -24,7 +24,7 @@ import (
 // campaign finishes. The latest-snapshot endpoint is checked afterwards.
 func TestProgressStream(t *testing.T) {
 	col := obs.NewCollector()
-	d := NewDaemon(DaemonConfig{Workers: 1, QueueDepth: 4, Recorder: col})
+	d := newTestDaemon(t, DaemonConfig{Workers: 1, QueueDepth: 4, Recorder: col})
 	srv := NewServer(ServerOptions{Campaigns: d, Submitter: d, Health: d, Progress: d})
 	l, err := net.Listen("tcp", "127.0.0.1:0")
 	if err != nil {

@@ -4,6 +4,8 @@ import (
 	"context"
 	"errors"
 	"net"
+	"os"
+	"path/filepath"
 	"strings"
 	"sync"
 	"testing"
@@ -12,6 +14,7 @@ import (
 	"github.com/huffduff/huffduff/internal/chaos"
 	"github.com/huffduff/huffduff/internal/faults"
 	"github.com/huffduff/huffduff/internal/obs"
+	"github.com/huffduff/huffduff/internal/store"
 )
 
 // startServer binds a loopback server for d and returns its base URL plus a
@@ -49,9 +52,9 @@ func waitState(t *testing.T, d *Daemon, id int, timeout time.Duration, want ...s
 
 // TestDaemonKillRestart is the crash-safety integration test: a daemon with
 // one running (chaos-stalled) and two queued campaigns is killed mid-run,
-// a second daemon restarts on the same journal directory, and every
-// campaign finishes with its original ID — no duplicates, no losses — while
-// the journal/requeue metrics appear on /metrics.
+// a second daemon restarts on the same store, and every campaign finishes
+// with its original ID — no duplicates, no losses — while the store/requeue
+// metrics appear on /metrics.
 func TestDaemonKillRestart(t *testing.T) {
 	if testing.Short() {
 		t.Skip("runs full smallcnn campaigns; skipped in -short (CI runs it in a dedicated race step)")
@@ -60,12 +63,12 @@ func TestDaemonKillRestart(t *testing.T) {
 
 	// Phase 1: every victim run stalls, so campaign 1 wedges mid-attack
 	// while 2 and 3 wait in the queue. Then the process "dies".
-	j1, err := OpenJournal(dir, JournalConfig{})
+	s1, err := store.Open(dir, store.SegmentConfig{})
 	if err != nil {
 		t.Fatal(err)
 	}
 	stall := chaos.NewDaemonFaults(chaos.DaemonFaultsConfig{StallProb: 1})
-	d1 := NewDaemon(DaemonConfig{Workers: 1, QueueDepth: 8, Journal: j1, Faults: stall})
+	d1 := newTestDaemon(t, DaemonConfig{Workers: 1, QueueDepth: 8, Store: s1, Faults: stall})
 	base1, stop1 := startServer(t, d1, nil)
 	for i := 0; i < 3; i++ {
 		snap := postJob(t, base1, tinySpec())
@@ -74,21 +77,25 @@ func TestDaemonKillRestart(t *testing.T) {
 		}
 	}
 	waitState(t, d1, 1, 30*time.Second, StateRunning)
-	if st := j1.Stats(); st.Appends == 0 || st.Fsyncs == 0 || st.Bytes == 0 {
-		t.Fatalf("journal recorded nothing before the crash: %+v", st)
+	if st := s1.Stats(); st.Appends == 0 || st.AppendBytes == 0 {
+		t.Fatalf("store recorded nothing before the crash: %+v", st)
 	}
 	d1.Kill()
 	stop1()
+	if err := s1.Close(); err != nil {
+		t.Fatal(err)
+	}
 
-	// Phase 2: restart on the same data dir, no fault injection. Replay
-	// must restore all three campaigns, requeue them, and run them to
-	// completion under their original IDs.
+	// Phase 2: restart on the same data dir, no fault injection. The
+	// restore must rebuild all three campaigns, requeue them, and run them
+	// to completion under their original IDs.
 	col := obs.NewCollector()
-	j2, err := OpenJournal(dir, JournalConfig{Obs: col})
+	s2, err := store.Open(dir, store.SegmentConfig{Obs: col})
 	if err != nil {
 		t.Fatal(err)
 	}
-	d2 := NewDaemon(DaemonConfig{Workers: 2, QueueDepth: 8, Journal: j2, Recorder: col})
+	defer s2.Close()
+	d2 := newTestDaemon(t, DaemonConfig{Workers: 2, QueueDepth: 8, Store: s2, Recorder: col})
 	base2, stop2 := startServer(t, d2, col)
 	defer stop2()
 
@@ -144,7 +151,7 @@ func TestDaemonKillRestart(t *testing.T) {
 		}
 	}
 
-	// IDs keep growing from the replayed high-water mark.
+	// IDs keep growing from the restored high-water mark.
 	snap := postJob(t, base2, tinySpec())
 	if snap.ID != 4 {
 		t.Fatalf("post-restart submission got ID %d, want 4", snap.ID)
@@ -156,7 +163,7 @@ func TestDaemonKillRestart(t *testing.T) {
 	if v := metrics["daemon_requeues"]; v < 3 {
 		t.Errorf("daemon_requeues = %v, want >= 3", v)
 	}
-	for _, name := range []string{"journal_appends", "journal_fsyncs", "journal_bytes"} {
+	for _, name := range []string{"store_appends", "store_append_bytes"} {
 		if metrics[name] <= 0 {
 			t.Errorf("metric %s missing or zero after restart: %v", name, metrics[name])
 		}
@@ -167,9 +174,6 @@ func TestDaemonKillRestart(t *testing.T) {
 	if err := d2.Shutdown(ctx); err != nil {
 		t.Fatalf("graceful shutdown after drain: %v", err)
 	}
-	if err := j2.Close(); err != nil {
-		t.Fatal(err)
-	}
 }
 
 // TestWorkerPanicSupervision proves a panicking worker never crashes the
@@ -178,7 +182,7 @@ func TestDaemonKillRestart(t *testing.T) {
 func TestWorkerPanicSupervision(t *testing.T) {
 	col := obs.NewCollector()
 	boom := chaos.NewDaemonFaults(chaos.DaemonFaultsConfig{PanicProb: 1})
-	d := NewDaemon(DaemonConfig{
+	d := newTestDaemon(t, DaemonConfig{
 		Workers:  1,
 		Recorder: col,
 		Faults:   boom,
@@ -220,7 +224,7 @@ func TestWorkerPanicSupervision(t *testing.T) {
 // deadline fault, retried, and finally failed.
 func TestJobDeadline(t *testing.T) {
 	stall := chaos.NewDaemonFaults(chaos.DaemonFaultsConfig{StallProb: 1})
-	d := NewDaemon(DaemonConfig{
+	d := newTestDaemon(t, DaemonConfig{
 		Workers: 1,
 		Faults:  stall,
 		Retry:   RetryPolicy{MaxAttempts: 2, BaseDelay: 5 * time.Millisecond},
@@ -242,42 +246,42 @@ func TestJobDeadline(t *testing.T) {
 	}
 }
 
-// TestJournalFailureDegradesHealth proves journal write faults never take
+// TestJournalFailureDegradesHealth proves durable write faults never take
 // the daemon down: submissions still run, but /healthz reports degraded
-// while the journal cannot persist.
+// while the store cannot persist.
 func TestJournalFailureDegradesHealth(t *testing.T) {
-	faulty := chaos.NewDaemonFaults(chaos.DaemonFaultsConfig{JournalErrProb: 1, StallProb: 1})
-	j, err := OpenJournal(t.TempDir(), JournalConfig{NoSync: true, Fault: faulty.JournalFault})
+	faulty := chaos.NewDaemonFaults(chaos.DaemonFaultsConfig{WriteErrProb: 1, StallProb: 1})
+	s, err := store.Open(t.TempDir(), store.SegmentConfig{NoSync: true})
 	if err != nil {
 		t.Fatal(err)
 	}
-	defer j.Close()
-	d := NewDaemon(DaemonConfig{Workers: 1, Journal: j, Faults: faulty})
+	defer s.Close()
+	d := newTestDaemon(t, DaemonConfig{Workers: 1, Store: s, Faults: faulty})
 	defer d.Kill()
 
 	if _, err := d.Submit(tinySpec()); err != nil {
-		t.Fatalf("submit with failing journal = %v, want accepted (degraded, not down)", err)
+		t.Fatalf("submit with failing store = %v, want accepted (degraded, not down)", err)
 	}
-	if h := d.Health(); h.Status != "degraded" || h.JournalErrors == 0 {
-		t.Fatalf("health with failing journal = %+v, want degraded with errors counted", h)
+	if h := d.Health(); h.Status != "degraded" || h.WriteErrors == 0 {
+		t.Fatalf("health with failing store = %+v, want degraded with errors counted", h)
 	}
-	if st := j.Stats(); st.Errors == 0 || st.Appends != 0 {
-		t.Errorf("journal stats under total write failure = %+v", st)
+	if st := s.Stats(); st.Appends != 0 {
+		t.Errorf("store appended under total write failure: %+v", st)
 	}
 }
 
 // TestShutdownUnderLoad races concurrent submissions against Shutdown with
 // an aggressive drain deadline: every accepted job must either complete or
-// be journaled as requeueable — never silently lost — and every rejected
+// be stored as requeueable — never silently lost — and every rejected
 // submit must return a typed error.
 func TestShutdownUnderLoad(t *testing.T) {
 	dir := t.TempDir()
 	stall := chaos.NewDaemonFaults(chaos.DaemonFaultsConfig{StallProb: 1})
-	j, err := OpenJournal(dir, JournalConfig{NoSync: true})
+	s, err := store.Open(dir, store.SegmentConfig{NoSync: true})
 	if err != nil {
 		t.Fatal(err)
 	}
-	d := NewDaemon(DaemonConfig{Workers: 2, QueueDepth: 64, Journal: j, Faults: stall})
+	d := newTestDaemon(t, DaemonConfig{Workers: 2, QueueDepth: 64, Store: s, Faults: stall})
 
 	var mu sync.Mutex
 	accepted := map[int]bool{}
@@ -314,34 +318,255 @@ func TestShutdownUnderLoad(t *testing.T) {
 	if shutdownErr == nil {
 		t.Fatal("shutdown with stalled workers returned nil, want deadline error")
 	}
-	// Finish "crashing" so the journal is quiesced, then replay it.
+	// Finish "crashing" so the store is quiesced, then read it back.
 	d.Kill()
-	if err := j.Close(); err != nil {
+	if err := s.Close(); err != nil {
 		t.Fatal(err)
 	}
 
-	j2, err := OpenJournal(dir, JournalConfig{NoSync: true})
+	s2, err := store.Open(dir, store.SegmentConfig{NoSync: true})
 	if err != nil {
 		t.Fatal(err)
 	}
-	defer j2.Close()
-	replayed := map[int]ReplayedCampaign{}
-	for _, rc := range j2.Replayed() {
-		replayed[rc.ID] = rc
+	defer s2.Close()
+	recs, err := s2.Campaigns(store.Query{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	stored := map[int]store.CampaignRecord{}
+	for _, rec := range recs {
+		stored[rec.ID] = rec
 	}
 	for id := range accepted {
-		rc, ok := replayed[id]
+		rec, ok := stored[id]
 		if !ok {
-			t.Errorf("accepted campaign %d lost: not in journal replay", id)
+			t.Errorf("accepted campaign %d lost: not in the store", id)
 			continue
 		}
-		if rc.Terminal() {
-			t.Errorf("stalled campaign %d replayed terminal: %+v", id, rc)
+		if terminalState(rec.State) {
+			t.Errorf("stalled campaign %d stored terminal: %q", id, rec.State)
 		}
 	}
-	for id := range replayed {
+	for id := range stored {
 		if !accepted[id] {
-			t.Errorf("journal replayed campaign %d that no submit acknowledged", id)
+			t.Errorf("store holds campaign %d that no submit acknowledged", id)
 		}
+	}
+}
+
+// TestRestoreFromStore restores a daemon from a store holding every
+// campaign state, written transition by transition as the daemon writes
+// them, and runs no attack: the one worker wedges on the first requeued
+// campaign (chaos stall), so the rest stay exactly as restored.
+func TestRestoreFromStore(t *testing.T) {
+	dir := t.TempDir()
+	s1, err := store.Open(dir, store.SegmentConfig{NoSync: true})
+	if err != nil {
+		t.Fatal(err)
+	}
+	t0 := time.Date(2026, 8, 7, 12, 0, 0, 0, time.UTC)
+	at := func(sec int) *time.Time {
+		ts := t0.Add(time.Duration(sec) * time.Second)
+		return &ts
+	}
+	put := func(snap CampaignSnapshot) {
+		t.Helper()
+		snap.Spec = tinySpec().withDefaults()
+		snap.Submitted = t0
+		rec, err := recordFromSnapshot(snap)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if err := s1.PutCampaign(rec); err != nil {
+			t.Fatal(err)
+		}
+	}
+	// Campaign 1 finished, 2 failed after a retry, 3 was still queued, 4
+	// was mid-run, and 5 crashed mid-backoff.
+	for id := 1; id <= 5; id++ {
+		put(CampaignSnapshot{ID: id, State: StateQueued})
+	}
+	put(CampaignSnapshot{ID: 1, State: StateRunning, Attempts: 1, Started: at(1)})
+	put(CampaignSnapshot{ID: 1, State: StateDone, Attempts: 1, Started: at(1), Finished: at(2),
+		SolutionCount: 4, VictimQueries: 250, VictimRetries: 3, Degraded: true})
+	put(CampaignSnapshot{ID: 2, State: StateRunning, Attempts: 1, Started: at(1)})
+	put(CampaignSnapshot{ID: 2, State: StateRetrying, Attempts: 1, Started: at(1), Error: "boom", ErrorClass: "panic"})
+	put(CampaignSnapshot{ID: 2, State: StateRunning, Attempts: 2, Started: at(3)})
+	put(CampaignSnapshot{ID: 2, State: StateFailed, Attempts: 2, Started: at(3), Finished: at(4),
+		Error: "boom again", ErrorClass: "panic"})
+	put(CampaignSnapshot{ID: 4, State: StateRunning, Attempts: 1, Started: at(1)})
+	put(CampaignSnapshot{ID: 5, State: StateRunning, Attempts: 1, Started: at(1)})
+	put(CampaignSnapshot{ID: 5, State: StateRetrying, Attempts: 1, Started: at(1), Error: "boom", ErrorClass: "panic"})
+	if err := s1.Close(); err != nil {
+		t.Fatal(err)
+	}
+
+	s2, err := store.Open(dir, store.SegmentConfig{NoSync: true})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer s2.Close()
+	col := obs.NewCollector()
+	stall := chaos.NewDaemonFaults(chaos.DaemonFaultsConfig{StallProb: 1})
+	d := newTestDaemon(t, DaemonConfig{Workers: 1, Store: s2, Recorder: col, Faults: stall})
+	defer d.Kill()
+
+	get := func(id int) CampaignSnapshot {
+		t.Helper()
+		c, ok := d.CampaignByID(id)
+		if !ok {
+			t.Fatalf("campaign %d not restored", id)
+		}
+		if !c.Resumed || c.Spec.Model != "smallcnn" || !c.Submitted.Equal(t0) {
+			t.Errorf("campaign %d restored without its resumed mark, spec, or submit time: %+v", id, c)
+		}
+		return c
+	}
+	if c := get(1); c.State != StateDone || c.SolutionCount != 4 || c.VictimQueries != 250 ||
+		c.VictimRetries != 3 || !c.Degraded || c.Finished == nil || !c.Finished.Equal(*at(2)) {
+		t.Errorf("campaign 1 outcome not preserved: %+v", c)
+	}
+	if c := get(2); c.State != StateFailed || c.Error != "boom again" || c.ErrorClass != "panic" || c.Attempts != 2 {
+		t.Errorf("campaign 2 failure not preserved: %+v", c)
+	}
+	// The worker took the first requeued campaign and is running it again.
+	if c := waitState(t, d, 3, 30*time.Second, StateRunning); c.Attempts != 1 || !c.Resumed {
+		t.Errorf("campaign 3 not re-run as resumed: %+v", c)
+	}
+	for _, id := range []int{4, 5} {
+		if c := get(id); c.State != StateQueued || c.Started != nil || c.Attempts != 1 {
+			t.Errorf("campaign %d not requeued as queued with its attempts kept: %+v", id, c)
+		}
+	}
+	if v := col.PromText(); !strings.Contains(v, "daemon_requeues 3") {
+		t.Errorf("daemon_requeues missing or not 3:\n%s", v)
+	}
+	snap, err := d.Submit(tinySpec())
+	if err != nil {
+		t.Fatal(err)
+	}
+	if snap.ID != 6 {
+		t.Errorf("first submission after restore got ID %d, want 6", snap.ID)
+	}
+	// The worker is wedged on campaign 3, so only Submit can have stored
+	// the new campaign: its queued record is durable before the ack.
+	if rec, ok, err := s2.Campaign(snap.ID); err != nil || !ok || rec.State != StateQueued {
+		t.Errorf("campaign %d not stored as queued when Submit returned: %+v (found %v, err %v)", snap.ID, rec, ok, err)
+	}
+}
+
+// TestRestoreRefusesUnreadableStore corrupts campaign 1's only record in a
+// sealed segment, whose valid sidecar lets the store open without reading
+// it: the restore scan then fails, and NewDaemon must refuse to start
+// rather than serve without knowing the highest stored ID. Nothing is
+// written, so no stored campaign can be superseded by a reused ID.
+func TestRestoreRefusesUnreadableStore(t *testing.T) {
+	dir := t.TempDir()
+	// Every append rotates, so each campaign's record seals in its own
+	// segment; compaction is off so the corrupt frame stays unread.
+	cfg := store.SegmentConfig{NoSync: true, SegmentBytes: 1, CompactAfter: -1}
+	s1, err := store.Open(dir, cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for id := 1; id <= 2; id++ {
+		rec, err := recordFromSnapshot(CampaignSnapshot{ID: id, Spec: tinySpec().withDefaults(), State: StateDone})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if err := s1.PutCampaign(rec); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if err := s1.Close(); err != nil {
+		t.Fatal(err)
+	}
+	logs, err := filepath.Glob(filepath.Join(dir, "seg-*.log"))
+	if err != nil || len(logs) < 2 {
+		t.Fatalf("segments = %v (err %v), want one per campaign", logs, err)
+	}
+	raw, err := os.ReadFile(logs[0])
+	if err != nil {
+		t.Fatal(err)
+	}
+	raw[len(raw)-1] ^= 0xff // inside the frame body: the CRC no longer matches
+	if err := os.WriteFile(logs[0], raw, 0o644); err != nil {
+		t.Fatal(err)
+	}
+
+	s2, err := store.Open(dir, cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer s2.Close()
+	if d, err := NewDaemon(DaemonConfig{Workers: 1, Store: s2}); err == nil {
+		d.Kill()
+		t.Fatal("NewDaemon started on a store whose restore scan fails, want an error")
+	}
+	if st := s2.Stats(); st.Appends != 0 {
+		t.Errorf("%d records written after a failed restore", st.Appends)
+	}
+	if rec, ok, err := s2.Campaign(2); err != nil || !ok || rec.State != StateDone {
+		t.Errorf("campaign 2 after the failed restore = %+v (found %v, err %v), want its stored done record", rec, ok, err)
+	}
+}
+
+// TestWriteFaultsRecover replays a seeded chaos write-fault schedule against
+// the daemon's write path: /healthz is degraded exactly while the most
+// recent durable write failed, failures are counted, and only successful
+// writes reach the store.
+func TestWriteFaultsRecover(t *testing.T) {
+	cfg := chaos.DaemonFaultsConfig{Seed: 42, WriteErrProb: 0.5}
+	schedule := chaos.NewDaemonFaults(cfg)
+	mem := store.NewMemory()
+	defer mem.Close()
+	d := newTestDaemon(t, DaemonConfig{Workers: 1, Store: mem, Faults: chaos.NewDaemonFaults(cfg)})
+	defer d.Kill()
+
+	var failed uint64
+	recovered := false
+	for id := 1; id <= 16; id++ {
+		fail := schedule.WriteFault() != nil
+		d.persist(CampaignSnapshot{ID: id, Spec: tinySpec().withDefaults(), State: StateQueued})
+		if fail {
+			failed++
+		} else if failed > 0 {
+			recovered = true
+		}
+		if h := d.Health(); (h.Status == "degraded") != fail || h.WriteErrors != failed {
+			t.Errorf("write %d (failed: %v): health %+v, want %d errors", id, fail, h, failed)
+		}
+		if _, stored, err := mem.Campaign(id); err != nil || stored == fail {
+			t.Errorf("write %d (failed: %v): stored = %v, err = %v", id, fail, stored, err)
+		}
+	}
+	if failed == 0 || !recovered {
+		t.Fatalf("schedule never failed and then recovered (%d failures); test proves nothing", failed)
+	}
+}
+
+// TestKillStopsWrites proves Kill stops durable writes before teardown:
+// once it returns, neither the unwinding worker nor any later transition
+// reaches the store.
+func TestKillStopsWrites(t *testing.T) {
+	mem := store.NewMemory()
+	defer mem.Close()
+	stall := chaos.NewDaemonFaults(chaos.DaemonFaultsConfig{StallProb: 1})
+	d := newTestDaemon(t, DaemonConfig{Workers: 1, Store: mem, Faults: stall})
+	snap, err := d.Submit(tinySpec())
+	if err != nil {
+		t.Fatal(err)
+	}
+	waitState(t, d, snap.ID, 30*time.Second, StateRunning)
+	d.Kill()
+	appends := mem.Stats().Appends
+	fin := time.Now()
+	snap.State, snap.Finished = StateDone, &fin
+	d.persistTerminal(snap)
+	if got := mem.Stats().Appends; got != appends {
+		t.Errorf("%d appends reached the store after Kill", got-appends)
+	}
+	if rec, ok, err := mem.Campaign(snap.ID); err != nil || !ok || terminalState(rec.State) {
+		t.Errorf("stored campaign after Kill = %+v (found %v, err %v), want non-terminal", rec, ok, err)
 	}
 }

@@ -29,14 +29,6 @@ type CampaignSource interface {
 	CampaignByID(id int) (CampaignSnapshot, bool)
 }
 
-// CampaignQuerier is the filtered, paginated listing path behind GET
-// /campaigns?state=&model=&since=&limit=&offset=. *Daemon implements it; a
-// CampaignSource without it gets the same filters applied server-side over
-// its full listing, so both paths serve identical responses.
-type CampaignQuerier interface {
-	CampaignsQuery(q store.Query) ([]CampaignSnapshot, error)
-}
-
 // AggregateSource serves GET /campaigns/aggregate?by=model. *Daemon
 // implements it (from the campaign store).
 type AggregateSource interface {
@@ -79,8 +71,9 @@ type ServerOptions struct {
 	Campaigns CampaignSource
 	// Submitter enables POST /campaigns.
 	Submitter Submitter
-	// Health backs /healthz: "ok" (200), "degraded" (200, journal failing),
-	// or "draining" (503, so load-balancers stop routing to a dying node).
+	// Health backs /healthz: "ok" (200), "degraded" (200, the most recent
+	// durable write failed), or "draining" (503, so load-balancers stop
+	// routing to a dying node).
 	Health HealthSource
 	// Progress backs GET /campaigns/{id}/progress (latest convergence
 	// snapshot) and /campaigns/{id}/progress/stream (incremental JSONL).
@@ -348,13 +341,12 @@ func parseCampaignQuery(r *http.Request) (store.Query, string, bool) {
 	return q, "", true
 }
 
-// queryCampaigns serves the filtered listing: through the source's own
-// querier when it has one (the daemon's store-backed path), otherwise by
-// applying identical filter/sort/window semantics over the plain listing.
-func queryCampaigns(src CampaignSource, q store.Query) ([]CampaignSnapshot, error) {
-	if querier, ok := src.(CampaignQuerier); ok {
-		return querier.CampaignsQuery(q)
-	}
+// queryCampaigns serves the filtered listing behind GET
+// /campaigns?state=&model=&since=&limit=&offset= from the source's listing,
+// with the store's filter semantics and ascending-ID windows. The daemon's
+// table holds every stored campaign once NewDaemon has restored it, so the
+// listing needs no store read.
+func queryCampaigns(src CampaignSource, q store.Query) []CampaignSnapshot {
 	all := src.Campaigns()
 	out := make([]CampaignSnapshot, 0, len(all))
 	for _, snap := range all {
@@ -375,7 +367,7 @@ func queryCampaigns(src CampaignSource, q store.Query) ([]CampaignSnapshot, erro
 	if q.Limit > 0 && q.Limit < len(out) {
 		out = out[:q.Limit]
 	}
-	return out, nil
+	return out
 }
 
 func (s *Server) handleCampaigns(w http.ResponseWriter, r *http.Request) {
@@ -390,12 +382,7 @@ func (s *Server) handleCampaigns(w http.ResponseWriter, r *http.Request) {
 			http.Error(w, msg, http.StatusBadRequest)
 			return
 		}
-		snaps, err := queryCampaigns(s.opts.Campaigns, q)
-		if err != nil {
-			http.Error(w, "listing campaigns: "+err.Error(), http.StatusInternalServerError)
-			return
-		}
-		writeJSON(w, http.StatusOK, snaps)
+		writeJSON(w, http.StatusOK, queryCampaigns(s.opts.Campaigns, q))
 	case http.MethodPost:
 		if s.opts.Submitter == nil {
 			http.Error(w, "read-only server: no submitter configured", http.StatusMethodNotAllowed)
