@@ -13,8 +13,8 @@
 // The observability flags capture the campaign: -trace-out writes a
 // Chrome-trace/Perfetto JSON timeline of every pipeline stage down to
 // individual probe positions, -metrics-out writes the counters, gauges, and
-// histograms (plus a BENCH_attack.json summary alongside), and -v prints
-// the span tree and per-layer device telemetry after the attack.
+// histograms, and -v prints the span tree and per-layer device telemetry
+// after the attack.
 //
 // Usage:
 //
@@ -24,15 +24,11 @@
 package main
 
 import (
-	"encoding/json"
 	"flag"
 	"fmt"
-	"io"
 	"log"
 	"os"
-	"path/filepath"
 	"sort"
-	"strings"
 
 	"github.com/huffduff/huffduff/cmd/internal/cli"
 	"github.com/huffduff/huffduff/internal/accel"
@@ -72,7 +68,7 @@ func main() {
 		pad       = flag.Float64("chaos-pad", -1, "per-write padding-inflation probability")
 
 		traceOut   = flag.String("trace-out", "", "write a Chrome-trace/Perfetto JSON span timeline to this file")
-		metricsOut = cli.MetricsOutFlag() // plus BENCH_attack.json alongside
+		metricsOut = cli.MetricsOutFlag()
 		verbose    = flag.Bool("v", false, "print the span tree, metric counters, and per-layer device telemetry")
 
 		progress    = flag.Bool("progress", false, "stream convergence-ledger snapshots to stderr as the attack runs")
@@ -198,7 +194,7 @@ func main() {
 			writeLedger(led, *ledgerOut)
 		}
 	}
-	flushObservability(col, machine, res, *traceOut, *metricsOut)
+	flushObservability(col, *traceOut, *metricsOut)
 	if err != nil {
 		if stage, ok := faults.StageOf(err); ok {
 			fmt.Fprintf(os.Stderr, "attack failed in %s stage: %v\n", stage, err)
@@ -300,20 +296,6 @@ func main() {
 	}
 }
 
-// benchReport is the BENCH_attack.json schema the CI benchmark step uploads:
-// the headline costs and outcome of one attack campaign.
-type benchReport struct {
-	VictimQueries float64            `json:"victim_queries"`
-	VictimRetries float64            `json:"victim_retries"`
-	StageSeconds  map[string]float64 `json:"stage_seconds"`
-	TotalSeconds  float64            `json:"total_seconds"`
-	// SimulatedDeviceSeconds is the victim's summed inference latency on the
-	// simulated accelerator clock — a different clock from StageSeconds.
-	SimulatedDeviceSeconds float64 `json:"simulated_device_seconds"`
-	SolutionCount          int     `json:"solution_count"`
-	Degraded               bool    `json:"degraded"`
-}
-
 // writeLedger dumps the convergence ledger as JSONL.
 func writeLedger(led *converge.Ledger, path string) {
 	f, err := os.Create(path)
@@ -327,57 +309,20 @@ func writeLedger(led *converge.Ledger, path string) {
 	}
 }
 
-// flushObservability writes the trace, metrics, and benchmark summary files
-// that were requested on the command line.
-func flushObservability(col *obs.Collector, machine *accel.Machine, res *attack.Result, traceOut, metricsOut string) {
-	if col == nil {
-		return
-	}
-	writeFile := func(path string, write func(w io.Writer) error) {
-		f, err := os.Create(path)
-		if err != nil {
-			log.Printf("observability: %v", err)
-			return
-		}
-		defer f.Close()
-		if err := write(f); err != nil {
-			log.Printf("observability: write %s: %v", path, err)
-		}
-	}
-	if traceOut != "" {
-		writeFile(traceOut, col.WriteTrace)
-	}
-	if metricsOut == "" {
-		return
-	}
+// flushObservability writes the trace and metrics files that were requested
+// on the command line.
+func flushObservability(col *obs.Collector, traceOut, metricsOut string) {
 	cli.WriteMetrics(col, metricsOut)
-
-	snap := col.Metrics()
-	rep := benchReport{
-		VictimQueries: snap.Counters["victim.inferences"],
-		StageSeconds:  map[string]float64{},
+	if col == nil || traceOut == "" {
+		return
 	}
-	for k, v := range snap.Counters {
-		if strings.HasPrefix(k, "victim.retries{") {
-			rep.VictimRetries += v
-		}
+	f, err := os.Create(traceOut)
+	if err != nil {
+		log.Printf("observability: %v", err)
+		return
 	}
-	for k, h := range snap.Histograms {
-		if s, ok := strings.CutPrefix(k, "stage.seconds{stage="); ok {
-			stage := strings.TrimSuffix(s, "}")
-			rep.StageSeconds[stage] += h.Sum
-			rep.TotalSeconds += h.Sum
-		}
+	defer f.Close()
+	if err := col.WriteTrace(f); err != nil {
+		log.Printf("observability: write %s: %v", traceOut, err)
 	}
-	rep.SimulatedDeviceSeconds = machine.Campaign().SimulatedTime
-	if res != nil && res.Space != nil {
-		rep.SolutionCount = res.Space.Count()
-		rep.Degraded = res.Degraded
-	}
-	bench := filepath.Join(filepath.Dir(metricsOut), "BENCH_attack.json")
-	writeFile(bench, func(w io.Writer) error {
-		enc := json.NewEncoder(w)
-		enc.SetIndent("", " ")
-		return enc.Encode(rep)
-	})
 }

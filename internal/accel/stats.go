@@ -64,8 +64,9 @@ type Stats struct {
 	// TraceReadEvents / TraceWriteEvents count the individual DRAM trace
 	// accesses emitted by this inference. Every event costs host CPU in the
 	// simulator's hot loops (emission, then segmentation and feature
-	// extraction on the attack side), so these are the denominators for the
-	// host-side events/sec rate computed by internal/prof.
+	// extraction on the attack side), so their campaign total is the
+	// simulator workload measure the tier-1 cost pins hold (trace events
+	// per attack, in internal/huffduff's tests).
 	TraceReadEvents, TraceWriteEvents int
 	// Latency is the end-to-end inference time in seconds (simulated
 	// device time, not host wall-clock).

@@ -3,9 +3,11 @@ package huffduff
 import (
 	"math"
 	"math/rand"
+	"sync"
 	"testing"
 
 	"github.com/huffduff/huffduff/internal/accel"
+	"github.com/huffduff/huffduff/internal/converge"
 	"github.com/huffduff/huffduff/internal/models"
 	"github.com/huffduff/huffduff/internal/prune"
 	"github.com/huffduff/huffduff/internal/tensor"
@@ -16,34 +18,135 @@ import (
 // simulated accelerator.
 func deployVictim(t *testing.T, arch *models.Arch, keep float64) (*accel.Machine, *models.Binding) {
 	t.Helper()
-	rng := rand.New(rand.NewSource(1234))
-	bind, err := arch.Build(rng)
+	m, bind, err := newVictim(arch, keep)
 	if err != nil {
 		t.Fatal(err)
+	}
+	return m, bind
+}
+
+// newVictim is deployVictim for callers without a *testing.T.
+func newVictim(arch *models.Arch, keep float64) (*accel.Machine, *models.Binding, error) {
+	bind, err := arch.Build(rand.New(rand.NewSource(1234)))
+	if err != nil {
+		return nil, nil, err
 	}
 	if keep < 1 {
 		prune.GlobalMagnitude(bind.Net.Params(), keep)
 	}
-	m := accel.NewMachine(accel.DefaultConfig(), arch, bind)
-	return m, bind
+	return accel.NewMachine(accel.DefaultConfig(), arch, bind), bind, nil
 }
 
-func attackVictim(t *testing.T, arch *models.Arch, keep float64, cfg Config) (*Result, *models.Binding) {
+// attackRun is one finished attack on a freshly deployed victim.
+type attackRun struct {
+	res   *Result
+	bind  *models.Binding
+	costs attackCosts
+}
+
+// attackCosts are the costs of one attack that depend only on the code,
+// never on the host, so tier-1 pins them (checkCostPins).
+type attackCosts struct {
+	queries, deviceCycles, traceEvents, solutions float64
+	// internedExprs, log10Volume and queriesTo90Pct come from the
+	// convergence ledger: the interner's peak size, the final log10
+	// solution-space volume, and the victim queries spent when 90% of the
+	// collapse had happened.
+	internedExprs, log10Volume, queriesTo90Pct float64
+}
+
+// runAttack deploys a victim and attacks it with a convergence ledger
+// attached; the ledger only observes.
+func runAttack(arch *models.Arch, keep float64, cfg Config) (attackRun, error) {
+	m, bind, err := newVictim(arch, keep)
+	if err != nil {
+		return attackRun{}, err
+	}
+	led := converge.NewLedger(nil)
+	cfg.Ledger = led
+	res, err := Attack(m, cfg)
+	led.Close()
+	if err != nil {
+		return attackRun{}, err
+	}
+	dev, sum := m.Campaign(), led.Summary()
+	return attackRun{res: res, bind: bind, costs: attackCosts{
+		queries:        float64(dev.Runs),
+		deviceCycles:   dev.SimulatedTime * m.Cfg.ClockHz,
+		traceEvents:    float64(dev.TraceReadEvents + dev.TraceWriteEvents),
+		solutions:      float64(res.Space.Count()),
+		internedExprs:  float64(sum.PeakSymExprs),
+		log10Volume:    sum.FinalLog10Volume,
+		queriesTo90Pct: float64(sum.QueriesTo90Pct),
+	}}, nil
+}
+
+func attackVictim(t *testing.T, arch *models.Arch, keep float64, cfg Config) attackRun {
 	t.Helper()
 	if raceEnabled {
 		t.Skip("full attack campaign; the race-instrumented simulator is an order of magnitude slower")
 	}
-	m, bind := deployVictim(t, arch, keep)
-	res, err := Attack(m, cfg)
+	run, err := runAttack(arch, keep, cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
-	return res, bind
+	return run
+}
+
+// sharedAttack is a SmallCNN DefaultConfig attack that runs at most once per
+// test binary; every test that asks for it gets the same run, and fails if
+// the attack failed. Tests must not modify the shared result.
+type sharedAttack struct {
+	keep float64
+	once sync.Once
+	run  attackRun
+	err  error
+}
+
+var (
+	smallCNNDense  = &sharedAttack{keep: 1}
+	smallCNNPruned = &sharedAttack{keep: 0.5}
+)
+
+func (s *sharedAttack) get(t *testing.T) attackRun {
+	t.Helper()
+	if raceEnabled {
+		t.Skip("full attack campaign; the race-instrumented simulator is an order of magnitude slower")
+	}
+	s.once.Do(func() { s.run, s.err = runAttack(models.SmallCNN(), s.keep, DefaultConfig()) })
+	if s.err != nil {
+		t.Fatal(s.err)
+	}
+	return s.run
+}
+
+// checkCostPins fails t when a cost exceeds its pin by more than 5%, or 10%
+// for interned expressions, whose count moves with solve-schedule changes.
+// A pin is the cost measured when it was set: lower it when a change lowers
+// the cost, and raise it only with a reason.
+func checkCostPins(t *testing.T, got, pin attackCosts) {
+	t.Helper()
+	for _, c := range []struct {
+		name          string
+		got, pin, tol float64
+	}{
+		{"victim queries", got.queries, pin.queries, 1.05},
+		{"device cycles", got.deviceCycles, pin.deviceCycles, 1.05},
+		{"trace events", got.traceEvents, pin.traceEvents, 1.05},
+		{"solutions", got.solutions, pin.solutions, 1.05},
+		{"interned expressions", got.internedExprs, pin.internedExprs, 1.1},
+		{"final log10 volume", got.log10Volume, pin.log10Volume, 1.05},
+		{"queries to 90% of the collapse", got.queriesTo90Pct, pin.queriesTo90Pct, 1.05},
+	} {
+		if c.got > c.pin*c.tol {
+			t.Errorf("%s = %.10g, above its pin %.10g x %.2f", c.name, c.got, c.pin, c.tol)
+		}
+	}
 }
 
 func TestGraphRecoverySmallCNN(t *testing.T) {
 	arch := models.SmallCNN()
-	res, _ := attackVictim(t, arch, 1, DefaultConfig())
+	res := smallCNNDense.get(t).res
 	g := res.Graph
 	if len(g.Nodes) != len(arch.Units)+1 {
 		t.Fatalf("graph nodes = %d, want %d", len(g.Nodes), len(arch.Units)+1)
@@ -57,8 +160,7 @@ func TestGraphRecoverySmallCNN(t *testing.T) {
 }
 
 func TestProberRecoversSmallCNNGeometry(t *testing.T) {
-	arch := models.SmallCNN()
-	res, _ := attackVictim(t, arch, 1, DefaultConfig())
+	res := smallCNNDense.get(t).res
 	want := map[int]Geom{
 		1: {Kernel: 5, Stride: 1, Pool: 1},
 		2: {Kernel: 3, Stride: 1, Pool: 2},
@@ -76,8 +178,7 @@ func TestProberRecoversSmallCNNGeometry(t *testing.T) {
 }
 
 func TestTimingChannelRecoversKRatios(t *testing.T) {
-	arch := models.SmallCNN() // true K: 8, 16, 16
-	res, _ := attackVictim(t, arch, 1, DefaultConfig())
+	res := smallCNNDense.get(t).res // true K: 8, 16, 16
 	wantRatios := map[int]float64{1: 1, 2: 2, 3: 2}
 	for node, want := range wantRatios {
 		got := res.Timing.KRatio[node]
@@ -89,7 +190,7 @@ func TestTimingChannelRecoversKRatios(t *testing.T) {
 
 func TestSolutionSpaceContainsTruth(t *testing.T) {
 	arch := models.SmallCNN() // first conv K = 8
-	res, _ := attackVictim(t, arch, 1, DefaultConfig())
+	res := smallCNNDense.get(t).res
 	sp := res.Space
 	if sp.K1Min > 8 || sp.K1Max < 8 {
 		t.Fatalf("true k1=8 outside recovered range [%d,%d]", sp.K1Min, sp.K1Max)
@@ -127,9 +228,18 @@ func TestSolutionSpaceContainsTruth(t *testing.T) {
 	}
 }
 
+// TestSmallCNNCostPins pins the dense SmallCNN attack's deterministic costs.
+func TestSmallCNNCostPins(t *testing.T) {
+	checkCostPins(t, smallCNNDense.get(t).costs, attackCosts{
+		queries: 3074, deviceCycles: 24_257_256, traceEvents: 2_165_366, solutions: 13,
+		internedExprs: 21_996, log10Volume: 1.114, queriesTo90Pct: 3074,
+	})
+}
+
 func TestSolutionDensityRecovered(t *testing.T) {
 	arch := models.SmallCNN()
-	res, bind := attackVictim(t, arch, 0.4, DefaultConfig())
+	run := attackVictim(t, arch, 0.4, DefaultConfig())
+	res, bind := run.res, run.bind
 	// Find the k1=8 candidate and compare recovered density with the
 	// victim's true first-layer density.
 	for _, sol := range res.Space.Solutions {
@@ -153,8 +263,8 @@ func TestAttackResNetStyleGraph(t *testing.T) {
 	arch := models.ResNet18(16)
 	cfg := DefaultConfig()
 	cfg.Probe.Trials = 6
-	res, bind := attackVictim(t, arch, 0.6, cfg)
-	_ = bind
+	run := attackVictim(t, arch, 0.6, cfg)
+	res := run.res
 
 	// Kinds: adds and the global pool must be classified correctly.
 	for i, u := range arch.Units {
@@ -257,6 +367,11 @@ func TestAttackResNetStyleGraph(t *testing.T) {
 			t.Fatalf("node %d psum volume ratio %.3f, want %.3f", node, gotVol, wantVol)
 		}
 	}
+
+	checkCostPins(t, run.costs, attackCosts{
+		queries: 578, deviceCycles: 5_208_434, traceEvents: 1_366_113, solutions: 4,
+		internedExprs: 600_631, log10Volume: 10.637, queriesTo90Pct: 578,
+	})
 }
 
 // TestTrialEscalationResolvesAlias reproduces §5.4's probability
@@ -308,8 +423,7 @@ func TestTrialEscalationResolvesAlias(t *testing.T) {
 }
 
 func TestObservabilityRate(t *testing.T) {
-	arch := models.SmallCNN()
-	res, _ := attackVictim(t, arch, 0.5, DefaultConfig())
+	res := smallCNNPruned.get(t).res
 	rate := ObservabilityRate(res.Data, res.Probe)
 	// The paper reports ~77% for single random probes; anything clearly
 	// above chance confirms the channel works. Our pruned random-weight
@@ -323,8 +437,7 @@ func TestObservabilityRate(t *testing.T) {
 }
 
 func TestSampleSolutions(t *testing.T) {
-	arch := models.SmallCNN()
-	res, _ := attackVictim(t, arch, 0.5, DefaultConfig())
+	res := smallCNNPruned.get(t).res
 	rng := rand.New(rand.NewSource(9))
 	n := 3
 	if len(res.Space.Solutions) < n {

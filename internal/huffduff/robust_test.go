@@ -3,11 +3,8 @@ package huffduff
 import (
 	"errors"
 	"fmt"
-	"math/rand"
-	"sync"
 	"testing"
 
-	"github.com/huffduff/huffduff/internal/accel"
 	"github.com/huffduff/huffduff/internal/chaos"
 	"github.com/huffduff/huffduff/internal/faults"
 	"github.com/huffduff/huffduff/internal/models"
@@ -163,39 +160,10 @@ func TestHeavyJitterDegradesGracefully(t *testing.T) {
 	}
 }
 
-// cleanSmallCNNAttack runs one clean default-config attack and shares the
-// result across the space tests (each full attack costs ~20s).
-var (
-	cleanAttackOnce sync.Once
-	cleanAttackRes  *Result
-	cleanAttackErr  error
-)
-
-func cleanSmallCNNAttack(t *testing.T) *Result {
-	t.Helper()
-	cleanAttackOnce.Do(func() {
-		arch := models.SmallCNN()
-		bind, err := arch.Build(rand.New(rand.NewSource(1234)))
-		if err != nil {
-			cleanAttackErr = err
-			return
-		}
-		m := accel.NewMachine(accel.DefaultConfig(), arch, bind)
-		cleanAttackRes, cleanAttackErr = Attack(m, DefaultConfig())
-	})
-	if cleanAttackErr != nil {
-		t.Fatal(cleanAttackErr)
-	}
-	return cleanAttackRes
-}
-
 // TestDegradedSpaceDirect exercises FinalizeDegraded against a clean run's
 // intermediates, independent of chaos randomness.
 func TestDegradedSpaceDirect(t *testing.T) {
-	if raceEnabled {
-		t.Skip("heavy end-to-end campaign; skipped under -race")
-	}
-	res := cleanSmallCNNAttack(t)
+	res := smallCNNDense.get(t).res
 	sp, err := FinalizeDegraded(res.Graph, res.Probe, res.Dims, DefaultFinalizeConfig())
 	if err != nil {
 		t.Fatal(err)
@@ -223,10 +191,7 @@ func TestDegradedSpaceDirect(t *testing.T) {
 
 // TestExactSpaceAdmits checks Admits on a timing-pinned space.
 func TestExactSpaceAdmits(t *testing.T) {
-	if raceEnabled {
-		t.Skip("heavy end-to-end campaign; skipped under -race")
-	}
-	res := cleanSmallCNNAttack(t)
+	res := smallCNNDense.get(t).res
 	if !res.Space.Admits(smallCNNChans) {
 		t.Fatal("exact space rejects the true channels")
 	}

@@ -16,9 +16,9 @@ var globalRandAllowed = map[string]bool{
 // GlobalRand flags calls to math/rand top-level functions, which draw from
 // the process-global source. Every probe campaign, victim build, and chaos
 // fault schedule in this module must be reproducible from a recorded seed —
-// the regression gate diffs BENCH_pipeline.json bit-for-bit — so randomness
-// must come from an injected seeded *rand.Rand, never from global state
-// another goroutine can perturb.
+// the tier-1 cost pins assert a seeded attack's exact query, cycle and
+// solution counts — so randomness must come from an injected seeded
+// *rand.Rand, never from global state another goroutine can perturb.
 var GlobalRand = &Analyzer{
 	Name: "globalrand",
 	Doc: "forbid math/rand top-level functions; randomness must come from an " +

@@ -10,9 +10,11 @@ import (
 // ordered output: appending map keys or values to a slice that is never
 // sorted afterwards, or writing to an encoder/writer/recorder from inside
 // the loop. Go randomizes map iteration per run, so any such leak makes
-// BENCH_pipeline.json, the Prometheus exposition, and the exported trace
-// documents differ between identical runs — exactly what the benchmark
-// regression gate and the paper's reproducibility claims cannot tolerate.
+// the Prometheus exposition, the exported trace documents, and any
+// computation built on the leaked order differ between identical runs —
+// exactly what the tier-1 cost pins (victim queries, device cycles, solution
+// counts asserted in internal/huffduff's tests) and the paper's
+// reproducibility claims cannot tolerate.
 var MapOrder = &Analyzer{
 	Name: "maporder",
 	Doc: "range over a map must not feed ordered output (slices without a " +

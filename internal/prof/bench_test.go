@@ -53,6 +53,22 @@ func BenchmarkProfOverhead(b *testing.B) {
 	})
 }
 
+// stageAttempt times iters stages of stageWork under ctx. It is never
+// inlined, so the no-op and profiled sides of TestProfOverheadBudget run the
+// same machine code: two inlined copies of the loop can differ by 10-20%
+// from code alignment alone.
+//
+//go:noinline
+func stageAttempt(ctx context.Context, iters int) time.Duration {
+	start := time.Now()
+	for i := 0; i < iters; i++ {
+		_, end := Stage(ctx, "bench")
+		stageWork()
+		end()
+	}
+	return time.Since(start)
+}
+
 // TestProfOverheadBudget enforces the <5% acceptance budget directly:
 // profiled stages must cost no more than 1.05x the no-op path. Timing a
 // timer is inherently noisy, so each side takes the minimum of several
@@ -66,30 +82,21 @@ func TestProfOverheadBudget(t *testing.T) {
 		iters    = 50
 		attempts = 7
 	)
-	attempt := func(ctx context.Context) time.Duration {
-		start := time.Now()
-		for i := 0; i < iters; i++ {
-			_, end := Stage(ctx, "bench")
-			stageWork()
-			end()
-		}
-		return time.Since(start)
-	}
 	// Warm both paths once so first-use costs (metric map growth, code
 	// paging) do not land inside a measurement, then interleave attempts so
 	// frequency drift and background load hit both paths alike. Each side
 	// keeps its minimum.
 	noopCtx := context.Background()
 	profCtx := obs.WithRecorder(context.Background(), obs.NewCollector())
-	attempt(noopCtx)
-	attempt(profCtx)
+	stageAttempt(noopCtx, iters)
+	stageAttempt(profCtx, iters)
 	measure := func() float64 {
 		base, profiled := time.Duration(1<<63-1), time.Duration(1<<63-1)
 		for a := 0; a < attempts; a++ {
-			if d := attempt(noopCtx); d < base {
+			if d := stageAttempt(noopCtx, iters); d < base {
 				base = d
 			}
-			if d := attempt(profCtx); d < profiled {
+			if d := stageAttempt(profCtx, iters); d < profiled {
 				profiled = d
 			}
 		}

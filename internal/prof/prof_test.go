@@ -4,7 +4,6 @@ import (
 	"context"
 	"runtime"
 	"runtime/pprof"
-	"strings"
 	"testing"
 
 	"github.com/huffduff/huffduff/internal/obs"
@@ -128,67 +127,6 @@ func TestRuntimeSamplerPausesDoNotDoubleCount(t *testing.T) {
 	third := col.Metrics().Histograms["runtime.gc_pause_seconds"]
 	if third.Count <= second.Count {
 		t.Fatalf("GC cycle produced no pause observations: %d -> %d", second.Count, third.Count)
-	}
-}
-
-func TestBuildReportAttributesStages(t *testing.T) {
-	col := obs.NewCollector()
-	col.Observe("stage.seconds", "stage=probe", 3.0)
-	col.Observe("stage.seconds", "stage=solve", 1.0)
-	col.Observe("victim.run_seconds", "", 0.5)
-	col.Observe("victim.run_seconds", "", 0.7)
-	col.Count("prof.stage.alloc_bytes", "stage=probe", 1<<20)
-	col.Count("accel.simulated_seconds", "", 0.02)
-	col.Count("accel.trace_events", "op=read", 600)
-	col.Count("accel.trace_events", "op=write", 400)
-	col.Gauge("sym.interned_exprs", "trials=2", 100)
-	col.Gauge("sym.interned_exprs", "trials=6", 5000)
-
-	r := BuildReport(col.Metrics(), 5.0, 3)
-	if r.StageWallSeconds != 4.0 {
-		t.Errorf("StageWallSeconds = %v, want 4", r.StageWallSeconds)
-	}
-	if len(r.Stages) != 2 || r.Stages[0].Stage != "probe" || r.Stages[1].Stage != "solve" {
-		t.Fatalf("stages not sorted by wall time: %+v", r.Stages)
-	}
-	if r.Stages[0].AllocBytes != 1<<20 {
-		t.Errorf("probe alloc = %v", r.Stages[0].AllocBytes)
-	}
-	if r.TraceEvents != 1000 || r.EventsPerSecond != 200 {
-		t.Errorf("trace events %v at %v/s, want 1000 at 200", r.TraceEvents, r.EventsPerSecond)
-	}
-	if r.WallPerDeviceSecond != 5.0/0.02 {
-		t.Errorf("wall/device = %v", r.WallPerDeviceSecond)
-	}
-	if r.VictimRuns != 2 || r.VictimRunSeconds != 1.2 || r.VictimRunMaxSeconds != 0.7 {
-		t.Errorf("victim summary: %d runs %v s max %v", r.VictimRuns, r.VictimRunSeconds, r.VictimRunMaxSeconds)
-	}
-	if r.SymExprs != 5000 {
-		t.Errorf("SymExprs = %v, want the largest solve step (5000)", r.SymExprs)
-	}
-	if len(r.TopCounters) != 3 {
-		t.Errorf("topN not applied: %d counters", len(r.TopCounters))
-	}
-
-	// Rendering is deterministic and mentions every stage.
-	a, b := r.Text(), r.Text()
-	if a != b {
-		t.Error("Text() not deterministic")
-	}
-	for _, want := range []string{"probe", "solve", "victim queries", "sym interner"} {
-		if !strings.Contains(a, want) {
-			t.Errorf("report text missing %q:\n%s", want, a)
-		}
-	}
-}
-
-func TestBuildReportEmptySnapshot(t *testing.T) {
-	r := BuildReport(obs.NewCollector().Metrics(), 0, 0)
-	if len(r.Stages) != 0 || r.WallSeconds != 0 {
-		t.Fatalf("empty snapshot produced %+v", r)
-	}
-	if r.Text() == "" {
-		t.Fatal("even an empty report renders a header")
 	}
 }
 

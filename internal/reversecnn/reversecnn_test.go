@@ -195,6 +195,22 @@ func TestFromArchChains(t *testing.T) {
 	if aor.Obs[0].I != 3*32*32 {
 		t.Fatalf("first-layer I = %d", aor.Obs[0].I)
 	}
+	// Table 1: dense solving leaves exactly 8 ResNet-18 architectures (the
+	// paper's count) and 32 VGG-S ones.
+	for _, c := range []struct {
+		arch *models.Arch
+		ao   *ArchObs
+		want int
+	}{{vgg, ao, 32}, {res, aor, 8}} {
+		chain, _, _ := c.ao.ChainObs()
+		sols, err := SolveDense(chain, c.arch.InH, c.arch.InC, DefaultSpace(), 0)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if len(sols) != c.want {
+			t.Errorf("%s: %d dense solutions, want %d", c.arch.Name, len(sols), c.want)
+		}
+	}
 }
 
 func TestFromArchProfilesShrinkWeights(t *testing.T) {

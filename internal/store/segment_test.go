@@ -3,11 +3,13 @@ package store
 import (
 	"encoding/json"
 	"fmt"
+	"math/rand"
 	"os"
 	"path/filepath"
 	"strings"
 	"sync"
 	"testing"
+	"time"
 )
 
 // snapshotReads captures everything a store serves — the full listing, the
@@ -35,58 +37,164 @@ func snapshotReads(t *testing.T, s Store) string {
 
 // TestReopenEquivalence closes and reopens a populated store and requires the
 // reopened reads to match, both via sidecar indexes and — with the sidecars
-// deleted — via full frame rescans.
+// deleted — via full frame rescans. The history corpus also pins the shape
+// of the reopened store.
 func TestReopenEquivalence(t *testing.T) {
-	dir := t.TempDir()
-	s, err := Open(dir, SegmentConfig{SegmentBytes: 512, CompactAfter: -1})
-	if err != nil {
-		t.Fatal(err)
-	}
-	fillStore(t, s, testCorpus())
-	want := snapshotReads(t, s)
-	if err := s.Close(); err != nil {
-		t.Fatalf("Close: %v", err)
-	}
+	for _, tc := range []struct {
+		name  string
+		cfg   SegmentConfig
+		fill  func(t *testing.T, s Store)
+		shape func(t *testing.T, s *Segment) // nil: no shape pinned
+	}{
+		{"corpus", SegmentConfig{SegmentBytes: 512, CompactAfter: -1},
+			func(t *testing.T, s Store) { fillStore(t, s, testCorpus()) }, nil},
+		{"history", SegmentConfig{SegmentBytes: 256 << 10, CompactAfter: -1, NoSync: true},
+			fillHistory, checkHistoryShape},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			dir := t.TempDir()
+			s, err := Open(dir, tc.cfg)
+			if err != nil {
+				t.Fatal(err)
+			}
+			tc.fill(t, s)
+			want := snapshotReads(t, s)
+			if err := s.Close(); err != nil {
+				t.Fatalf("Close: %v", err)
+			}
 
-	s2, err := Open(dir, SegmentConfig{SegmentBytes: 512, CompactAfter: -1})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if got := snapshotReads(t, s2); got != want {
-		t.Errorf("reopen via sidecars diverged:\n got %s\nwant %s", got, want)
-	}
-	s2.Close()
+			s2, err := Open(dir, tc.cfg)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if got := snapshotReads(t, s2); got != want {
+				t.Errorf("reopen via sidecars diverged:\n got %s\nwant %s", got, want)
+			}
+			if tc.shape != nil {
+				tc.shape(t, s2)
+			}
+			s2.Close()
 
-	// Delete every sidecar: recovery must rescan frames and converge to the
-	// same state, rewriting the sidecars as it goes.
-	idxs, err := filepath.Glob(filepath.Join(dir, "seg-*.idx"))
-	if err != nil {
-		t.Fatal(err)
+			// Delete every sidecar: recovery must rescan frames and converge
+			// to the same state, rewriting the sidecars as it goes.
+			idxs, err := filepath.Glob(filepath.Join(dir, "seg-*.idx"))
+			if err != nil {
+				t.Fatal(err)
+			}
+			if len(idxs) == 0 {
+				t.Fatal("no sidecars on disk; test corpus too small to rotate")
+			}
+			for _, p := range idxs {
+				if err := os.Remove(p); err != nil {
+					t.Fatal(err)
+				}
+			}
+			s3, err := Open(dir, tc.cfg)
+			if err != nil {
+				t.Fatal(err)
+			}
+			defer s3.Close()
+			if got := snapshotReads(t, s3); got != want {
+				t.Errorf("reopen via frame rescan diverged:\n got %s\nwant %s", got, want)
+			}
+			rewritten, err := filepath.Glob(filepath.Join(dir, "seg-*.idx"))
+			if err != nil {
+				t.Fatal(err)
+			}
+			// One sidecar belonged to s2's empty active segment, which the
+			// reopen deletes rather than rescans.
+			if len(rewritten) < len(idxs)-1 {
+				t.Errorf("rescan rewrote %d sidecars, want >= %d", len(rewritten), len(idxs)-1)
+			}
+		})
 	}
-	if len(idxs) == 0 {
-		t.Fatal("no sidecars on disk; test corpus too small to rotate")
-	}
-	for _, p := range idxs {
-		if err := os.Remove(p); err != nil {
-			t.Fatal(err)
+}
+
+// The history corpus is 4,000 seeded terminal campaigns over five models,
+// about 10% failed, with fixed finish times one second apart from
+// historyBaseNS and one event batch per 100 campaigns. EXPERIMENTS.md's
+// store read-path timings were taken on it.
+const (
+	historyCampaigns = 4000
+	historyBaseNS    = int64(1_760_000_000_000_000_000)
+)
+
+func fillHistory(t *testing.T, s Store) {
+	t.Helper()
+	models := []string{"smallcnn", "vggs", "resnet18", "alexnet", "mobilenetv2"}
+	rng := rand.New(rand.NewSource(42))
+	for i := 1; i <= historyCampaigns; i++ {
+		model := models[rng.Intn(len(models))]
+		state := "done"
+		if rng.Float64() < 0.1 {
+			state = "failed"
+		}
+		finished := historyBaseNS + int64(i)*int64(time.Second)
+		wall := 1 + 30*rng.Float64()
+		queries := int64(200 + rng.Intn(2000))
+		payload := mustJSON(t, map[string]any{
+			"id": i, "spec": map[string]any{"model": model, "trials": 8, "q": 8},
+			"state": state, "victim_queries": queries, "solution_count": 4,
+		})
+		rec := CampaignRecord{
+			ID: i, Model: model, State: state,
+			FinishedNS: finished, WallSeconds: wall,
+			Queries: queries, Degraded: rng.Float64() < 0.05,
+			Payload: json.RawMessage(payload),
+		}
+		if err := s.PutCampaign(rec); err != nil {
+			t.Fatalf("PutCampaign(%d): %v", i, err)
+		}
+		if i%100 == 0 {
+			events := mustJSON(t, []map[string]any{
+				{"ts": finished - int64(time.Second), "kind": "count", "name": "probe.runs", "value": 1},
+				{"ts": finished, "kind": "gauge", "name": "converge.log10_volume", "value": 3.5},
+			})
+			batch := EventBatch{
+				CampaignID: i, FirstNS: finished - int64(time.Second), LastNS: finished,
+				Events: json.RawMessage(events),
+			}
+			if err := s.PutEvents(batch); err != nil {
+				t.Fatalf("PutEvents(%d): %v", i, err)
+			}
 		}
 	}
-	s3, err := Open(dir, SegmentConfig{SegmentBytes: 512, CompactAfter: -1})
+}
+
+// checkHistoryShape pins the reopened history store. The seeded corpus makes
+// every count deterministic: record, scan-match and model counts must be
+// exact, because a lower count is a lost or misfiltered record, while live
+// bytes and segments may grow by at most 10% over the values measured when
+// the pins were set.
+func checkHistoryShape(t *testing.T, s *Segment) {
+	t.Helper()
+	st := s.Stats()
+	if st.Records != historyCampaigns {
+		t.Errorf("records = %d, want %d", st.Records, historyCampaigns)
+	}
+	// The GET /campaigns shape: one model, done only, newest quarter.
+	matches, err := s.Campaigns(Query{
+		Model: "smallcnn", State: "done",
+		SinceNS: historyBaseNS + historyCampaigns*3/4*int64(time.Second),
+	})
 	if err != nil {
 		t.Fatal(err)
 	}
-	defer s3.Close()
-	if got := snapshotReads(t, s3); got != want {
-		t.Errorf("reopen via frame rescan diverged:\n got %s\nwant %s", got, want)
+	if len(matches) != 210 {
+		t.Errorf("scan matches = %d, want 210", len(matches))
 	}
-	rewritten, err := filepath.Glob(filepath.Join(dir, "seg-*.idx"))
+	aggs, err := s.AggregateByModel()
 	if err != nil {
 		t.Fatal(err)
 	}
-	// One sidecar belonged to s2's empty active segment, which the reopen
-	// deletes rather than rescans.
-	if len(rewritten) < len(idxs)-1 {
-		t.Errorf("rescan rewrote %d sidecars, want >= %d", len(rewritten), len(idxs)-1)
+	if len(aggs) != 5 {
+		t.Errorf("aggregate models = %d, want 5", len(aggs))
+	}
+	if float64(st.LiveBytes) > 1.1*1_273_462 {
+		t.Errorf("live bytes = %d, above its pin 1,273,462 x 1.1", st.LiveBytes)
+	}
+	if float64(st.Segments) > 1.1*6 {
+		t.Errorf("segments = %d, above its pin 6 x 1.1", st.Segments)
 	}
 }
 
