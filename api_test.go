@@ -91,35 +91,3 @@ func TestDRAMFacade(t *testing.T) {
 		t.Fatal("memory generations out of order")
 	}
 }
-
-// TestCampaignStoreFacade covers the re-exported campaign-history store:
-// both constructors satisfy the interface and serve an identical record.
-func TestCampaignStoreFacade(t *testing.T) {
-	rec := huffduff.StoredCampaign{
-		ID: 1, Model: "smallcnn", State: "done",
-		FinishedNS: 1_700_000_000_000_000_000, WallSeconds: 2.5, Queries: 120,
-		Payload: []byte(`{"id":1}`),
-	}
-	stores := map[string]huffduff.CampaignStore{"memory": huffduff.NewMemoryCampaignStore()}
-	seg, err := huffduff.OpenCampaignStore(t.TempDir(), huffduff.CampaignStoreConfig{})
-	if err != nil {
-		t.Fatal(err)
-	}
-	stores["segment"] = seg
-	for name, s := range stores {
-		if err := s.PutCampaign(rec); err != nil {
-			t.Fatalf("%s: %v", name, err)
-		}
-		got, err := s.Campaigns(huffduff.CampaignQuery{Model: "smallcnn", State: "done"})
-		if err != nil || len(got) != 1 || got[0].ID != 1 {
-			t.Fatalf("%s: got %v, %v", name, got, err)
-		}
-		aggs, err := s.AggregateByModel()
-		if err != nil || len(aggs) != 1 || aggs[0].Model != "smallcnn" || aggs[0].Done != 1 {
-			t.Fatalf("%s aggregate: got %+v, %v", name, aggs, err)
-		}
-		if err := s.Close(); err != nil {
-			t.Fatalf("%s close: %v", name, err)
-		}
-	}
-}

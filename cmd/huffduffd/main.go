@@ -5,15 +5,17 @@
 // with device telemetry, a flight-recorder event dump, and pprof.
 //
 // With -data-dir the daemon is crash-safe: every submission and state
-// transition is written, fsync'd, to an embedded segment-log store under
+// transition is written, fsync'd, to an embedded segment log under
 // <data-dir>/store before the daemon acts on it, and a restart on the same
-// directory rebuilds the campaign table from one scan of the store,
+// directory rebuilds the campaign table from one replay of the log,
 // preserves campaign IDs and terminal results, and requeues whatever was
-// queued, running, or waiting on a retry when the process died. A store
-// that cannot be read back at start is fatal, since serving without it
-// would reuse stored campaign IDs. A <data-dir>/journal directory left by
-// an older build is ignored, so its in-flight campaigns are not resumed.
-// The store also serves the queryable history:
+// queued, running, or waiting on a retry when the process died. A log that
+// cannot be read back at start — a corrupt frame in a sealed segment, say —
+// is fatal, since serving without it would reuse stored campaign IDs. A
+// <data-dir>/journal directory left by an older build is ignored, so its
+// in-flight campaigns are not resumed. The log also keeps each finished
+// campaign's flight-recorder tail, which only a daemon with -data-dir
+// serves; the listing and the aggregate work either way:
 //
 //	curl 'localhost:9120/campaigns?model=smallcnn&state=done&limit=10'
 //	curl 'localhost:9120/campaigns/aggregate?by=model'
@@ -32,7 +34,7 @@
 //
 // SIGINT/SIGTERM drain the worker pool before exit; during the drain
 // /healthz reports "draining" with 503 and new submissions are refused.
-// Anything not finished by -drain stays requeueable in the store.
+// Anything not finished by -drain stays requeueable in the log.
 package main
 
 import (
@@ -43,6 +45,7 @@ import (
 	"os"
 	"os/signal"
 	"path/filepath"
+	"runtime/debug"
 	"syscall"
 	"time"
 
@@ -69,6 +72,18 @@ func main() {
 	)
 	flag.Parse()
 
+	// Every campaign's attack allocates tens of MB of short-lived
+	// activations and symbolic expressions, while the daemon's live heap —
+	// finished campaigns are plain snapshots — stays a few MB. At the
+	// default GOGC=100 the collector then runs about a dozen times per
+	// campaign (2,170 cycles over 160 daemon_mix-shaped SmallCNN campaigns,
+	// 15-20% of campaign throughput on two cores); 400 cuts that to about
+	// three (450 cycles) for a heap goal still near 100 MB. A GOGC set in
+	// the environment wins.
+	if os.Getenv("GOGC") == "" {
+		debug.SetGCPercent(400)
+	}
+
 	col := obs.NewCollector()
 	flight := obs.NewFlightRecorder(*flightN)
 	sinks := []obs.Recorder{col, flight}
@@ -82,16 +97,15 @@ func main() {
 	}
 	rec := obs.Fanout(sinks...)
 
-	var hist store.Store
+	// A log that cannot be read back is fatal: serving on would reuse
+	// stored campaign IDs.
+	var hist *store.Log
 	storeDir := filepath.Join(*dataDir, "store")
 	if *dataDir != "" {
-		seg, err := store.Open(storeDir, store.SegmentConfig{Obs: rec})
+		var err error
+		hist, err = store.Open(storeDir, store.Config{Obs: rec})
 		cli.Check(err)
-		hist = seg
 	}
-
-	// A store NewDaemon cannot read back is fatal: serving on would reuse
-	// stored campaign IDs.
 	d, err := telemetry.NewDaemon(telemetry.DaemonConfig{
 		Workers:    *workers,
 		QueueDepth: *queue,
@@ -106,8 +120,8 @@ func main() {
 		restored := len(d.Campaigns())
 		requeued := int(col.CounterValue("daemon.requeues", ""))
 		st := hist.Stats()
-		log.Printf("store %s: %d finished campaign(s), requeued %d interrupted; %d event batch(es) across %d segment(s)",
-			storeDir, restored-requeued, requeued, st.EventBatches, st.Segments)
+		log.Printf("store %s: %d finished campaign(s), requeued %d interrupted; %d segment(s), %d torn record(s) skipped",
+			storeDir, restored-requeued, requeued, st.Segments, st.TornRecords)
 	}
 	srv := telemetry.NewServer(telemetry.ServerOptions{
 		Collector: col,
@@ -139,7 +153,7 @@ func main() {
 	ctx, cancel := context.WithTimeout(context.Background(), *drain)
 	defer cancel()
 	if err := d.Shutdown(ctx); err != nil {
-		log.Printf("shutdown: %v (unfinished campaigns stay requeueable in the store)", err)
+		log.Printf("shutdown: %v (unfinished campaigns stay requeueable in the log)", err)
 	}
 	if err := srv.Shutdown(ctx); err != nil {
 		log.Printf("http shutdown: %v", err)

@@ -21,7 +21,10 @@
 //
 // This package is the public facade: it re-exports the types and entry
 // points a downstream user needs to deploy a victim on the simulated
-// accelerator and steal it back.
+// accelerator and steal it back. The campaign daemon, cmd/huffduffd, is
+// not part of it: its campaign history — listings, per-model aggregates,
+// stored event tails — is served over HTTP from the daemon's table and its
+// durable log (internal/telemetry, internal/store).
 //
 // Quick start:
 //
@@ -49,7 +52,6 @@ import (
 	"github.com/huffduff/huffduff/internal/obs"
 	"github.com/huffduff/huffduff/internal/prune"
 	"github.com/huffduff/huffduff/internal/reversecnn"
-	"github.com/huffduff/huffduff/internal/store"
 	"github.com/huffduff/huffduff/internal/trace"
 	"github.com/huffduff/huffduff/internal/train"
 )
@@ -237,38 +239,6 @@ func NewConvergeLedger(rec ObsRecorder) *ConvergeLedger { return converge.NewLed
 // AttackStage extracts the pipeline stage ("calibration", "probe", "solve",
 // "geometry", "timing", "finalize") an attack error originated in.
 func AttackStage(err error) (string, bool) { return faults.StageOf(err) }
-
-// Durable campaign history: the embedded store that is huffduffd's
-// write-ahead log and serves its /campaigns aggregates, usable standalone
-// for longitudinal experiment datasets (per-model aggregates over many
-// runs).
-type (
-	// CampaignStore is the history interface: put/lookup/scan campaign
-	// records (the latest per ID wins), per-campaign event batches, and
-	// per-model aggregates over the terminal ones. NewMemoryCampaignStore and OpenCampaignStore return the
-	// two implementations, which serve identical results.
-	CampaignStore = store.Store
-	// StoredCampaign is one campaign state: indexed columns (model,
-	// state, finish time, wall seconds, queries) plus an opaque payload.
-	StoredCampaign = store.CampaignRecord
-	// CampaignQuery filters and paginates a campaign scan.
-	CampaignQuery = store.Query
-	// ModelAggregate is one model's cross-campaign rollup: counts,
-	// p50/p95 wall seconds, total victim queries, degraded-rate.
-	ModelAggregate = store.ModelAggregate
-	// CampaignStoreConfig tunes the segment-log store (segment size,
-	// fsync, compaction trigger, obs recorder).
-	CampaignStoreConfig = store.SegmentConfig
-)
-
-// NewMemoryCampaignStore builds the in-memory CampaignStore.
-func NewMemoryCampaignStore() CampaignStore { return store.NewMemory() }
-
-// OpenCampaignStore opens (or creates) the crash-safe segment-log
-// CampaignStore in dir.
-func OpenCampaignStore(dir string, cfg CampaignStoreConfig) (CampaignStore, error) {
-	return store.Open(dir, cfg)
-}
 
 // SampleSolutions draws n distinct candidates uniformly from the solution
 // space.

@@ -1,76 +1,69 @@
 package store
 
 // Compaction folds the sealed segments into one: live records (the highest
-// LSN per (kind, ID) pair) are copied frame-verbatim into a merged segment,
+// LSN per campaign ID) are copied frame-verbatim into a merged segment,
 // superseded records are dropped, and the inputs are deleted. Supersedence
 // is decided by LSN, so the merged segment keeps the original LSNs and the
 // recovery fold stays correct no matter how a crash interleaves with the
 // pass. The crash discipline, in order:
 //
-//  1. write the merged log to seg-<firstLSN>.log.tmp and fsync it
-//  2. delete the first input's sidecar (its log is about to be replaced)
-//  3. rename the merged log over the first input (atomic)
-//  4. reopen the merged log (while the input handles still serve reads)
-//  5. delete the remaining inputs and their sidecars
-//  6. write the merged segment's sidecar
+//  1. write the merged log, sealed, to seg-<firstLSN>.log.tmp and fsync it
+//  2. rename the merged log over the first input (atomic)
+//  3. reopen the merged log (while the input handles still serve reads)
+//  4. delete the remaining inputs
 //
-// A crash before (3) leaves only a .tmp, removed at the next open. A crash
-// between (3) and (5) leaves the merged log plus stale inputs whose records
-// are duplicates of merged LSNs — the recovery fold dedupes them. A crash
-// before (6) leaves the merged log without a sidecar (or, had the sidecar
-// survived from the replaced input, with a stale one whose size mismatches)
-// — either way recovery falls back to a frame scan and rewrites it.
+// A crash before (2) leaves only a .tmp, removed at the next open. A crash
+// between (2) and (4) leaves the merged log plus stale inputs whose records
+// are duplicates of merged LSNs — the recovery fold dedupes them.
 
 import (
 	"fmt"
 	"os"
-	"path/filepath"
 	"sort"
-	"strings"
 )
 
 // compactor is the background compaction loop: one pass per wake-up signal
 // from rotation (or Open), serialized by the loop itself.
-func (s *Segment) compactor() {
-	defer s.wg.Done()
-	for range s.compactCh {
-		if err := s.Compact(); err != nil && err != ErrClosed {
-			s.count("store.compaction_errors", "", 1)
+func (l *Log) compactor() {
+	defer l.wg.Done()
+	for range l.compactCh {
+		if err := l.Compact(); err != nil && err != errClosed {
+			l.count("store.compaction_errors", "", 1)
 		}
 	}
 }
 
 // signalCompactLocked wakes the compactor when enough sealed segments have
-// accumulated. Callers hold s.mu.
-func (s *Segment) signalCompactLocked() {
-	if s.compactCh == nil || s.closed {
+// accumulated. Callers hold l.mu.
+func (l *Log) signalCompactLocked() {
+	if l.compactCh == nil || l.closed {
 		return
 	}
-	if len(s.segs)-1 < s.cfg.CompactAfter {
+	if len(l.segs)-1 < l.cfg.CompactAfter {
 		return
 	}
 	select {
-	case s.compactCh <- struct{}{}:
+	case l.compactCh <- struct{}{}:
 	default: // a pass is already pending
 	}
 }
 
 // Compact merges every sealed segment into one, dropping superseded
 // records. It is a no-op with fewer than two sealed segments unless the one
-// sealed segment carries dead records. The pass holds the store lock: at
+// sealed segment carries dead records. The pass holds the log's lock: at
 // the segment sizes compaction targets this is milliseconds, and it keeps
 // every read and the index swap trivially consistent.
-func (s *Segment) Compact() error {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	if s.closed {
-		return ErrClosed
+func (l *Log) Compact() error {
+	l.mu.Lock()
+	defer l.mu.Unlock()
+	if l.closed {
+		return errClosed
 	}
-	inputs := s.segs[:len(s.segs)-1] // all sealed; the last is active
+	inputs := l.segs[:len(l.segs)-1] // all sealed; the last is active
 	if len(inputs) == 0 {
 		return nil
 	}
-	live := s.liveIn(inputs)
+	live := l.liveIn(inputs)
 	totalRecords := 0
 	for _, seg := range inputs {
 		totalRecords += seg.records
@@ -80,31 +73,30 @@ func (s *Segment) Compact() error {
 	}
 	dropped := uint64(totalRecords - len(live))
 
-	merged, entries, err := s.writeMerged(inputs[0].firstLSN, live)
+	merged, entries, err := l.writeMerged(inputs[0].firstLSN, live)
 	if err != nil {
 		return err
 	}
-	if !s.hook("merged-written") {
+	if !l.hook("merged-written") {
 		return nil // simulated crash: .tmp cleaned up at next open
 	}
-	os.Remove(strings.TrimSuffix(inputs[0].path, ".log") + ".idx")
 	if err := os.Rename(merged.path+".tmp", merged.path); err != nil {
 		return fmt.Errorf("store: compaction rename: %w", err)
 	}
-	if !s.hook("renamed") {
+	if !l.hook("renamed") {
 		return nil // simulated crash: stale inputs dedupe by LSN at next open
 	}
 	// Reopen the merged segment before touching the inputs: if this open
 	// fails, the in-memory state still points at the input segments, whose
 	// open handles keep serving reads (the renamed-over first input's fd
 	// pins its old inode), and the next open dedupes the stale inputs by
-	// LSN. Destroying the inputs first would leave every recLoc referencing
-	// a closed handle.
+	// LSN. Destroying the inputs first would leave every index entry
+	// referencing a closed handle.
 	f, err := os.Open(merged.path)
 	if err != nil {
 		return fmt.Errorf("store: reopening merged segment: %w", err)
 	}
-	if !s.hook("reopened") {
+	if !l.hook("reopened") {
 		f.Close()
 		return nil // simulated crash: merged log live, stale inputs dedupe
 	}
@@ -113,39 +105,32 @@ func (s *Segment) Compact() error {
 		if seg.path != merged.path {
 			os.Remove(seg.path)
 		}
-		os.Remove(strings.TrimSuffix(seg.path, ".log") + ".idx")
 	}
-	s.writeSidecar(merged, entries)
 	merged.f = f
-	active := s.segs[len(s.segs)-1]
-	s.segs = []*segmentInfo{merged, active}
+	active := l.segs[len(l.segs)-1]
+	l.segs = []*segment{merged, active}
 	for _, e := range entries {
-		s.indexEntry(e, merged)
+		l.indexLocked(e)
 	}
-	s.stats.Compactions++
-	s.stats.CompactedRecords += dropped
-	s.count("store.compactions", "", 1)
-	s.count("store.compacted_records", "", float64(dropped))
-	s.publishGauges()
+	l.stats.Compactions++
+	l.stats.CompactedRecords += dropped
+	l.count("store.compactions", "", 1)
+	l.count("store.compacted_records", "", float64(dropped))
+	l.publishGauges()
 	return nil
 }
 
 // liveIn returns the live records located in the given segments, ascending
 // LSN (the order the merged segment preserves).
-func (s *Segment) liveIn(inputs []*segmentInfo) []*recLoc {
-	in := map[*segmentInfo]bool{}
+func (l *Log) liveIn(inputs []*segment) []*entry {
+	in := map[*segment]bool{}
 	for _, seg := range inputs {
 		in[seg] = true
 	}
-	var live []*recLoc
-	for _, loc := range s.byID {
-		if in[loc.seg] {
-			live = append(live, loc)
-		}
-	}
-	for _, loc := range s.evByID {
-		if in[loc.seg] {
-			live = append(live, loc)
+	var live []*entry
+	for _, e := range l.byID {
+		if in[e.seg] {
+			live = append(live, e)
 		}
 	}
 	sort.Slice(live, func(i, j int) bool { return live[i].lsn < live[j].lsn })
@@ -153,10 +138,11 @@ func (s *Segment) liveIn(inputs []*segmentInfo) []*recLoc {
 }
 
 // writeMerged copies the live frames verbatim into <firstLSN>.log.tmp,
-// fsyncs it, and returns the (not yet renamed) segment plus its index rows.
-func (s *Segment) writeMerged(firstLSN uint64, live []*recLoc) (*segmentInfo, []idxEntry, error) {
-	merged := &segmentInfo{
-		path:     s.segPath(firstLSN),
+// seals and fsyncs it, and returns the (not yet renamed) segment plus the
+// index entries of its frames.
+func (l *Log) writeMerged(firstLSN uint64, live []*entry) (*segment, []entry, error) {
+	merged := &segment{
+		path:     l.segPath(firstLSN),
 		firstLSN: firstLSN,
 		records:  len(live),
 	}
@@ -165,40 +151,36 @@ func (s *Segment) writeMerged(firstLSN uint64, live []*recLoc) (*segmentInfo, []
 		return nil, nil, fmt.Errorf("store: compaction tmp: %w", err)
 	}
 	defer f.Close()
-	entries := make([]idxEntry, 0, len(live))
-	for _, loc := range live {
-		buf := make([]byte, loc.n)
-		if _, err := loc.seg.f.ReadAt(buf, loc.off); err != nil {
-			return nil, nil, fmt.Errorf("store: compaction read %s@%d: %w", loc.seg.path, loc.off, err)
+	entries := make([]entry, 0, len(live))
+	for _, e := range live {
+		buf := make([]byte, e.n)
+		if _, err := e.seg.f.ReadAt(buf, e.off); err != nil {
+			return nil, nil, fmt.Errorf("store: compaction read %s@%d: %w", e.seg.path, e.off, err)
 		}
 		if _, err := f.Write(buf); err != nil {
 			return nil, nil, fmt.Errorf("store: compaction write: %w", err)
 		}
-		entries = append(entries, idxEntry{
-			LSN: loc.lsn, Kind: loc.kind, Off: merged.size, N: loc.n,
-			ID: loc.id, Model: loc.idx.Model, State: loc.idx.State,
-			FinishedNS: loc.idx.FinishedNS, WallSeconds: loc.idx.WallSeconds,
-			Queries: loc.idx.Queries, Degraded: loc.idx.Degraded,
-		})
-		merged.size += int64(loc.n)
+		entries = append(entries, entry{lsn: e.lsn, kind: e.kind, id: e.id, seg: merged, off: merged.size, n: e.n})
+		merged.size += int64(e.n)
 	}
-	if !s.cfg.NoSync {
+	if _, err := f.Write(trailer(merged.size)); err != nil {
+		return nil, nil, fmt.Errorf("store: compaction write: %w", err)
+	}
+	if !l.cfg.NoSync {
 		if err := f.Sync(); err != nil {
 			return nil, nil, fmt.Errorf("store: compaction fsync: %w", err)
 		}
 	}
+	if err := f.Close(); err != nil {
+		return nil, nil, fmt.Errorf("store: compaction close: %w", err)
+	}
 	return merged, entries, nil
 }
 
-// segPath names a segment file by its first LSN.
-func (s *Segment) segPath(firstLSN uint64) string {
-	return filepath.Join(s.dir, fmt.Sprintf("seg-%016d.log", firstLSN))
-}
-
 // hook runs the test-only compaction crash hook; true means keep going.
-func (s *Segment) hook(stage string) bool {
-	if s.cfg.compactHook == nil {
+func (l *Log) hook(stage string) bool {
+	if l.cfg.compactHook == nil {
 		return true
 	}
-	return s.cfg.compactHook(stage)
+	return l.cfg.compactHook(stage)
 }

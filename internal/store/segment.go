@@ -1,132 +1,43 @@
 package store
 
 import (
-	"encoding/binary"
 	"encoding/json"
 	"fmt"
-	"hash/crc32"
+	"io"
 	"os"
 	"path/filepath"
 	"sort"
-	"strings"
 	"sync"
-	"time"
-
-	"github.com/huffduff/huffduff/internal/obs"
 )
 
-// The segment backend is an append-only log of framed records under one
-// directory:
-//
-//	seg-<firstLSN>.log    frames: u32 length | u32 crc32(body) | JSON body
-//	seg-<firstLSN>.idx    sidecar index, written when a segment seals
-//
-// Every record carries a monotone log sequence number (LSN); the latest LSN
-// for a (kind, ID) pair wins, which is what makes compaction free to
-// reorder files: supersedence is decided by LSN, never by file position.
-// Appends go to a single active segment, fsync'd per record so an
-// acknowledged record survives a crash, and rotate by size. Every open starts a fresh
-// active segment, so a torn tail from a crash is never appended after — it
-// is skipped and counted during recovery instead. Sealed segments get a
-// sidecar index holding the indexed columns and frame offsets, so reopening
-// a large store reads indexes, not payloads; a missing or stale sidecar
-// falls back to a full frame scan that rewrites it.
-
-// SegmentConfig tunes the segment-log store.
-type SegmentConfig struct {
-	// SegmentBytes rotates the active segment once it exceeds this size
-	// (default 1 MiB).
-	SegmentBytes int64
-	// NoSync skips the per-append fsync. Only tests and benchmarks should
-	// set it: without the fsync a crash can lose acknowledged records.
-	NoSync bool
-	// CompactAfter triggers background compaction once that many sealed
-	// segments accumulate (default 6; negative disables compaction).
-	CompactAfter int
-	// Obs receives the store.* counters, gauges, and read-latency
-	// histograms.
-	Obs obs.Recorder
-
-	// compactHook, when set, is called at named stages of a compaction
-	// pass; returning false aborts the pass there, simulating a crash
-	// mid-compaction. Test-only.
-	compactHook func(stage string) bool
-}
-
-func (cfg SegmentConfig) withDefaults() SegmentConfig {
-	if cfg.SegmentBytes <= 0 {
-		cfg.SegmentBytes = 1 << 20
-	}
-	if cfg.CompactAfter == 0 {
-		cfg.CompactAfter = 6
-	}
-	return cfg
-}
-
-// Record kinds in the segment log.
-const (
-	kindCampaign = "campaign"
-	kindEvents   = "events"
-)
-
-// segRecord is one framed log record.
-type segRecord struct {
-	LSN      uint64          `json:"lsn"`
-	Kind     string          `json:"kind"`
-	Campaign *CampaignRecord `json:"campaign,omitempty"`
-	Events   *EventBatch     `json:"events,omitempty"`
-}
-
-// frameHeaderLen is the fixed frame prefix: u32 body length, u32 CRC32.
-const frameHeaderLen = 8
-
-// maxFrameBody caps a single record body; anything larger during recovery
-// is treated as a torn length word, not an allocation request.
-const maxFrameBody = 64 << 20
-
-// segmentInfo is one on-disk segment file.
-type segmentInfo struct {
+// segment is one on-disk segment file.
+type segment struct {
 	path     string
 	firstLSN uint64
 	f        *os.File
-	size     int64
-	records  int
+	// size counts the frame bytes the segment holds (its trailer excluded).
+	size int64
+	// records counts its intact frames, live or superseded.
+	records int
 }
 
-// recLoc locates one live record: its frame in a segment plus — for
-// campaign records — the indexed columns, kept in memory so every query
-// path filters and aggregates without touching payload bytes on disk.
-type recLoc struct {
-	lsn  uint64
-	kind string
-	id   int // campaign ID (for event batches, the batch's CampaignID)
-	seg  *segmentInfo
-	off  int64
-	n    int32
-	// idx carries the campaign columns with Payload stripped (zero for
-	// event batches, which are keyed by CampaignID alone).
-	idx CampaignRecord
-}
-
-// Segment is the durable Store: an append-only segment log with sidecar
-// indexes and background compaction. Safe for concurrent use.
-type Segment struct {
+// Log is the durable campaign log: an append-only segment log with
+// background compaction. Safe for concurrent use.
+type Log struct {
 	dir string
-	cfg SegmentConfig
+	cfg Config
 
 	mu sync.Mutex
 	// closed is guarded by mu.
 	closed bool
 	// segs is guarded by mu; ascending firstLSN, last is the active segment.
-	segs []*segmentInfo
+	segs []*segment
 	// activeW is guarded by mu; the append handle of the active segment.
 	activeW *os.File
 	// nextLSN is guarded by mu.
 	nextLSN uint64
 	// byID is guarded by mu.
-	byID map[int]*recLoc
-	// evByID is guarded by mu.
-	evByID map[int]*recLoc
+	byID map[int]*entry
 	// stats is guarded by mu.
 	stats Stats
 
@@ -134,315 +45,128 @@ type Segment struct {
 	wg        sync.WaitGroup
 }
 
-// Open opens (creating if needed) a segment store in dir: existing segments
-// are recovered — from their sidecar indexes when valid, by frame scan
-// otherwise, with any torn tail skipped and counted — and a fresh active
-// segment is started for this process's appends.
-func Open(dir string, cfg SegmentConfig) (*Segment, error) {
+// Open opens (creating if needed) a log in dir: every existing segment is
+// scanned — a torn tail in an unsealed segment skipped and counted, a
+// corrupt frame in a sealed one an error naming the segment and offset —
+// and a fresh active segment is started for this process's appends.
+func Open(dir string, cfg Config) (*Log, error) {
 	cfg = cfg.withDefaults()
 	if err := os.MkdirAll(dir, 0o755); err != nil {
 		return nil, fmt.Errorf("store: dir: %w", err)
 	}
-	s := &Segment{
-		dir:    dir,
-		cfg:    cfg,
-		byID:   map[int]*recLoc{},
-		evByID: map[int]*recLoc{},
-	}
-	if err := s.removeLeftovers(); err != nil {
-		return nil, err
-	}
+	l := &Log{dir: dir, cfg: cfg, byID: map[int]*entry{}, nextLSN: 1}
 	paths, err := filepath.Glob(filepath.Join(dir, "seg-*.log"))
 	if err != nil {
 		return nil, fmt.Errorf("store: glob: %w", err)
 	}
 	sort.Strings(paths)
-	s.nextLSN = 1
+	// Recover every segment before touching the directory, so an Open that
+	// fails has written and removed nothing.
+	var drop []string
 	for _, path := range paths {
-		if err := s.loadSegment(path); err != nil {
-			s.closeFiles()
+		seg, err := l.loadSegment(path)
+		if err != nil {
+			l.closeFiles()
 			return nil, err
 		}
+		if seg == nil {
+			drop = append(drop, path)
+			continue
+		}
+		l.segs = append(l.segs, seg)
 	}
-	if err := s.openActiveLocked(); err != nil {
-		s.closeFiles()
+	// An interrupted compaction or event write leaves a *.tmp that never got
+	// renamed; *.idx files are sidecar indexes older builds wrote, which
+	// nothing reads.
+	for _, pat := range []string{"*.tmp", "seg-*.idx"} {
+		leftovers, err := filepath.Glob(filepath.Join(dir, pat))
+		if err != nil {
+			l.closeFiles()
+			return nil, fmt.Errorf("store: glob: %w", err)
+		}
+		drop = append(drop, leftovers...)
+	}
+	for _, p := range drop {
+		if err := os.Remove(p); err != nil {
+			l.closeFiles()
+			return nil, fmt.Errorf("store: removing %s: %w", p, err)
+		}
+	}
+	if err := l.openActiveLocked(); err != nil {
+		l.closeFiles()
 		return nil, err
 	}
-	s.publishGauges()
-	if s.stats.TornRecords > 0 {
-		s.count("store.torn_records", "", float64(s.stats.TornRecords))
+	l.publishGauges()
+	if l.stats.TornRecords > 0 {
+		l.count("store.torn_records", "", float64(l.stats.TornRecords))
 	}
 	if cfg.CompactAfter > 0 {
-		s.compactCh = make(chan struct{}, 1)
-		s.wg.Add(1)
-		go s.compactor()
-		s.mu.Lock()
-		s.signalCompactLocked()
-		s.mu.Unlock()
+		l.compactCh = make(chan struct{}, 1)
+		l.wg.Add(1)
+		go l.compactor()
+		l.mu.Lock()
+		l.signalCompactLocked()
+		l.mu.Unlock()
 	}
-	return s, nil
+	return l, nil
 }
 
-// removeLeftovers deletes artifacts an interrupted compaction can leave: a
-// merged segment that never got renamed (*.log.tmp), temporary sidecars,
-// and sidecars whose segment is gone.
-func (s *Segment) removeLeftovers() error {
-	for _, pat := range []string{"seg-*.log.tmp", "seg-*.idx.tmp"} {
-		tmps, err := filepath.Glob(filepath.Join(s.dir, pat))
-		if err != nil {
-			return fmt.Errorf("store: glob: %w", err)
-		}
-		for _, p := range tmps {
-			if err := os.Remove(p); err != nil {
-				return fmt.Errorf("store: removing leftover %s: %w", p, err)
-			}
-		}
-	}
-	idxs, err := filepath.Glob(filepath.Join(s.dir, "seg-*.idx"))
-	if err != nil {
-		return fmt.Errorf("store: glob: %w", err)
-	}
-	for _, p := range idxs {
-		log := strings.TrimSuffix(p, ".idx") + ".log"
-		if _, statErr := os.Stat(log); os.IsNotExist(statErr) {
-			if err := os.Remove(p); err != nil {
-				return fmt.Errorf("store: removing orphan index %s: %w", p, err)
-			}
-		}
-	}
-	return nil
-}
-
-// loadSegment recovers one sealed segment: sidecar index when valid, frame
-// scan (rewriting the sidecar) otherwise.
-func (s *Segment) loadSegment(path string) error {
+// loadSegment recovers one segment and indexes its campaign records. It
+// returns nil, and Open removes the file, when nothing in it is
+// recoverable.
+func (l *Log) loadSegment(path string) (*segment, error) {
 	f, err := os.Open(path)
 	if err != nil {
-		return fmt.Errorf("store: segment %s: %w", path, err)
+		return nil, fmt.Errorf("store: segment %s: %w", path, err)
 	}
-	fi, err := f.Stat()
+	raw, err := io.ReadAll(f)
 	if err != nil {
 		f.Close()
-		return fmt.Errorf("store: segment %s: %w", path, err)
+		return nil, fmt.Errorf("store: segment %s: %w", path, err)
 	}
-	if fi.Size() == 0 {
-		// An empty active segment from a previous open that never appended;
-		// drop it rather than let one accumulate per restart.
+	entries, torn, err := recoverFrames(raw)
+	if err != nil {
 		f.Close()
-		if err := os.Remove(path); err != nil {
-			return fmt.Errorf("store: removing empty segment %s: %w", path, err)
-		}
-		os.Remove(strings.TrimSuffix(path, ".log") + ".idx")
-		return nil
+		return nil, fmt.Errorf("store: segment %s: %w", path, err)
 	}
-	seg := &segmentInfo{path: path, f: f, size: fi.Size()}
-	entries, ok := s.loadSidecar(path, fi.Size())
-	if !ok {
-		raw, err := os.ReadFile(path)
-		if err != nil {
-			f.Close()
-			return fmt.Errorf("store: segment %s: %w", path, err)
-		}
-		var torn uint64
-		entries, torn = scanFrames(raw)
-		s.stats.TornRecords += torn
-	}
+	// A torn tail's bytes stay in the file (segments are immutable) but are
+	// never referenced again, and vanish at the next compaction.
+	l.stats.TornRecords += torn
 	if len(entries) == 0 {
-		// Nothing recoverable — e.g. a crash tore the very first append to a
-		// fresh active segment. A torn frame was never acknowledged, and a
-		// zero-entry segment contributes no LSNs, so keeping it would let
-		// openActiveLocked reuse its name: O_APPEND would land new frames
-		// after the torn bytes while offsets count from zero. Drop it like
-		// the empty-segment case.
+		// An empty active segment from a previous open that never appended:
+		// drop it rather than let one accumulate per restart. Likewise a
+		// segment whose only content is torn — a crash tore the very first
+		// append to a fresh active segment. A torn frame was never
+		// acknowledged, and a zero-entry segment contributes no LSNs, so
+		// keeping it would let openActiveLocked reuse its name: O_APPEND
+		// would land new frames after the torn bytes while offsets count
+		// from zero.
 		f.Close()
-		if err := os.Remove(path); err != nil {
-			return fmt.Errorf("store: removing unrecoverable segment %s: %w", path, err)
+		return nil, nil
+	}
+	seg := &segment{path: path, f: f, records: len(entries)}
+	for _, e := range entries {
+		if e.lsn >= l.nextLSN {
+			l.nextLSN = e.lsn + 1
 		}
-		os.Remove(strings.TrimSuffix(path, ".log") + ".idx")
-		return nil
-	}
-	if !ok {
-		// Recovery truncates the index at the torn tail; the bytes stay in
-		// the file (segments are immutable) but are never referenced again
-		// and vanish at the next compaction.
-		s.writeSidecar(seg, entries)
-	}
-	seg.records = len(entries)
-	for i := range entries {
-		if entries[i].LSN >= s.nextLSN {
-			s.nextLSN = entries[i].LSN + 1
+		if seg.firstLSN == 0 || e.lsn < seg.firstLSN {
+			seg.firstLSN = e.lsn
 		}
-		if seg.firstLSN == 0 || entries[i].LSN < seg.firstLSN {
-			seg.firstLSN = entries[i].LSN
-		}
-		s.indexEntry(entries[i], seg)
+		seg.size = e.off + int64(e.n)
+		e.seg = seg
+		l.indexLocked(e)
 	}
-	s.segs = append(s.segs, seg)
-	return nil
+	return seg, nil
 }
 
-// sidecar is the on-disk sidecar index of a sealed segment: the indexed
-// columns and frame offsets of every record, without payloads.
-type sidecar struct {
-	Bytes   int64      `json:"bytes"` // log size at seal; stale if mismatched
-	Entries []idxEntry `json:"entries"`
-}
-
-// idxEntry is one record's index row.
-type idxEntry struct {
-	LSN  uint64 `json:"lsn"`
-	Kind string `json:"kind"`
-	Off  int64  `json:"off"`
-	N    int32  `json:"n"`
-	// Campaign columns (zero-valued for event batches, whose ID is the
-	// batch's CampaignID).
-	ID          int     `json:"id"`
-	Model       string  `json:"model,omitempty"`
-	State       string  `json:"state,omitempty"`
-	FinishedNS  int64   `json:"finished_ns,omitempty"`
-	WallSeconds float64 `json:"wall_seconds,omitempty"`
-	Queries     int64   `json:"queries,omitempty"`
-	Degraded    bool    `json:"degraded,omitempty"`
-}
-
-// entryOf builds the index row for a framed record.
-func entryOf(rec segRecord, off int64, n int32) idxEntry {
-	e := idxEntry{LSN: rec.LSN, Kind: rec.Kind, Off: off, N: n}
-	switch {
-	case rec.Kind == kindCampaign && rec.Campaign != nil:
-		c := rec.Campaign
-		e.ID, e.Model, e.State = c.ID, c.Model, c.State
-		e.FinishedNS, e.WallSeconds = c.FinishedNS, c.WallSeconds
-		e.Queries, e.Degraded = c.Queries, c.Degraded
-	case rec.Kind == kindEvents && rec.Events != nil:
-		e.ID = rec.Events.CampaignID
-	}
-	return e
-}
-
-// loadSidecar reads a segment's sidecar index; ok is false (forcing a
-// rescan) when the sidecar is missing, unreadable, or stale — its recorded
-// log size no longer matches the file, as after an interrupted compaction.
-func (s *Segment) loadSidecar(logPath string, logSize int64) ([]idxEntry, bool) {
-	raw, err := os.ReadFile(strings.TrimSuffix(logPath, ".log") + ".idx")
-	if err != nil {
-		return nil, false
-	}
-	var sc sidecar
-	if err := json.Unmarshal(raw, &sc); err != nil || sc.Bytes != logSize {
-		return nil, false
-	}
-	return sc.Entries, true
-}
-
-// writeSidecar persists a segment's index atomically (tmp + fsync +
-// rename). A failure is swallowed: the sidecar is an optimization, and the
-// next open simply rescans the frames. The fsync before the rename matters
-// even so — without it a crash can publish a torn sidecar under the final
-// name, and a torn sidecar whose Bytes field happens to survive intact
-// would misdirect recovery instead of falling back to the frame scan.
-func (s *Segment) writeSidecar(seg *segmentInfo, entries []idxEntry) {
-	raw, err := json.Marshal(sidecar{Bytes: seg.size, Entries: entries})
-	if err != nil {
+// indexLocked folds one intact frame into the index: the highest LSN per
+// campaign ID wins. Frames of the retired events kind are never live.
+func (l *Log) indexLocked(e entry) {
+	if e.kind != kindCampaign {
 		return
 	}
-	idxPath := strings.TrimSuffix(seg.path, ".log") + ".idx"
-	tmp := idxPath + ".tmp"
-	f, err := os.OpenFile(tmp, os.O_CREATE|os.O_TRUNC|os.O_WRONLY, 0o644)
-	if err != nil {
-		return
-	}
-	if _, err := f.Write(raw); err != nil {
-		f.Close()
-		os.Remove(tmp)
-		return
-	}
-	if !s.cfg.NoSync {
-		if err := f.Sync(); err != nil {
-			f.Close()
-			os.Remove(tmp)
-			return
-		}
-	}
-	if err := f.Close(); err != nil {
-		os.Remove(tmp)
-		return
-	}
-	if err := os.Rename(tmp, idxPath); err != nil {
-		os.Remove(tmp)
-	}
-}
-
-// scanFrames decodes every intact frame in raw, stopping at the first torn
-// one. The return counts how many unreadable tails were skipped (0 or 1 per
-// scan: a torn frame ends the scan, because nothing after an interrupted
-// write can be trusted).
-func scanFrames(raw []byte) (entries []idxEntry, torn uint64) {
-	var off int64
-	for int64(len(raw))-off >= frameHeaderLen {
-		rec, n, ok := decodeFrame(raw[off:])
-		if !ok {
-			torn++
-			break
-		}
-		entries = append(entries, entryOf(rec, off, n))
-		off += int64(n)
-	}
-	if t := int64(len(raw)) - off; t > 0 && torn == 0 {
-		// Trailing bytes too short for a header: a torn header word.
-		torn++
-	}
-	return entries, torn
-}
-
-// decodeFrame decodes one frame from the head of raw, returning the record
-// and the full frame length. ok is false for a torn or corrupt frame.
-func decodeFrame(raw []byte) (rec segRecord, n int32, ok bool) {
-	if len(raw) < frameHeaderLen {
-		return rec, 0, false
-	}
-	bodyLen := binary.LittleEndian.Uint32(raw[0:4])
-	if bodyLen == 0 || bodyLen > maxFrameBody || int64(bodyLen) > int64(len(raw)-frameHeaderLen) {
-		return rec, 0, false
-	}
-	body := raw[frameHeaderLen : frameHeaderLen+int(bodyLen)]
-	if crc32.ChecksumIEEE(body) != binary.LittleEndian.Uint32(raw[4:8]) {
-		return rec, 0, false
-	}
-	if err := json.Unmarshal(body, &rec); err != nil {
-		return rec, 0, false
-	}
-	if rec.Kind != kindCampaign && rec.Kind != kindEvents {
-		return rec, 0, false
-	}
-	return rec, int32(frameHeaderLen + int(bodyLen)), true
-}
-
-// encodeFrame frames one record body.
-func encodeFrame(body []byte) []byte {
-	out := make([]byte, frameHeaderLen+len(body))
-	binary.LittleEndian.PutUint32(out[0:4], uint32(len(body)))
-	binary.LittleEndian.PutUint32(out[4:8], crc32.ChecksumIEEE(body))
-	copy(out[frameHeaderLen:], body)
-	return out
-}
-
-// indexEntry folds one index row into the live tables; the highest LSN for
-// a (kind, ID) pair wins.
-func (s *Segment) indexEntry(e idxEntry, seg *segmentInfo) {
-	loc := &recLoc{lsn: e.LSN, kind: e.Kind, id: e.ID, seg: seg, off: e.Off, n: e.N}
-	table := s.byID
-	if e.Kind == kindEvents {
-		table = s.evByID
-	} else {
-		loc.idx = CampaignRecord{
-			ID: e.ID, Model: e.Model, State: e.State,
-			FinishedNS: e.FinishedNS, WallSeconds: e.WallSeconds,
-			Queries: e.Queries, Degraded: e.Degraded,
-		}
-	}
-	if cur, ok := table[e.ID]; !ok || loc.lsn >= cur.lsn {
-		table[e.ID] = loc
+	if cur, ok := l.byID[e.id]; !ok || e.lsn >= cur.lsn {
+		l.byID[e.id] = &e
 	}
 }
 
@@ -452,20 +176,20 @@ func (s *Segment) indexEntry(e idxEntry, seg *segmentInfo) {
 // zero. A name collision (only unregistered leftovers can collide — every
 // loaded segment's name is below nextLSN) just advances the LSN; gaps are
 // harmless, supersedence only needs monotonicity.
-func (s *Segment) openActiveLocked() error {
+func (l *Log) openActiveLocked() error {
 	var (
 		path string
 		f    *os.File
 	)
 	for {
-		path = filepath.Join(s.dir, fmt.Sprintf("seg-%016d.log", s.nextLSN))
+		path = l.segPath(l.nextLSN)
 		var err error
 		f, err = os.OpenFile(path, os.O_CREATE|os.O_EXCL|os.O_WRONLY|os.O_APPEND, 0o644)
 		if err == nil {
 			break
 		}
 		if os.IsExist(err) {
-			s.nextLSN++
+			l.nextLSN++
 			continue
 		}
 		return fmt.Errorf("store: segment %s: %w", path, err)
@@ -477,304 +201,291 @@ func (s *Segment) openActiveLocked() error {
 		f.Close()
 		return fmt.Errorf("store: segment %s: %w", path, err)
 	}
-	s.segs = append(s.segs, &segmentInfo{path: path, firstLSN: s.nextLSN, f: rf, size: 0})
-	s.activeW = f
+	l.segs = append(l.segs, &segment{path: path, firstLSN: l.nextLSN, f: rf})
+	l.activeW = f
 	return nil
 }
 
-// PutCampaign appends one campaign record durably.
-func (s *Segment) PutCampaign(rec CampaignRecord) error {
-	return s.append(segRecord{Kind: kindCampaign, Campaign: &rec})
+// segPath names a segment file by its first LSN.
+func (l *Log) segPath(firstLSN uint64) string {
+	return filepath.Join(l.dir, fmt.Sprintf("seg-%016d.log", firstLSN))
 }
 
-// PutEvents appends one event batch durably.
-func (s *Segment) PutEvents(batch EventBatch) error {
-	return s.append(segRecord{Kind: kindEvents, Events: &batch})
-}
-
-// append frames, writes, fsyncs, and indexes one record, rotating the
-// active segment by size.
-func (s *Segment) append(rec segRecord) error {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	if s.closed {
-		return ErrClosed
+// Put appends one campaign's payload durably, superseding any earlier one
+// for the same ID. The payload must be JSON; Replay returns it compacted.
+func (l *Log) Put(id int, payload json.RawMessage) error {
+	l.mu.Lock()
+	defer l.mu.Unlock()
+	if l.closed {
+		return errClosed
 	}
-	if s.activeW == nil {
+	if l.activeW == nil {
 		// A failed append sealed the active segment but could not open a
 		// fresh one; retry before accepting the record.
-		if err := s.openActiveLocked(); err != nil {
+		if err := l.openActiveLocked(); err != nil {
 			return err
 		}
 	}
-	rec.LSN = s.nextLSN
+	rec := frameRecord{LSN: l.nextLSN, Kind: kindCampaign, Campaign: &campaignRecord{ID: id, Payload: payload}}
 	body, err := json.Marshal(rec)
 	if err != nil {
-		return fmt.Errorf("store: encode: %w", err)
+		return fmt.Errorf("store: encode campaign %d: %w", id, err)
 	}
 	frame := encodeFrame(body)
-	active := s.segs[len(s.segs)-1]
-	if _, err := s.activeW.Write(frame); err != nil {
-		s.failActiveLocked()
+	active := l.segs[len(l.segs)-1]
+	if _, err := l.activeW.Write(frame); err != nil {
+		l.failActiveLocked()
 		return fmt.Errorf("store: append: %w", err)
 	}
-	if !s.cfg.NoSync {
-		if err := s.activeW.Sync(); err != nil {
-			s.failActiveLocked()
+	if !l.cfg.NoSync {
+		if err := l.activeW.Sync(); err != nil {
+			l.failActiveLocked()
 			return fmt.Errorf("store: fsync: %w", err)
 		}
 	}
-	off := active.size
+	l.indexLocked(entry{lsn: rec.LSN, kind: kindCampaign, id: id, seg: active, off: active.size, n: int32(len(frame))})
 	active.size += int64(len(frame))
 	active.records++
-	s.indexEntry(entryOf(rec, off, int32(len(frame))), active)
-	s.nextLSN++
-	s.stats.Appends++
-	s.stats.AppendBytes += uint64(len(frame))
-	s.count("store.appends", "kind="+rec.Kind, 1)
-	s.count("store.append_bytes", "", float64(len(frame)))
-	if active.size >= s.cfg.SegmentBytes {
-		if err := s.rotateLocked(); err != nil {
+	l.nextLSN++
+	l.stats.Appends++
+	l.stats.AppendBytes += uint64(len(frame))
+	l.count("store.appends", "kind="+kindCampaign, 1)
+	l.count("store.append_bytes", "", float64(len(frame)))
+	if active.size >= l.cfg.SegmentBytes {
+		if err := l.rotateLocked(); err != nil {
 			return err
 		}
 	}
-	s.publishGauges()
+	l.publishGauges()
 	return nil
 }
 
 // failActiveLocked recovers from a failed write or fsync on the active
-// segment. The file may now hold bytes past the indexed region — a partial
-// frame, or (a fsync failure) a whole unacknowledged one — so offsets
-// derived from active.size arithmetic can no longer be trusted, and any
+// segment. The file may now hold bytes past its acknowledged frames — a
+// partial frame, or (a fsync failure) a whole unacknowledged one — and any
 // frame appended after them would be unreachable at recovery, whose scan
-// stops at the first torn frame. Reconcile the in-memory size with the
-// file, consume the LSN the frame carried (it may be durable), and seal the
-// segment — its sidecar covers the valid prefix — moving appends to a
-// fresh file.
-func (s *Segment) failActiveLocked() {
-	active := s.segs[len(s.segs)-1]
-	fi, statErr := s.activeW.Stat()
+// stops at the first torn frame. Consume the LSN the frame carried (it may
+// be durable), seal the segment with a trailer covering only the
+// acknowledged frames, and move appends to a fresh file.
+func (l *Log) failActiveLocked() {
+	active := l.segs[len(l.segs)-1]
+	fi, statErr := l.activeW.Stat()
 	if statErr == nil && fi.Size() == active.size {
 		return // no bytes landed; offsets and LSN remain consistent
 	}
-	s.nextLSN++
-	if statErr == nil {
-		active.size = fi.Size()
+	l.nextLSN++
+	if err := l.sealLocked(); err != nil {
+		l.count("store.append_errors", "op=seal", 1)
 	}
-	// When stat itself failed, active.size stays stale, the sealed sidecar
-	// records a mismatched size, and the next open falls back to a frame
-	// scan — still correct, just slower.
-	s.activeW.Close()
-	s.activeW = nil
-	s.writeSidecar(active, s.entriesOf(active))
-	if err := s.openActiveLocked(); err != nil {
+	if err := l.openActiveLocked(); err != nil {
 		// activeW stays nil; the next append retries the reopen.
-		s.count("store.append_errors", "op=rotate", 1)
+		l.count("store.append_errors", "op=rotate", 1)
 	}
 }
 
-// rotateLocked seals the active segment (sidecar written, write handle
-// closed) and opens a fresh one, then wakes the compactor if enough sealed
-// segments have piled up.
-func (s *Segment) rotateLocked() error {
-	active := s.segs[len(s.segs)-1]
-	if err := s.activeW.Close(); err != nil {
+// sealLocked ends the active segment with its trailer and closes the write
+// handle. An empty segment gets no trailer: the next open removes it. A
+// trailer that fails to land leaves the segment unsealed, which the next
+// open scans as a crash tail, losing nothing acknowledged.
+func (l *Log) sealLocked() error {
+	active := l.segs[len(l.segs)-1]
+	w := l.activeW
+	l.activeW = nil
+	if active.size > 0 {
+		if _, err := w.Write(trailer(active.size)); err != nil {
+			w.Close()
+			return fmt.Errorf("store: sealing %s: %w", active.path, err)
+		}
+		if !l.cfg.NoSync {
+			if err := w.Sync(); err != nil {
+				w.Close()
+				return fmt.Errorf("store: sealing %s: %w", active.path, err)
+			}
+		}
+	}
+	if err := w.Close(); err != nil {
 		return fmt.Errorf("store: sealing %s: %w", active.path, err)
 	}
-	s.activeW = nil
-	s.writeSidecar(active, s.entriesOf(active))
-	if err := s.openActiveLocked(); err != nil {
-		return err
-	}
-	s.signalCompactLocked()
 	return nil
 }
 
-// entriesOf rebuilds a segment's index rows from the live tables plus a
-// frame scan for superseded records. Sealing happens at rotation, where the
-// whole segment was just written by this process, so the scan reads warm
-// cache; the sidecar must cover *all* frames (compaction decides liveness
-// later, at merge time).
-func (s *Segment) entriesOf(seg *segmentInfo) []idxEntry {
-	raw, err := os.ReadFile(seg.path)
-	if err != nil {
-		return nil
+// rotateLocked seals the active segment and opens a fresh one, then wakes
+// the compactor if enough sealed segments have piled up.
+func (l *Log) rotateLocked() error {
+	if err := l.sealLocked(); err != nil {
+		return err
 	}
-	entries, _ := scanFrames(raw)
-	return entries
+	if err := l.openActiveLocked(); err != nil {
+		return err
+	}
+	l.signalCompactLocked()
+	return nil
 }
 
-// Campaign returns one campaign record by ID (payload included).
-func (s *Segment) Campaign(id int) (CampaignRecord, bool, error) {
-	start := time.Now()
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	if s.closed {
-		return CampaignRecord{}, false, ErrClosed
+// PutEvents durably stores one campaign's event batch, opaque bytes, in a
+// file of its own, superseding any earlier batch for the ID. The batch is
+// written to a temporary file, fsync'd, and renamed into place, so a crash
+// leaves the old batch or the new one, never a torn one.
+func (l *Log) PutEvents(id int, events []byte) error {
+	l.mu.Lock()
+	defer l.mu.Unlock()
+	if l.closed {
+		return errClosed
 	}
-	loc, ok := s.byID[id]
-	if !ok {
-		return CampaignRecord{}, false, nil
-	}
-	rec, err := s.readLocked(loc)
+	path := l.eventsPath(id)
+	tmp := path + ".tmp"
+	f, err := os.OpenFile(tmp, os.O_CREATE|os.O_TRUNC|os.O_WRONLY, 0o644)
 	if err != nil {
-		return CampaignRecord{}, false, err
+		return fmt.Errorf("store: events %d: %w", id, err)
 	}
-	if rec.Campaign == nil {
-		return CampaignRecord{}, false, fmt.Errorf("store: campaign %d: record kind %q", id, rec.Kind)
+	if _, err := f.Write(events); err != nil {
+		f.Close()
+		os.Remove(tmp)
+		return fmt.Errorf("store: events %d: %w", id, err)
 	}
-	s.observe("store.read_seconds", "op=lookup", time.Since(start).Seconds())
-	return *rec.Campaign, true, nil
+	if !l.cfg.NoSync {
+		if err := f.Sync(); err != nil {
+			f.Close()
+			os.Remove(tmp)
+			return fmt.Errorf("store: events %d: fsync: %w", id, err)
+		}
+	}
+	if err := f.Close(); err != nil {
+		os.Remove(tmp)
+		return fmt.Errorf("store: events %d: %w", id, err)
+	}
+	if err := os.Rename(tmp, path); err != nil {
+		os.Remove(tmp)
+		return fmt.Errorf("store: events %d: %w", id, err)
+	}
+	l.stats.Appends++
+	l.stats.AppendBytes += uint64(len(events))
+	l.count("store.appends", "kind="+kindEvents, 1)
+	l.count("store.append_bytes", "", float64(len(events)))
+	return nil
 }
 
-// Campaigns lists matching records ascending by ID. Filtering and
-// pagination run over the in-memory index columns; only the returned page's
-// payloads are read from disk.
-func (s *Segment) Campaigns(q Query) ([]CampaignRecord, error) {
-	start := time.Now()
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	if s.closed {
-		return nil, ErrClosed
+// Events returns one campaign's stored event batch; ok is false when none
+// is stored.
+func (l *Log) Events(id int) (events []byte, ok bool, err error) {
+	l.mu.Lock()
+	closed := l.closed
+	l.mu.Unlock()
+	if closed {
+		return nil, false, errClosed
 	}
-	locs := make([]*recLoc, 0, len(s.byID))
-	for _, loc := range s.byID {
-		if q.Match(loc.idx) {
-			locs = append(locs, loc)
+	raw, err := os.ReadFile(l.eventsPath(id))
+	if os.IsNotExist(err) {
+		return nil, false, nil
+	}
+	if err != nil {
+		return nil, false, fmt.Errorf("store: events %d: %w", id, err)
+	}
+	return raw, true, nil
+}
+
+// eventsPath names one campaign's event batch file.
+func (l *Log) eventsPath(id int) string {
+	return filepath.Join(l.dir, fmt.Sprintf("events-%d.json", id))
+}
+
+// Replay calls fn with every campaign's latest payload, in ascending ID
+// order, and stops at the first error fn returns. The payloads are read
+// under the log's lock, and fn runs after it is released.
+func (l *Log) Replay(fn func(id int, payload json.RawMessage) error) error {
+	ids, payloads, err := l.latest()
+	if err != nil {
+		return err
+	}
+	for i, id := range ids {
+		if err := fn(id, payloads[i]); err != nil {
+			return err
 		}
 	}
-	sort.Slice(locs, func(i, j int) bool { return locs[i].idx.ID < locs[j].idx.ID })
-	if q.Offset > 0 {
-		if q.Offset >= len(locs) {
-			locs = nil
-		} else {
-			locs = locs[q.Offset:]
-		}
+	return nil
+}
+
+// latest reads every campaign's latest payload, in ascending ID order.
+func (l *Log) latest() ([]int, []json.RawMessage, error) {
+	l.mu.Lock()
+	defer l.mu.Unlock()
+	if l.closed {
+		return nil, nil, errClosed
 	}
-	if q.Limit > 0 && q.Limit < len(locs) {
-		locs = locs[:q.Limit]
+	ids := make([]int, 0, len(l.byID))
+	for id := range l.byID {
+		ids = append(ids, id)
 	}
-	out := make([]CampaignRecord, 0, len(locs))
-	for _, loc := range locs {
-		rec, err := s.readLocked(loc)
+	sort.Ints(ids)
+	payloads := make([]json.RawMessage, len(ids))
+	for i, id := range ids {
+		rec, err := l.readLocked(l.byID[id])
 		if err != nil {
-			return nil, err
+			return nil, nil, err
 		}
-		if rec.Campaign != nil {
-			out = append(out, *rec.Campaign)
-		}
+		payloads[i] = rec.Campaign.Payload
 	}
-	s.observe("store.read_seconds", "op=scan", time.Since(start).Seconds())
-	return out, nil
+	return ids, payloads, nil
 }
 
-// AggregateByModel folds the history into per-model aggregates straight
-// from the in-memory index columns — no disk reads at all.
-func (s *Segment) AggregateByModel() ([]ModelAggregate, error) {
-	start := time.Now()
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	if s.closed {
-		return nil, ErrClosed
-	}
-	recs := make([]CampaignRecord, 0, len(s.byID))
-	for _, loc := range s.byID {
-		recs = append(recs, loc.idx)
-	}
-	sortByID(recs)
-	out := aggregateRecords(recs)
-	s.observe("store.read_seconds", "op=aggregate", time.Since(start).Seconds())
-	return out, nil
-}
-
-// Events returns the stored event batch for one campaign.
-func (s *Segment) Events(campaignID int) (EventBatch, bool, error) {
-	start := time.Now()
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	if s.closed {
-		return EventBatch{}, false, ErrClosed
-	}
-	loc, ok := s.evByID[campaignID]
-	if !ok {
-		return EventBatch{}, false, nil
-	}
-	rec, err := s.readLocked(loc)
-	if err != nil {
-		return EventBatch{}, false, err
-	}
-	if rec.Events == nil {
-		return EventBatch{}, false, fmt.Errorf("store: events %d: record kind %q", campaignID, rec.Kind)
-	}
-	s.observe("store.read_seconds", "op=lookup", time.Since(start).Seconds())
-	return *rec.Events, true, nil
-}
-
-// readLocked reads and decodes one frame. Callers hold s.mu, which keeps
-// the segment set stable under compaction; the frame region itself is
-// immutable once indexed.
-func (s *Segment) readLocked(loc *recLoc) (segRecord, error) {
-	buf := make([]byte, loc.n)
-	if _, err := loc.seg.f.ReadAt(buf, loc.off); err != nil {
-		return segRecord{}, fmt.Errorf("store: read %s@%d: %w", loc.seg.path, loc.off, err)
+// readLocked reads and decodes one indexed campaign frame. Callers hold
+// l.mu, which keeps the segment set stable under compaction; the frame
+// region itself is immutable once indexed.
+func (l *Log) readLocked(e *entry) (frameRecord, error) {
+	buf := make([]byte, e.n)
+	if _, err := e.seg.f.ReadAt(buf, e.off); err != nil {
+		return frameRecord{}, fmt.Errorf("store: read %s@%d: %w", e.seg.path, e.off, err)
 	}
 	rec, _, ok := decodeFrame(buf)
-	if !ok {
-		return segRecord{}, fmt.Errorf("store: read %s@%d: corrupt frame", loc.seg.path, loc.off)
+	if !ok || rec.Campaign == nil {
+		return frameRecord{}, fmt.Errorf("store: read %s@%d: corrupt frame", e.seg.path, e.off)
 	}
 	return rec, nil
 }
 
-// Stats reports the store's counters.
-func (s *Segment) Stats() Stats {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	return s.statsLocked()
+// Stats reports the log's counters.
+func (l *Log) Stats() Stats {
+	l.mu.Lock()
+	defer l.mu.Unlock()
+	return l.statsLocked()
 }
 
-func (s *Segment) statsLocked() Stats {
-	st := s.stats
-	st.Records = len(s.byID)
-	st.EventBatches = len(s.evByID)
-	st.Segments = len(s.segs)
-	for _, seg := range s.segs {
+func (l *Log) statsLocked() Stats {
+	st := l.stats
+	st.Records = len(l.byID)
+	st.Segments = len(l.segs)
+	for _, seg := range l.segs {
 		st.LiveBytes += seg.size
 	}
 	return st
 }
 
-// Close seals the active segment (sidecar included, so the next open reads
-// indexes only), stops the compactor, and closes every file handle.
-func (s *Segment) Close() error {
-	s.mu.Lock()
-	if s.closed {
-		s.mu.Unlock()
+// Close seals the active segment, stops the compactor, and closes every
+// file handle.
+func (l *Log) Close() error {
+	l.mu.Lock()
+	if l.closed {
+		l.mu.Unlock()
 		return nil
 	}
-	s.closed = true
-	if s.compactCh != nil {
-		close(s.compactCh)
+	l.closed = true
+	if l.compactCh != nil {
+		close(l.compactCh)
 	}
 	var sealErr error
-	if s.activeW != nil {
-		active := s.segs[len(s.segs)-1]
-		if err := s.activeW.Close(); err != nil {
-			sealErr = fmt.Errorf("store: close %s: %w", active.path, err)
-		} else {
-			s.writeSidecar(active, s.entriesOf(active))
-		}
-		s.activeW = nil
+	if l.activeW != nil {
+		sealErr = l.sealLocked()
 	}
-	s.closeFiles()
-	s.mu.Unlock()
-	s.wg.Wait()
+	l.closeFiles()
+	l.mu.Unlock()
+	l.wg.Wait()
 	return sealErr
 }
 
-// closeFiles closes every read handle. Callers hold s.mu or have exclusive
+// closeFiles closes every read handle. Callers hold l.mu or have exclusive
 // access (a failed Open).
-func (s *Segment) closeFiles() {
-	for _, seg := range s.segs {
+func (l *Log) closeFiles() {
+	for _, seg := range l.segs {
 		if seg.f != nil {
 			seg.f.Close()
 			seg.f = nil
@@ -782,26 +493,20 @@ func (s *Segment) closeFiles() {
 	}
 }
 
-// publishGauges refreshes the store.* gauges. Callers hold s.mu; Recorder
-// implementations take their own locks and never call back into the store.
-func (s *Segment) publishGauges() {
-	if s.cfg.Obs == nil {
+// publishGauges refreshes the store.* gauges. Callers hold l.mu; Recorder
+// implementations take their own locks and never call back into the log.
+func (l *Log) publishGauges() {
+	if l.cfg.Obs == nil {
 		return
 	}
-	st := s.statsLocked()
-	s.cfg.Obs.Gauge("store.records", "", float64(st.Records))
-	s.cfg.Obs.Gauge("store.segments", "", float64(st.Segments))
-	s.cfg.Obs.Gauge("store.live_bytes", "", float64(st.LiveBytes))
+	st := l.statsLocked()
+	l.cfg.Obs.Gauge("store.records", "", float64(st.Records))
+	l.cfg.Obs.Gauge("store.segments", "", float64(st.Segments))
+	l.cfg.Obs.Gauge("store.live_bytes", "", float64(st.LiveBytes))
 }
 
-func (s *Segment) count(name, label string, v float64) {
-	if s.cfg.Obs != nil {
-		s.cfg.Obs.Count(name, label, v)
-	}
-}
-
-func (s *Segment) observe(name, label string, v float64) {
-	if s.cfg.Obs != nil {
-		s.cfg.Obs.Observe(name, label, v)
+func (l *Log) count(name, label string, v float64) {
+	if l.cfg.Obs != nil {
+		l.cfg.Obs.Count(name, label, v)
 	}
 }

@@ -1,129 +1,86 @@
-// Package store is the daemon's durable campaign log: an embedded,
-// stdlib-only store for the latest state per campaign — the full
-// CampaignSnapshot payload, written at every state transition, and for a
-// finished campaign its convergence summary and the flight-recorder event
-// batch captured over its run — behind one Store interface with two
-// implementations. Memory is the ephemeral table the daemon uses without a
-// data directory; Segment is an append-only segment log, fsync'd per
-// record, with per-segment sidecar indexes, crash-safe recovery that skips
-// and counts a torn tail, and background compaction that drops superseded
-// records and merges small segments. Both backends serve the same query
-// surface — point lookup, filtered time-range listing, and per-model
-// aggregation — identically and in deterministic ascending-ID order, which
-// is what turns one-off campaign runs into the longitudinal datasets the
-// paper's §8.2 query-budget trajectories are built from.
+// Package store is huffduffd's durable campaign log: an embedded,
+// stdlib-only, append-only segment log holding the latest payload per
+// campaign — the daemon's full CampaignSnapshot JSON, written at every
+// state transition — plus, for a finished campaign, the flight-recorder
+// event batch captured over its run. Records are fsync'd per append;
+// recovery skips and counts a torn tail and refuses a corrupt sealed
+// segment; background compaction drops superseded records and merges
+// small segments. The daemon reads the log once, at start, with Replay.
 package store
 
 import (
+	"bytes"
+	"encoding/binary"
 	"encoding/json"
-	"sort"
+	"errors"
+	"fmt"
+	"hash/crc32"
+
+	"github.com/huffduff/huffduff/internal/obs"
 )
 
-// CampaignRecord is one campaign state as the store holds it: the
-// indexed columns every query path filters and aggregates on, plus the
-// opaque payload (the daemon's full CampaignSnapshot JSON) that listings
-// return. The store never decodes Payload; the columns are extracted by the
-// writer so reads stay payload-blind until a record is actually returned.
-type CampaignRecord struct {
-	// ID is the campaign ID — the point-lookup key. A later record for the
-	// same ID supersedes the earlier one (compaction drops the loser).
-	ID int `json:"id"`
-	// Model is the victim model name — the per-model scan and aggregation key.
-	Model string `json:"model"`
-	// State is the campaign state; only the terminal "done" and "failed"
-	// count in aggregates.
-	State string `json:"state"`
-	// FinishedNS is the terminal timestamp in Unix nanoseconds (0 before
-	// the campaign finishes) — the time-range scan key.
-	FinishedNS int64 `json:"finished_ns"`
-	// WallSeconds is the wall time of the final attempt, feeding the
-	// per-model p50/p95 aggregates.
-	WallSeconds float64 `json:"wall_seconds"`
-	// Queries is the campaign's victim-query count.
-	Queries int64 `json:"queries"`
-	// Degraded marks a campaign that finished with a degraded solution space.
-	Degraded bool `json:"degraded"`
-	// Payload is the writer's full record (for the daemon: the
-	// CampaignSnapshot, convergence summary included once terminal),
-	// returned verbatim.
-	Payload json.RawMessage `json:"payload,omitempty"`
+// The log is one directory:
+//
+//	seg-<firstLSN>.log    frames: u32 length | u32 crc32(body) | JSON body,
+//	                      then, once sealed, a trailer: magic | u64 frame bytes
+//	events-<id>.json      one campaign's event batch, opaque bytes
+//
+// Every record carries a monotone log sequence number (LSN); the latest LSN
+// for an ID wins, which is what makes compaction free to reorder files:
+// supersedence is decided by LSN, never by file position. Appends go to a
+// single active segment, fsync'd per record so an acknowledged record
+// survives a crash, and rotate by size. Every open starts a fresh active
+// segment, so a torn tail from a crash is never appended after — it is
+// skipped and counted during recovery instead.
+//
+// Rotation, Close and compaction seal a segment with the trailer, which
+// records where its acknowledged frames end. Every frame a trailer covers
+// was acknowledged, so one that no longer decodes is corruption, and Open
+// fails rather than silently drop an acknowledged record. A segment without
+// a trailer is the shape a crash leaves; its scan stops at the first bad
+// frame, which was never acknowledged.
+
+// Config tunes the log.
+type Config struct {
+	// SegmentBytes rotates the active segment once it exceeds this size
+	// (default 1 MiB).
+	SegmentBytes int64
+	// NoSync skips the per-append fsync. Only tests and benchmarks should
+	// set it: without the fsync a crash can lose acknowledged records.
+	NoSync bool
+	// CompactAfter triggers background compaction once that many sealed
+	// segments accumulate (default 6; negative disables compaction).
+	CompactAfter int
+	// Obs receives the store.* counters and gauges.
+	Obs obs.Recorder
+
+	// compactHook, when set, is called at named stages of a compaction
+	// pass; returning false aborts the pass there, simulating a crash
+	// mid-compaction. Test-only.
+	compactHook func(stage string) bool
 }
 
-// EventBatch is one campaign's flight-recorder tail, persisted at terminal
-// state so a post-mortem can read the events leading up to the outcome long
-// after the ring has recycled them.
-type EventBatch struct {
-	// CampaignID keys the batch; a later batch for the same ID supersedes.
-	CampaignID int `json:"campaign_id"`
-	// FirstNS and LastNS bound the batch's event timestamps (Unix nanos).
-	FirstNS int64 `json:"first_ns"`
-	LastNS  int64 `json:"last_ns"`
-	// Events is the writer's event array ([]obs.Event for the daemon),
-	// stored and returned verbatim.
-	Events json.RawMessage `json:"events,omitempty"`
-}
-
-// Query filters and paginates a campaign listing. The zero Query matches
-// everything. Results are always in ascending-ID order, so Offset/Limit
-// windows are stable across identical stores regardless of backend.
-type Query struct {
-	// State keeps only campaigns in this state ("" = any).
-	State string `json:"state,omitempty"`
-	// Model keeps only campaigns of this victim model ("" = any).
-	Model string `json:"model,omitempty"`
-	// SinceNS keeps only campaigns with FinishedNS >= SinceNS (0 = any).
-	SinceNS int64 `json:"since_ns,omitempty"`
-	// Offset skips that many matching records; Limit caps the page (0 = all).
-	Offset int `json:"offset,omitempty"`
-	Limit  int `json:"limit,omitempty"`
-}
-
-// Match reports whether the record passes the query's filters (pagination
-// excluded — that is a property of the result window, not the record).
-func (q Query) Match(r CampaignRecord) bool {
-	if q.State != "" && r.State != q.State {
-		return false
+func (cfg Config) withDefaults() Config {
+	if cfg.SegmentBytes <= 0 {
+		cfg.SegmentBytes = 1 << 20
 	}
-	if q.Model != "" && r.Model != q.Model {
-		return false
+	if cfg.CompactAfter == 0 {
+		cfg.CompactAfter = 6
 	}
-	if q.SinceNS != 0 && r.FinishedNS < q.SinceNS {
-		return false
-	}
-	return true
+	return cfg
 }
 
-// ModelAggregate is one model's slice of the stored terminal history: how
-// many campaigns finished, how they ended, what they cost. This is the
-// per-model view attack papers report — query budgets and wall costs over
-// many runs, not one snapshot.
-type ModelAggregate struct {
-	Model     string `json:"model"`
-	Campaigns int    `json:"campaigns"`
-	Done      int    `json:"done"`
-	Failed    int    `json:"failed"`
-	Degraded  int    `json:"degraded"`
-	// DegradedRate is Degraded over Campaigns.
-	DegradedRate float64 `json:"degraded_rate"`
-	// P50WallSeconds / P95WallSeconds are nearest-rank percentiles of the
-	// per-campaign wall seconds.
-	P50WallSeconds float64 `json:"p50_wall_seconds"`
-	P95WallSeconds float64 `json:"p95_wall_seconds"`
-	// TotalQueries sums victim queries across the model's campaigns.
-	TotalQueries int64 `json:"total_queries"`
-}
-
-// Stats counts store activity. Append counters accumulate since open;
-// Records/EventBatches/Segments/LiveBytes describe the current contents.
+// Stats counts log activity. Append counters accumulate since open;
+// Records/Segments/LiveBytes describe the current contents.
 type Stats struct {
-	// Records and EventBatches are live (non-superseded) counts.
-	Records      int `json:"records"`
-	EventBatches int `json:"event_batches"`
-	// Appends and AppendBytes count accepted writes since open.
+	// Records counts live (non-superseded) campaign records.
+	Records int `json:"records"`
+	// Appends and AppendBytes count accepted writes since open, event
+	// batches included.
 	Appends     uint64 `json:"appends"`
 	AppendBytes uint64 `json:"append_bytes"`
-	// Segments and LiveBytes describe the on-disk footprint (the memory
-	// backend reports 0 segments and its encoded record bytes).
+	// Segments and LiveBytes describe the segment files: their count and
+	// the frame bytes they hold.
 	Segments  int   `json:"segments"`
 	LiveBytes int64 `json:"live_bytes"`
 	// Compactions counts completed compaction passes; CompactedRecords the
@@ -135,112 +92,136 @@ type Stats struct {
 	TornRecords uint64 `json:"torn_records"`
 }
 
-// Store is the campaign store: append campaign records (the latest per ID
-// wins) and event batches, read them back by ID, filtered listing, or
-// per-model aggregate. Implementations are safe for concurrent use, and
-// both backends answer every read identically (deterministic ascending-ID
-// order) over the same contents.
-type Store interface {
-	// PutCampaign appends (or supersedes) one campaign record.
-	PutCampaign(rec CampaignRecord) error
-	// Campaign returns the record for one campaign ID.
-	Campaign(id int) (CampaignRecord, bool, error)
-	// Campaigns lists records matching q, ascending ID, paginated.
-	Campaigns(q Query) ([]CampaignRecord, error)
-	// AggregateByModel folds the terminal history into per-model
-	// aggregates, sorted by model name.
-	AggregateByModel() ([]ModelAggregate, error)
-	// PutEvents appends (or supersedes) one campaign's event batch.
-	PutEvents(batch EventBatch) error
-	// Events returns the stored event batch for one campaign ID.
-	Events(campaignID int) (EventBatch, bool, error)
-	// Stats reports store counters.
-	Stats() Stats
-	// Close releases the store; further calls fail or no-op per backend.
-	Close() error
+// errClosed rejects operations on a closed log.
+var errClosed = errors.New("store: closed")
+
+// Record kinds in the segment log. Event batches live in their own files;
+// a frame of the retired events kind, left by an older build, is intact
+// but dead, and compaction drops it.
+const (
+	kindCampaign = "campaign"
+	kindEvents   = "events"
+)
+
+// frameRecord is one framed log record. The campaign object keeps the
+// shape older builds wrote, whose extra filter columns decoding ignores, so
+// their logs replay under the same IDs.
+type frameRecord struct {
+	LSN      uint64          `json:"lsn"`
+	Kind     string          `json:"kind"`
+	Campaign *campaignRecord `json:"campaign,omitempty"`
 }
 
-// applyWindow applies Offset/Limit to an already-filtered, ascending-ID
-// result set. Shared by both backends so pagination is identical.
-func applyWindow(recs []CampaignRecord, q Query) []CampaignRecord {
-	if q.Offset > 0 {
-		if q.Offset >= len(recs) {
-			return []CampaignRecord{}
-		}
-		recs = recs[q.Offset:]
-	}
-	if q.Limit > 0 && q.Limit < len(recs) {
-		recs = recs[:q.Limit]
-	}
-	return recs
+// campaignRecord is one campaign state: its ID and the writer's payload,
+// stored and returned verbatim.
+type campaignRecord struct {
+	ID      int             `json:"id"`
+	Payload json.RawMessage `json:"payload,omitempty"`
 }
 
-// aggregateRecords computes the per-model aggregates over the terminal
-// records of a record set: a queued, running, or retrying campaign is not
-// history yet. Shared by both backends so the aggregate endpoint is
-// backend-agnostic.
-func aggregateRecords(recs []CampaignRecord) []ModelAggregate {
-	byModel := map[string]*ModelAggregate{}
-	walls := map[string][]float64{}
-	for _, r := range recs {
-		if r.State != "done" && r.State != "failed" {
-			continue
-		}
-		agg := byModel[r.Model]
-		if agg == nil {
-			agg = &ModelAggregate{Model: r.Model}
-			byModel[r.Model] = agg
-		}
-		agg.Campaigns++
-		if r.State == "done" {
-			agg.Done++
-		} else {
-			agg.Failed++
-		}
-		if r.Degraded {
-			agg.Degraded++
-		}
-		agg.TotalQueries += r.Queries
-		walls[r.Model] = append(walls[r.Model], r.WallSeconds)
-	}
-	names := make([]string, 0, len(byModel))
-	for name := range byModel {
-		names = append(names, name)
-	}
-	sort.Strings(names)
-	out := make([]ModelAggregate, 0, len(names))
-	for _, name := range names {
-		agg := *byModel[name]
-		ws := walls[name]
-		sort.Float64s(ws)
-		agg.P50WallSeconds = percentile(ws, 0.50)
-		agg.P95WallSeconds = percentile(ws, 0.95)
-		if agg.Campaigns > 0 {
-			agg.DegradedRate = float64(agg.Degraded) / float64(agg.Campaigns)
-		}
-		out = append(out, agg)
-	}
+// frameHeaderLen is the fixed frame prefix: u32 body length, u32 CRC32.
+const frameHeaderLen = 8
+
+// maxFrameBody caps a single record body; anything larger during recovery
+// is treated as a torn length word, not an allocation request.
+const maxFrameBody = 64 << 20
+
+// trailerMagic opens the trailer that seals a segment. trailerLen is the
+// magic plus the u64 count of frame bytes the trailer covers.
+var trailerMagic = []byte("hdseal\x00\x01")
+
+const trailerLen = 16
+
+// entry is one intact frame as recovery finds it; the index keeps each
+// campaign's latest entry.
+type entry struct {
+	lsn  uint64
+	kind string
+	id   int
+	seg  *segment
+	off  int64
+	n    int32
+}
+
+// encodeFrame frames one record body.
+func encodeFrame(body []byte) []byte {
+	out := make([]byte, frameHeaderLen+len(body))
+	binary.LittleEndian.PutUint32(out[0:4], uint32(len(body)))
+	binary.LittleEndian.PutUint32(out[4:8], crc32.ChecksumIEEE(body))
+	copy(out[frameHeaderLen:], body)
 	return out
 }
 
-// percentile returns the nearest-rank percentile of an ascending-sorted
-// sample set (p in [0,1]); 0 for an empty set.
-func percentile(sorted []float64, p float64) float64 {
-	if len(sorted) == 0 {
-		return 0
+// decodeFrame decodes one frame from the head of raw, returning the record
+// and the full frame length. ok is false for a torn or corrupt frame.
+func decodeFrame(raw []byte) (rec frameRecord, n int32, ok bool) {
+	if len(raw) < frameHeaderLen {
+		return rec, 0, false
 	}
-	rank := int(p*float64(len(sorted)) + 0.5)
-	if rank < 1 {
-		rank = 1
+	bodyLen := binary.LittleEndian.Uint32(raw[0:4])
+	if bodyLen == 0 || bodyLen > maxFrameBody || int64(bodyLen) > int64(len(raw)-frameHeaderLen) {
+		return rec, 0, false
 	}
-	if rank > len(sorted) {
-		rank = len(sorted)
+	body := raw[frameHeaderLen : frameHeaderLen+int(bodyLen)]
+	if crc32.ChecksumIEEE(body) != binary.LittleEndian.Uint32(raw[4:8]) {
+		return rec, 0, false
 	}
-	return sorted[rank-1]
+	if err := json.Unmarshal(body, &rec); err != nil {
+		return rec, 0, false
+	}
+	if rec.Kind != kindEvents && (rec.Kind != kindCampaign || rec.Campaign == nil) {
+		return rec, 0, false
+	}
+	return rec, int32(frameHeaderLen + int(bodyLen)), true
 }
 
-// sortByID orders records ascending by campaign ID — the deterministic
-// listing order both backends guarantee.
-func sortByID(recs []CampaignRecord) {
-	sort.Slice(recs, func(i, j int) bool { return recs[i].ID < recs[j].ID })
+// trailer encodes the trailer that seals a segment of frameBytes.
+func trailer(frameBytes int64) []byte {
+	out := make([]byte, trailerLen)
+	copy(out, trailerMagic)
+	binary.LittleEndian.PutUint64(out[len(trailerMagic):], uint64(frameBytes))
+	return out
+}
+
+// recoverFrames decodes a segment file's intact frames. In a sealed segment
+// the trailer bounds the frames, and one that does not decode is an error
+// naming its offset; bytes between the covered frames and the trailer are
+// the unacknowledged remains of a failed append. An unsealed segment is
+// scanned up to its first bad frame, which counts as its one torn record.
+func recoverFrames(raw []byte) (entries []entry, torn uint64, err error) {
+	frames, sealed := raw, false
+	if n := len(raw) - trailerLen; n >= 0 && bytes.Equal(raw[n:n+len(trailerMagic)], trailerMagic) {
+		covered := binary.LittleEndian.Uint64(raw[n+len(trailerMagic):])
+		if covered > uint64(n) {
+			return nil, 0, fmt.Errorf("trailer covers %d bytes, segment holds %d", covered, n)
+		}
+		frames, sealed = raw[:covered], true
+	}
+	entries, end := scanFrames(frames)
+	if end < int64(len(frames)) {
+		if sealed {
+			return nil, 0, fmt.Errorf("corrupt frame at offset %d", end)
+		}
+		torn = 1
+	}
+	return entries, torn, nil
+}
+
+// scanFrames decodes every intact frame in raw, stopping at the first torn
+// one — nothing after an interrupted write can be trusted — and returns the
+// offset where it stopped.
+func scanFrames(raw []byte) (entries []entry, end int64) {
+	for int64(len(raw))-end >= frameHeaderLen {
+		rec, n, ok := decodeFrame(raw[end:])
+		if !ok {
+			break
+		}
+		e := entry{lsn: rec.LSN, kind: rec.Kind, off: end, n: n}
+		if rec.Campaign != nil {
+			e.id = rec.Campaign.ID
+		}
+		entries = append(entries, e)
+		end += int64(n)
+	}
+	return entries, end
 }

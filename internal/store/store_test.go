@@ -1,78 +1,93 @@
 package store
 
 import (
+	"bytes"
 	"encoding/json"
 	"fmt"
+	"os"
+	"path/filepath"
 	"testing"
 )
 
-// testRec builds one campaign record with a compact JSON payload (compact so
-// both backends return byte-identical payloads).
-func testRec(id int, model, state string, fin int64, wall float64, q int64, degraded bool) CampaignRecord {
+// testPayload is one campaign's compact JSON payload.
+func testPayload(id int, model, state string) json.RawMessage {
 	payload, err := json.Marshal(map[string]any{"id": id, "model": model, "state": state})
 	if err != nil {
 		panic(err)
 	}
-	return CampaignRecord{
-		ID: id, Model: model, State: state,
-		FinishedNS: fin, WallSeconds: wall, Queries: q, Degraded: degraded,
-		Payload: payload,
-	}
+	return payload
 }
 
-// testCorpus is a fixed record set exercising every filter column: three
-// models, both terminal states, degraded flags, and a spread of finish times.
-func testCorpus() []CampaignRecord {
+// testRecord is one campaign state to put.
+type testRecord struct {
+	id      int
+	payload json.RawMessage
+}
+
+// testCorpus is a fixed set of 30 campaign states over three models and
+// both terminal states.
+func testCorpus() []testRecord {
 	models := []string{"smallcnn", "lenet5", "vgg11"}
-	recs := make([]CampaignRecord, 0, 30)
+	recs := make([]testRecord, 0, 30)
 	for i := 1; i <= 30; i++ {
 		state := "done"
 		if i%5 == 0 {
 			state = "failed"
 		}
-		recs = append(recs, testRec(
-			i, models[i%3], state,
-			int64(1_000+10*i), float64(i)*0.25, int64(100*i), i%7 == 0,
-		))
+		recs = append(recs, testRecord{i, testPayload(i, models[i%3], state)})
 	}
 	return recs
 }
 
-// testQueries is the query matrix the conformance tests run: every filter
-// alone, combined, and paginated windows including out-of-range ones.
-func testQueries() []Query {
-	return []Query{
-		{},
-		{State: "done"},
-		{State: "failed"},
-		{Model: "lenet5"},
-		{Model: "nosuch"},
-		{SinceNS: 1_150},
-		{State: "done", Model: "smallcnn"},
-		{State: "done", Model: "vgg11", SinceNS: 1_100},
-		{Limit: 5},
-		{Offset: 3, Limit: 5},
-		{Offset: 28, Limit: 10},
-		{Offset: 100},
-		{State: "done", Limit: 4, Offset: 2},
-	}
-}
-
-// fillStore inserts the corpus plus one event batch per third campaign.
-func fillStore(t *testing.T, s Store, recs []CampaignRecord) {
+// putCorpus puts the corpus plus one event batch per third campaign.
+func putCorpus(t *testing.T, l *Log, recs []testRecord) {
 	t.Helper()
 	for _, rec := range recs {
-		if err := s.PutCampaign(rec); err != nil {
-			t.Fatalf("PutCampaign(%d): %v", rec.ID, err)
+		if err := l.Put(rec.id, rec.payload); err != nil {
+			t.Fatalf("Put(%d): %v", rec.id, err)
 		}
-		if rec.ID%3 == 0 {
-			ev := json.RawMessage(fmt.Sprintf(`[{"name":"probe","campaign":%d}]`, rec.ID))
-			batch := EventBatch{CampaignID: rec.ID, FirstNS: rec.FinishedNS - 5, LastNS: rec.FinishedNS, Events: ev}
-			if err := s.PutEvents(batch); err != nil {
-				t.Fatalf("PutEvents(%d): %v", rec.ID, err)
+		if rec.id%3 == 0 {
+			if err := l.PutEvents(rec.id, []byte(fmt.Sprintf(`[{"name":"probe","campaign":%d}]`, rec.id))); err != nil {
+				t.Fatalf("PutEvents(%d): %v", rec.id, err)
 			}
 		}
 	}
+}
+
+// replayed returns the latest payload per campaign ID as Replay serves it.
+func replayed(t *testing.T, l *Log) map[int]string {
+	t.Helper()
+	out := map[int]string{}
+	last := -1
+	if err := l.Replay(func(id int, payload json.RawMessage) error {
+		if id <= last {
+			t.Errorf("Replay not in ascending ID order: %d after %d", id, last)
+		}
+		last = id
+		out[id] = string(payload)
+		return nil
+	}); err != nil {
+		t.Fatalf("Replay: %v", err)
+	}
+	return out
+}
+
+// snapshotReads captures everything a log serves — every replayed payload
+// and every stored event batch — as one comparable JSON string.
+func snapshotReads(t *testing.T, l *Log) string {
+	t.Helper()
+	payloads := replayed(t, l)
+	events := map[int]string{}
+	for id := range payloads {
+		raw, ok, err := l.Events(id)
+		if err != nil {
+			t.Fatalf("Events(%d): %v", id, err)
+		}
+		if ok {
+			events[id] = string(raw)
+		}
+	}
+	return mustJSON(t, map[string]any{"payloads": payloads, "events": events})
 }
 
 // mustJSON marshals for byte comparison.
@@ -85,9 +100,9 @@ func mustJSON(t *testing.T, v any) string {
 	return string(raw)
 }
 
-// newSegmentStore opens a segment store in a temp dir with small segments so
-// tests exercise rotation, and registers cleanup.
-func newSegmentStore(t *testing.T, cfg SegmentConfig) *Segment {
+// newLog opens a log in a temp dir with small segments so tests exercise
+// rotation, and registers cleanup.
+func newLog(t *testing.T, cfg Config) *Log {
 	t.Helper()
 	if cfg.SegmentBytes == 0 {
 		cfg.SegmentBytes = 512 // rotate often: the corpus spans many segments
@@ -95,280 +110,189 @@ func newSegmentStore(t *testing.T, cfg SegmentConfig) *Segment {
 	if cfg.CompactAfter == 0 {
 		cfg.CompactAfter = -1 // tests drive compaction explicitly
 	}
-	s, err := Open(t.TempDir(), cfg)
+	l, err := Open(t.TempDir(), cfg)
 	if err != nil {
 		t.Fatalf("Open: %v", err)
 	}
-	t.Cleanup(func() { s.Close() })
-	return s
+	t.Cleanup(func() { l.Close() })
+	return l
 }
 
-// TestBackendConformance runs the same query matrix against both backends
-// over the same contents and requires byte-identical results: listings,
-// point lookups, aggregates, and event batches. The contents include a
-// queued and a running campaign, which must leave the aggregate and the
-// done listing exactly as the terminal corpus alone gives them.
-func TestBackendConformance(t *testing.T) {
-	recs := testCorpus()
-	terminal := NewMemory()
-	defer terminal.Close()
-	fillStore(t, terminal, recs)
-	wantAgg, err := terminal.AggregateByModel()
-	if err != nil {
-		t.Fatal(err)
+// crash releases a log's handles without sealing its active segment,
+// leaving the files as a killed process would.
+func crash(l *Log) {
+	l.mu.Lock()
+	defer l.mu.Unlock()
+	l.closed = true
+	if l.activeW != nil {
+		l.activeW.Close()
+		l.activeW = nil
 	}
-	wantDone, err := terminal.Campaigns(Query{State: "done"})
-	if err != nil {
-		t.Fatal(err)
-	}
-
-	recs = append(recs, testRec(31, "smallcnn", "queued", 0, 0, 0, false), testRec(32, "lenet5", "running", 0, 0, 0, false))
-	mem := NewMemory()
-	defer mem.Close()
-	seg := newSegmentStore(t, SegmentConfig{})
-	fillStore(t, mem, recs)
-	fillStore(t, seg, recs)
-	for _, b := range []struct {
-		name string
-		s    Store
-	}{{"memory", mem}, {"segment", seg}} {
-		name, s := b.name, b.s
-		agg, err := s.AggregateByModel()
-		if err != nil {
-			t.Fatalf("%s AggregateByModel: %v", name, err)
-		}
-		if a, b := mustJSON(t, agg), mustJSON(t, wantAgg); a != b {
-			t.Errorf("%s: non-terminal campaigns changed the aggregate:\n got %s\nwant %s", name, a, b)
-		}
-		done, err := s.Campaigns(Query{State: "done"})
-		if err != nil {
-			t.Fatalf("%s Campaigns: %v", name, err)
-		}
-		if a, b := mustJSON(t, done), mustJSON(t, wantDone); a != b {
-			t.Errorf("%s: non-terminal campaigns changed the done listing:\n got %s\nwant %s", name, a, b)
-		}
-	}
-
-	for _, q := range testQueries() {
-		memOut, err := mem.Campaigns(q)
-		if err != nil {
-			t.Fatalf("memory Campaigns(%+v): %v", q, err)
-		}
-		segOut, err := seg.Campaigns(q)
-		if err != nil {
-			t.Fatalf("segment Campaigns(%+v): %v", q, err)
-		}
-		if a, b := mustJSON(t, memOut), mustJSON(t, segOut); a != b {
-			t.Errorf("Campaigns(%+v) differ:\n memory: %s\nsegment: %s", q, a, b)
-		}
-		for i := 1; i < len(memOut); i++ {
-			if memOut[i].ID <= memOut[i-1].ID {
-				t.Errorf("Campaigns(%+v) not ascending at %d: %d then %d", q, i, memOut[i-1].ID, memOut[i].ID)
-			}
-		}
-	}
-
-	memAgg, err := mem.AggregateByModel()
-	if err != nil {
-		t.Fatalf("memory AggregateByModel: %v", err)
-	}
-	segAgg, err := seg.AggregateByModel()
-	if err != nil {
-		t.Fatalf("segment AggregateByModel: %v", err)
-	}
-	if a, b := mustJSON(t, memAgg), mustJSON(t, segAgg); a != b {
-		t.Errorf("aggregates differ:\n memory: %s\nsegment: %s", a, b)
-	}
-
-	for _, id := range []int{1, 15, 30, 99} {
-		mr, mok, err := mem.Campaign(id)
-		if err != nil {
-			t.Fatalf("memory Campaign(%d): %v", id, err)
-		}
-		sr, sok, err := seg.Campaign(id)
-		if err != nil {
-			t.Fatalf("segment Campaign(%d): %v", id, err)
-		}
-		if mok != sok || mustJSON(t, mr) != mustJSON(t, sr) {
-			t.Errorf("Campaign(%d) differ: memory (%v, %s) segment (%v, %s)",
-				id, mok, mustJSON(t, mr), sok, mustJSON(t, sr))
-		}
-		mb, mok2, err := mem.Events(id)
-		if err != nil {
-			t.Fatalf("memory Events(%d): %v", id, err)
-		}
-		sb, sok2, err := seg.Events(id)
-		if err != nil {
-			t.Fatalf("segment Events(%d): %v", id, err)
-		}
-		if mok2 != sok2 || mustJSON(t, mb) != mustJSON(t, sb) {
-			t.Errorf("Events(%d) differ: memory (%v, %s) segment (%v, %s)",
-				id, mok2, mustJSON(t, mb), sok2, mustJSON(t, sb))
-		}
-	}
+	l.closeFiles()
 }
 
-// TestSupersedence re-puts records and batches under existing IDs: both
-// backends must serve only the latest version, and the live-record count must
-// not grow.
+// TestSupersedence re-puts records and batches under existing IDs: only the
+// latest version is served — by the open log's in-memory index, and by a
+// log reopened from the segment files — and the live-record count does not
+// grow.
 func TestSupersedence(t *testing.T) {
-	for _, tc := range []struct {
-		name string
-		open func(t *testing.T) Store
-	}{
-		{"memory", func(t *testing.T) Store { s := NewMemory(); t.Cleanup(func() { s.Close() }); return s }},
-		{"segment", func(t *testing.T) Store { return newSegmentStore(t, SegmentConfig{}) }},
-	} {
-		t.Run(tc.name, func(t *testing.T) {
-			s := tc.open(t)
-			first := testRec(7, "smallcnn", "failed", 100, 1.0, 10, false)
-			if err := s.PutCampaign(first); err != nil {
-				t.Fatal(err)
-			}
-			second := testRec(7, "smallcnn", "done", 200, 2.0, 20, true)
-			if err := s.PutCampaign(second); err != nil {
-				t.Fatal(err)
-			}
-			got, ok, err := s.Campaign(7)
-			if err != nil || !ok {
-				t.Fatalf("Campaign(7): ok=%v err=%v", ok, err)
-			}
-			if got.State != "done" || got.FinishedNS != 200 {
-				t.Errorf("lookup served superseded record: %+v", got)
-			}
-			list, err := s.Campaigns(Query{})
-			if err != nil {
-				t.Fatal(err)
-			}
-			if len(list) != 1 {
-				t.Errorf("superseded record still listed: %d records", len(list))
-			}
-			if st := s.Stats(); st.Records != 1 {
-				t.Errorf("Stats.Records = %d, want 1", st.Records)
-			}
-
-			if err := s.PutEvents(EventBatch{CampaignID: 7, FirstNS: 1, LastNS: 2, Events: json.RawMessage(`[1]`)}); err != nil {
-				t.Fatal(err)
-			}
-			if err := s.PutEvents(EventBatch{CampaignID: 7, FirstNS: 3, LastNS: 4, Events: json.RawMessage(`[2]`)}); err != nil {
-				t.Fatal(err)
-			}
-			b, ok, err := s.Events(7)
-			if err != nil || !ok {
-				t.Fatalf("Events(7): ok=%v err=%v", ok, err)
-			}
-			if b.FirstNS != 3 || string(b.Events) != `[2]` {
-				t.Errorf("events lookup served superseded batch: %+v", b)
-			}
-		})
+	dir := t.TempDir()
+	l, err := Open(dir, Config{CompactAfter: -1, NoSync: true})
+	if err != nil {
+		t.Fatal(err)
 	}
-}
-
-// TestAggregateMath pins the percentile and rate arithmetic on a hand-checked
-// corpus.
-func TestAggregateMath(t *testing.T) {
-	s := NewMemory()
-	defer s.Close()
-	// Ten campaigns of one model, wall seconds 1..10, two failed, three
-	// degraded, 100 queries each.
-	for i := 1; i <= 10; i++ {
-		state := "done"
-		if i <= 2 {
-			state = "failed"
-		}
-		if err := s.PutCampaign(CampaignRecord{
-			ID: i, Model: "m", State: state,
-			FinishedNS: int64(i), WallSeconds: float64(i), Queries: 100, Degraded: i <= 3,
-		}); err != nil {
+	second := testPayload(7, "smallcnn", "done")
+	for _, payload := range []json.RawMessage{testPayload(7, "smallcnn", "failed"), second} {
+		if err := l.Put(7, payload); err != nil {
 			t.Fatal(err)
 		}
 	}
-	aggs, err := s.AggregateByModel()
+	for _, batch := range []string{`[1]`, `[2]`} {
+		if err := l.PutEvents(7, []byte(batch)); err != nil {
+			t.Fatal(err)
+		}
+	}
+	check := func(t *testing.T, l *Log) {
+		if got := replayed(t, l); len(got) != 1 || got[7] != string(second) {
+			t.Errorf("Replay served a superseded record: %v", got)
+		}
+		if st := l.Stats(); st.Records != 1 {
+			t.Errorf("Stats.Records = %d, want 1", st.Records)
+		}
+		if b, ok, err := l.Events(7); err != nil || !ok || string(b) != `[2]` {
+			t.Errorf("Events(7) = %q, %v, %v; want the latest batch", b, ok, err)
+		}
+		if b, ok, err := l.Events(8); err != nil || ok {
+			t.Errorf("Events(8) = %q, %v, %v; want none stored", b, ok, err)
+		}
+	}
+	t.Run("memory", func(t *testing.T) { check(t, l) })
+	if err := l.Close(); err != nil {
+		t.Fatal(err)
+	}
+	l2, err := Open(dir, Config{CompactAfter: -1, NoSync: true})
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(aggs) != 1 {
-		t.Fatalf("got %d aggregates, want 1", len(aggs))
-	}
-	a := aggs[0]
-	if a.Campaigns != 10 || a.Done != 8 || a.Failed != 2 || a.Degraded != 3 {
-		t.Errorf("counts wrong: %+v", a)
-	}
-	if a.TotalQueries != 1000 {
-		t.Errorf("TotalQueries = %d, want 1000", a.TotalQueries)
-	}
-	if a.DegradedRate != 0.3 {
-		t.Errorf("DegradedRate = %v, want 0.3", a.DegradedRate)
-	}
-	// Nearest rank over 1..10: p50 → rank 5 → 5.0; p95 → rank 10 → 10.0.
-	if a.P50WallSeconds != 5.0 {
-		t.Errorf("P50WallSeconds = %v, want 5", a.P50WallSeconds)
-	}
-	if a.P95WallSeconds != 10.0 {
-		t.Errorf("P95WallSeconds = %v, want 10", a.P95WallSeconds)
-	}
+	defer l2.Close()
+	t.Run("segment", func(t *testing.T) { check(t, l2) })
 }
 
-// TestPercentile pins the nearest-rank edges.
-func TestPercentile(t *testing.T) {
-	if got := percentile(nil, 0.5); got != 0 {
-		t.Errorf("empty percentile = %v, want 0", got)
-	}
-	one := []float64{42}
-	if got := percentile(one, 0.5); got != 42 {
-		t.Errorf("single p50 = %v, want 42", got)
-	}
-	if got := percentile(one, 0.95); got != 42 {
-		t.Errorf("single p95 = %v, want 42", got)
-	}
-	four := []float64{1, 2, 3, 4}
-	if got := percentile(four, 0.5); got != 2 {
-		t.Errorf("p50 of 4 = %v, want 2", got)
-	}
-	if got := percentile(four, 0.95); got != 4 {
-		t.Errorf("p95 of 4 = %v, want 4", got)
-	}
-}
-
-// TestClosedStore verifies ErrClosed on every operation after Close, for both
-// backends.
+// TestClosedStore closes a log: every later operation on it fails with
+// errClosed, and the segment it was appending to is sealed on disk and
+// reopens with its record.
 func TestClosedStore(t *testing.T) {
-	for _, tc := range []struct {
-		name string
-		open func(t *testing.T) Store
-	}{
-		{"memory", func(t *testing.T) Store { return NewMemory() }},
-		{"segment", func(t *testing.T) Store { return newSegmentStore(t, SegmentConfig{}) }},
-	} {
-		t.Run(tc.name, func(t *testing.T) {
-			s := tc.open(t)
-			if err := s.PutCampaign(testRec(1, "m", "done", 1, 1, 1, false)); err != nil {
-				t.Fatal(err)
-			}
-			if err := s.Close(); err != nil {
-				t.Fatalf("Close: %v", err)
-			}
-			if err := s.PutCampaign(testRec(2, "m", "done", 2, 2, 2, false)); err != ErrClosed {
-				t.Errorf("PutCampaign after close: %v, want ErrClosed", err)
-			}
-			if _, _, err := s.Campaign(1); err != ErrClosed {
-				t.Errorf("Campaign after close: %v, want ErrClosed", err)
-			}
-			if _, err := s.Campaigns(Query{}); err != ErrClosed {
-				t.Errorf("Campaigns after close: %v, want ErrClosed", err)
-			}
-			if _, err := s.AggregateByModel(); err != ErrClosed {
-				t.Errorf("AggregateByModel after close: %v, want ErrClosed", err)
-			}
-			if err := s.PutEvents(EventBatch{CampaignID: 1}); err != ErrClosed {
-				t.Errorf("PutEvents after close: %v, want ErrClosed", err)
-			}
-			if _, _, err := s.Events(1); err != ErrClosed {
-				t.Errorf("Events after close: %v, want ErrClosed", err)
-			}
-			if err := s.Close(); err != nil {
-				t.Errorf("second Close: %v", err)
-			}
-		})
+	dir := t.TempDir()
+	l, err := Open(dir, Config{CompactAfter: -1, NoSync: true})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := l.Put(1, testPayload(1, "m", "done")); err != nil {
+		t.Fatal(err)
+	}
+	if err := l.Close(); err != nil {
+		t.Fatalf("Close: %v", err)
+	}
+	t.Run("memory", func(t *testing.T) {
+		if err := l.Put(2, testPayload(2, "m", "done")); err != errClosed {
+			t.Errorf("Put after close: %v, want errClosed", err)
+		}
+		if err := l.Replay(func(int, json.RawMessage) error { return nil }); err != errClosed {
+			t.Errorf("Replay after close: %v, want errClosed", err)
+		}
+		if err := l.PutEvents(1, []byte(`[]`)); err != errClosed {
+			t.Errorf("PutEvents after close: %v, want errClosed", err)
+		}
+		if _, _, err := l.Events(1); err != errClosed {
+			t.Errorf("Events after close: %v, want errClosed", err)
+		}
+		if err := l.Compact(); err != errClosed {
+			t.Errorf("Compact after close: %v, want errClosed", err)
+		}
+		if err := l.Close(); err != nil {
+			t.Errorf("second Close: %v", err)
+		}
+	})
+	t.Run("segment", func(t *testing.T) {
+		logs, err := filepath.Glob(filepath.Join(dir, "seg-*.log"))
+		if err != nil || len(logs) != 1 {
+			t.Fatalf("glob: %v (%d logs, want 1)", err, len(logs))
+		}
+		raw, err := os.ReadFile(logs[0])
+		if err != nil {
+			t.Fatal(err)
+		}
+		if n := len(raw) - trailerLen; n <= 0 || !bytes.Equal(raw[n:], trailer(int64(n))) {
+			t.Errorf("closed segment does not end with the trailer covering its frames")
+		}
+		l2, err := Open(dir, Config{CompactAfter: -1, NoSync: true})
+		if err != nil {
+			t.Fatal(err)
+		}
+		defer l2.Close()
+		if got := replayed(t, l2); len(got) != 1 || got[1] != string(testPayload(1, "m", "done")) {
+			t.Errorf("reopened log replayed %v, want campaign 1", got)
+		}
+	})
+}
+
+// TestOlderBuildLog opens a directory in the format older builds wrote:
+// campaign frames carrying filter columns beside the payload, a frame of the
+// retired events kind, no trailer, and a sidecar index. Every campaign must
+// replay under its ID with its latest payload, the events frame and the
+// sidecar must be ignored, and compaction must drop the dead frames.
+func TestOlderBuildLog(t *testing.T) {
+	dir := t.TempDir()
+	frames := []string{
+		`{"lsn":1,"kind":"campaign","campaign":{"id":1,"model":"smallcnn","state":"queued","finished_ns":0,"wall_seconds":0,"queries":0,"degraded":false,"payload":{"id":1,"state":"queued"}}}`,
+		`{"lsn":2,"kind":"campaign","campaign":{"id":2,"model":"vggs","state":"queued","finished_ns":0,"wall_seconds":0,"queries":0,"degraded":false,"payload":{"id":2,"state":"queued"}}}`,
+		`{"lsn":3,"kind":"campaign","campaign":{"id":1,"model":"smallcnn","state":"done","finished_ns":5,"wall_seconds":1.5,"queries":40,"degraded":true,"payload":{"id":1,"state":"done"}}}`,
+		`{"lsn":4,"kind":"events","events":{"campaign_id":1,"first_ns":1,"last_ns":5,"events":[{"name":"x"}]}}`,
+	}
+	var raw []byte
+	for _, body := range frames {
+		raw = append(raw, encodeFrame([]byte(body))...)
+	}
+	if err := os.WriteFile(filepath.Join(dir, "seg-0000000000000001.log"), raw, 0o644); err != nil {
+		t.Fatal(err)
+	}
+	idx := filepath.Join(dir, "seg-0000000000000001.idx")
+	if err := os.WriteFile(idx, []byte(`{"bytes":1,"entries":[]}`), 0o644); err != nil {
+		t.Fatal(err)
+	}
+
+	l, err := Open(dir, Config{CompactAfter: -1, NoSync: true})
+	if err != nil {
+		t.Fatal(err)
+	}
+	want := map[int]string{1: `{"id":1,"state":"done"}`, 2: `{"id":2,"state":"queued"}`}
+	if got := replayed(t, l); mustJSON(t, got) != mustJSON(t, want) {
+		t.Errorf("older log replayed %v, want %v", got, want)
+	}
+	if _, err := os.Stat(idx); !os.IsNotExist(err) {
+		t.Errorf("sidecar index survived Open: %v", err)
+	}
+	if _, ok, err := l.Events(1); err != nil || ok {
+		t.Errorf("Events(1) = %v, %v; an events frame is not a stored batch", ok, err)
+	}
+	if st := l.Stats(); st.TornRecords != 0 || st.Records != 2 {
+		t.Errorf("stats after open = %+v, want 2 records and nothing torn", st)
+	}
+	if err := l.Compact(); err != nil {
+		t.Fatal(err)
+	}
+	if st := l.Stats(); st.CompactedRecords != 2 {
+		t.Errorf("compaction dropped %d records, want the superseded one and the events frame", st.CompactedRecords)
+	}
+	if err := l.Close(); err != nil {
+		t.Fatal(err)
+	}
+	l2, err := Open(dir, Config{CompactAfter: -1, NoSync: true})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer l2.Close()
+	if got := replayed(t, l2); mustJSON(t, got) != mustJSON(t, want) {
+		t.Errorf("compacted older log replayed %v, want %v", got, want)
 	}
 }

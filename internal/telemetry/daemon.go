@@ -133,9 +133,10 @@ type CampaignSnapshot struct {
 	SolutionCount int  `json:"solution_count,omitempty"`
 	Degraded      bool `json:"degraded,omitempty"`
 	// Device is the victim-side telemetry (simulated device time, per-layer
-	// DRAM/MAC/encode breakdown), snapshotted live from the machine. It dies
-	// with the process unless a campaign store persists the terminal
-	// snapshot, in which case a restart restores it from there.
+	// DRAM/MAC/encode breakdown), snapshotted live from the machine and
+	// frozen when the campaign finishes. It dies with the process unless a
+	// campaign log persists the terminal snapshot, in which case a restart
+	// restores it from there.
 	Device *accel.CampaignStats `json:"device,omitempty"`
 	// Converge is the convergence-ledger summary, attached when the campaign
 	// reaches a terminal state (the §8.2 collapse endpoints and
@@ -148,8 +149,9 @@ type campaign struct {
 	mu sync.Mutex
 	// snap is guarded by mu.
 	snap CampaignSnapshot
-	// machine is guarded by mu; set once running. Its own stats are
-	// internally lock-protected (accel.statsMu).
+	// machine is guarded by mu; set while running and dropped at the
+	// terminal state (see settle). Its own stats are internally
+	// lock-protected (accel.statsMu).
 	machine *accel.Machine
 	// ledger is the campaign's convergence ledger, created at submission
 	// (or restore) and closed when the campaign reaches a terminal state —
@@ -166,6 +168,22 @@ type campaign struct {
 // update mutates the record under its lock.
 func (c *campaign) update(f func(*CampaignSnapshot)) {
 	c.mu.Lock()
+	f(&c.snap)
+	c.mu.Unlock()
+}
+
+// settle applies a terminal transition under the record's lock, first
+// copying the final device telemetry into the snapshot and dropping the
+// victim machine: a finished campaign is a plain value, holding no victim
+// network and copying no live stats on every snapshot.
+func (c *campaign) settle(f func(*CampaignSnapshot)) {
+	c.mu.Lock()
+	if c.machine != nil {
+		dev := c.machine.Campaign()
+		c.snap.Device = &dev
+		c.snap.VictimQueries = dev.Runs
+		c.machine = nil
+	}
 	f(&c.snap)
 	c.mu.Unlock()
 }
@@ -238,12 +256,11 @@ type DaemonConfig struct {
 	Recorder obs.Recorder
 	// Store is the daemon's durable log: every submission and state
 	// transition is written to it as the campaign's latest record, and
-	// NewDaemon rebuilds the campaign table from it. It also serves the
-	// per-model aggregate and the stored event tails. Nil defaults to an
-	// in-memory store, which keeps the daemon ephemeral behind an identical
-	// query surface; a segment store makes it crash-safe. The daemon does
-	// not close the store — the owner that opened it does.
-	Store store.Store
+	// NewDaemon rebuilds the campaign table from it. It also keeps the
+	// event tails GET /campaigns/{id}/events serves. Nil runs the daemon
+	// ephemeral: no durable writes, and no stored event tails. The daemon
+	// does not close the log — the owner that opened it does.
+	Store *store.Log
 	// Flight, when set alongside Store, is the flight recorder whose event
 	// tail is captured into the store (the events of the campaign's final
 	// attempt window) when a campaign reaches a terminal state.
@@ -320,9 +337,6 @@ func NewDaemon(cfg DaemonConfig) (*Daemon, error) {
 		cfg.RetryAfter = 5 * time.Second
 	}
 	cfg.Retry = cfg.Retry.withDefaults()
-	if cfg.Store == nil {
-		cfg.Store = store.NewMemory()
-	}
 	d := &Daemon{
 		cfg:      cfg,
 		nextID:   1,
@@ -631,7 +645,7 @@ func (d *Daemon) retryable(class string) bool {
 
 // finishDone records a successful campaign.
 func (d *Daemon) finishDone(c *campaign, res *attack.Result, started, finished time.Time, spec JobSpec) {
-	c.update(func(s *CampaignSnapshot) {
+	c.settle(func(s *CampaignSnapshot) {
 		s.Finished = &finished
 		s.State = StateDone
 		s.SolutionCount = res.Space.Count()
@@ -650,7 +664,7 @@ func (d *Daemon) finishDone(c *campaign, res *attack.Result, started, finished t
 
 // finishFailed records a permanently failed campaign.
 func (d *Daemon) finishFailed(c *campaign, err error, class string, started, finished time.Time, spec JobSpec) {
-	c.update(func(s *CampaignSnapshot) {
+	c.settle(func(s *CampaignSnapshot) {
 		s.Finished = &finished
 		s.State = StateFailed
 		s.Error = err.Error()

@@ -115,11 +115,37 @@ func TestDaemonEndToEnd(t *testing.T) {
 		if c.VictimQueries != c.Device.Runs {
 			t.Errorf("campaign %d victim_queries = %d, device runs = %d", c.ID, c.VictimQueries, c.Device.Runs)
 		}
+		// A finished campaign is a plain value: its final device telemetry
+		// lives in the snapshot, and its record no longer holds the victim.
+		d.mu.Lock()
+		rec := d.byID[c.ID]
+		d.mu.Unlock()
+		rec.mu.Lock()
+		holdsMachine := rec.machine != nil
+		rec.mu.Unlock()
+		if holdsMachine {
+			t.Errorf("finished campaign %d still holds its victim machine", c.ID)
+		}
 		for _, l := range c.Device.Layers {
 			if l.Name == "" {
 				t.Errorf("campaign %d has an unnamed device layer: %+v", c.ID, l)
 			}
 		}
+	}
+
+	// This daemon is ephemeral: the aggregate is folded from its table, and
+	// with no log there are no stored event tails.
+	var aggs []ModelAggregate
+	if body, code := getRaw(t, base, "/campaigns/aggregate?by=model"); code != http.StatusOK {
+		t.Fatalf("/campaigns/aggregate = %d: %s", code, body)
+	} else if err := json.Unmarshal(body, &aggs); err != nil {
+		t.Fatal(err)
+	}
+	if len(aggs) != 1 || aggs[0].Model != "smallcnn" || aggs[0].Done != 2 || aggs[0].TotalQueries == 0 {
+		t.Errorf("ephemeral aggregate = %+v, want 2 smallcnn campaigns done", aggs)
+	}
+	if _, code := getRaw(t, base, "/campaigns/1/events"); code != http.StatusNotFound {
+		t.Errorf("/campaigns/1/events on an ephemeral daemon = %d, want 404", code)
 	}
 
 	// /campaigns/{id} serves the same snapshot individually.

@@ -6,43 +6,40 @@ import (
 
 	"github.com/huffduff/huffduff/internal/converge"
 	"github.com/huffduff/huffduff/internal/obs"
-	"github.com/huffduff/huffduff/internal/store"
 )
 
-// This file is the daemon's bridge to the campaign store, its one durable
-// log: every state transition is written through one write path as the
-// campaign's latest record (terminal ones add the flight-recorder tail of
-// their final attempt), the per-model aggregate and stored event tails are
-// served back out of it, and at construction one scan of it rebuilds the
-// campaign table.
+// This file is the daemon's bridge to the campaign log, its one durable
+// record: every state transition is written through one write path as the
+// campaign's latest payload (terminal ones add the flight-recorder tail of
+// their final attempt), stored event tails are served back out of it, and
+// at construction one replay of it rebuilds the campaign table.
 
 // terminalState reports whether a campaign state is terminal.
 func terminalState(state string) bool {
 	return state == StateDone || state == StateFailed
 }
 
-// restore rebuilds the campaign table from the store's latest record per
+// restore rebuilds the campaign table from the log's latest payload per
 // campaign and returns the campaigns to requeue. Terminal campaigns are
 // served read-only from their stored payload; anything queued, running, or
 // waiting on a retry when the last process died is requeued as queued —
 // re-running a half-finished attack is safe because campaigns are
 // idempotent (seeded RNGs, simulated device). IDs resume past the highest
-// stored one. A failed scan is returned, not skipped: without it the daemon
-// would not know the highest stored ID, and its next submission would
-// supersede a stored campaign. Runs before the worker pool starts, so no
-// locking.
+// stored one. A failed replay is returned, not skipped: without it the
+// daemon would not know the highest stored ID, and its next submission
+// would supersede a stored campaign. Runs before the worker pool starts, so
+// no locking.
 func (d *Daemon) restore() ([]*campaign, error) {
-	recs, err := d.cfg.Store.Campaigns(store.Query{})
-	if err != nil {
-		return nil, fmt.Errorf("telemetry: restoring campaigns from the store: %w", err)
+	if d.cfg.Store == nil {
+		return nil, nil
 	}
 	var requeue []*campaign
-	for _, rec := range recs {
-		d.nextID = rec.ID + 1 // ascending ID; never reuse one, even undecodable
-		snap, err := snapshotFromRecord(rec)
-		if err != nil {
+	err := d.cfg.Store.Replay(func(id int, payload json.RawMessage) error {
+		d.nextID = id + 1 // ascending ID; never reuse one, even undecodable
+		var snap CampaignSnapshot
+		if err := json.Unmarshal(payload, &snap); err != nil {
 			d.count("daemon.store_errors", "op=restore", 1)
-			continue
+			return nil
 		}
 		snap.Resumed = true
 		c := &campaign{snap: snap, ledger: converge.NewLedger(d.cfg.Recorder)}
@@ -55,8 +52,12 @@ func (d *Daemon) restore() ([]*campaign, error) {
 			c.snap.Started = nil
 			requeue = append(requeue, c)
 		}
-		d.byID[rec.ID] = c
+		d.byID[id] = c
 		d.campaigns = append(d.campaigns, c)
+		return nil
+	})
+	if err != nil {
+		return nil, fmt.Errorf("telemetry: restoring campaigns from the store: %w", err)
 	}
 	if len(requeue) > 0 {
 		d.count("daemon.requeues", "", float64(len(requeue)))
@@ -66,7 +67,7 @@ func (d *Daemon) restore() ([]*campaign, error) {
 
 // write is the daemon's one durable write path. After Kill it writes
 // nothing; otherwise the chaos write fault, when configured, is consulted
-// before put. Callers encode before calling, so only the store write holds
+// before put. Callers encode before calling, so only the log write holds
 // wmu. The outcome sets the degraded flag /healthz reports — the most
 // recent write decides, so a success clears it. A failed write is counted
 // and never fails the campaign: availability over durability.
@@ -91,18 +92,33 @@ func (d *Daemon) write(op string, put func() error) {
 }
 
 // persist writes snap as its campaign's latest record. An encoding error
-// counts as a failed write.
+// counts as a failed write. An ephemeral daemon writes nothing.
 func (d *Daemon) persist(snap CampaignSnapshot) {
-	rec, encErr := recordFromSnapshot(snap)
+	if d.cfg.Store == nil {
+		return
+	}
+	payload, encErr := json.Marshal(snap)
 	d.write("put_campaign", func() error {
 		if encErr != nil {
-			return encErr
+			return fmt.Errorf("telemetry: encoding campaign %d: %w", snap.ID, encErr)
 		}
-		if err := d.cfg.Store.PutCampaign(rec); err != nil {
+		if err := d.cfg.Store.Put(snap.ID, payload); err != nil {
 			return fmt.Errorf("telemetry: storing campaign %d: %w", snap.ID, err)
 		}
 		return nil
 	})
+}
+
+// EventBatch is one campaign's flight-recorder tail, persisted at terminal
+// state so a post-mortem can read the events leading up to the outcome long
+// after the ring has recycled them: the body of GET /campaigns/{id}/events.
+type EventBatch struct {
+	CampaignID int `json:"campaign_id"`
+	// FirstNS and LastNS bound the batch's event timestamps (Unix nanos).
+	FirstNS int64 `json:"first_ns"`
+	LastNS  int64 `json:"last_ns"`
+	// Events is the []obs.Event array, as stored.
+	Events json.RawMessage `json:"events,omitempty"`
 }
 
 // persistTerminal writes a terminal campaign: the snapshot as its final
@@ -110,7 +126,7 @@ func (d *Daemon) persist(snap CampaignSnapshot) {
 // the campaign's event batch.
 func (d *Daemon) persistTerminal(snap CampaignSnapshot) {
 	d.persist(snap)
-	if d.cfg.Flight == nil || snap.Started == nil || snap.Finished == nil {
+	if d.cfg.Store == nil || d.cfg.Flight == nil || snap.Started == nil || snap.Finished == nil {
 		return
 	}
 	var tail []obs.Event
@@ -123,91 +139,44 @@ func (d *Daemon) persistTerminal(snap CampaignSnapshot) {
 	if len(tail) == 0 {
 		return
 	}
-	raw, encErr := json.Marshal(tail)
+	events, encErr := json.Marshal(tail)
+	var raw []byte
+	if encErr == nil {
+		raw, encErr = json.Marshal(EventBatch{
+			CampaignID: snap.ID,
+			FirstNS:    tail[0].TS,
+			LastNS:     tail[len(tail)-1].TS,
+			Events:     events,
+		})
+	}
 	d.write("put_events", func() error {
 		if encErr != nil {
 			return fmt.Errorf("telemetry: encoding campaign %d events: %w", snap.ID, encErr)
 		}
-		batch := store.EventBatch{
-			CampaignID: snap.ID,
-			FirstNS:    tail[0].TS,
-			LastNS:     tail[len(tail)-1].TS,
-			Events:     raw,
-		}
-		if err := d.cfg.Store.PutEvents(batch); err != nil {
+		if err := d.cfg.Store.PutEvents(snap.ID, raw); err != nil {
 			return fmt.Errorf("telemetry: storing campaign %d events: %w", snap.ID, err)
 		}
 		return nil
 	})
 }
 
-// recordFromSnapshot extracts the store's indexed columns from a snapshot
-// and embeds the snapshot itself as the payload.
-func recordFromSnapshot(snap CampaignSnapshot) (store.CampaignRecord, error) {
-	payload, err := json.Marshal(snap)
-	if err != nil {
-		return store.CampaignRecord{}, fmt.Errorf("encode campaign %d: %w", snap.ID, err)
-	}
-	rec := store.CampaignRecord{
-		ID:       snap.ID,
-		Model:    snap.Spec.Model,
-		State:    snap.State,
-		Queries:  int64(snap.VictimQueries),
-		Degraded: snap.Degraded,
-		Payload:  payload,
-	}
-	if snap.Finished != nil {
-		rec.FinishedNS = snap.Finished.UnixNano()
-		if snap.Started != nil {
-			rec.WallSeconds = snap.Finished.Sub(*snap.Started).Seconds()
-		}
-	}
-	return rec, nil
-}
-
-// snapshotFromRecord decodes a stored record back into the snapshot the
-// daemon serves.
-func snapshotFromRecord(rec store.CampaignRecord) (CampaignSnapshot, error) {
-	var snap CampaignSnapshot
-	if err := json.Unmarshal(rec.Payload, &snap); err != nil {
-		return CampaignSnapshot{}, fmt.Errorf("decode stored campaign %d: %w", rec.ID, err)
-	}
-	return snap, nil
-}
-
-// matchSnapshot applies a store query's filters to a live snapshot, with the
-// same semantics the store applies to its records: a SinceNS filter only
-// ever matches finished campaigns.
-func matchSnapshot(q store.Query, s CampaignSnapshot) bool {
-	if q.State != "" && s.State != q.State {
-		return false
-	}
-	if q.Model != "" && s.Spec.Model != q.Model {
-		return false
-	}
-	if q.SinceNS != 0 && (s.Finished == nil || s.Finished.UnixNano() < q.SinceNS) {
-		return false
-	}
-	return true
-}
-
-// AggregateByModel serves the per-model aggregate over the stored terminal
-// history — the read path behind GET /campaigns/aggregate?by=model.
-func (d *Daemon) AggregateByModel() ([]store.ModelAggregate, error) {
-	aggs, err := d.cfg.Store.AggregateByModel()
-	if err != nil {
-		return nil, fmt.Errorf("campaign store aggregate: %w", err)
-	}
-	return aggs, nil
-}
-
 // CampaignEvents returns the stored flight-recorder tail of one terminal
-// campaign — the read path behind GET /campaigns/{id}/events.
-func (d *Daemon) CampaignEvents(id int) (store.EventBatch, bool, error) {
-	return d.cfg.Store.Events(id)
-}
-
-// StoreStats exposes the store's counters (for tests and health surfaces).
-func (d *Daemon) StoreStats() store.Stats {
-	return d.cfg.Store.Stats()
+// campaign — the read path behind GET /campaigns/{id}/events. An ephemeral
+// daemon stores none.
+func (d *Daemon) CampaignEvents(id int) (EventBatch, bool, error) {
+	if d.cfg.Store == nil {
+		return EventBatch{}, false, nil
+	}
+	raw, ok, err := d.cfg.Store.Events(id)
+	if err != nil {
+		return EventBatch{}, false, fmt.Errorf("telemetry: reading campaign %d events: %w", id, err)
+	}
+	if !ok {
+		return EventBatch{}, false, nil
+	}
+	var batch EventBatch
+	if err := json.Unmarshal(raw, &batch); err != nil {
+		return EventBatch{}, false, fmt.Errorf("telemetry: decoding campaign %d events: %w", id, err)
+	}
+	return batch, true, nil
 }

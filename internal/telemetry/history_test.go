@@ -60,8 +60,8 @@ func normalizeResumed(t *testing.T, snaps []CampaignSnapshot) string {
 }
 
 // TestStoreKillRestart is the acceptance-criterion integration test: a
-// daemon with a segment store and a flight recorder runs three campaigns to
-// done and one to failed, is killed, and a restart on the same store must
+// daemon with a campaign log and a flight recorder runs three campaigns to
+// done and one to failed, is killed, and a restart on the same log must
 // serve the full pre-crash history — filtered listings, per-model
 // aggregates, and per-campaign stored event tails — identically.
 func TestStoreKillRestart(t *testing.T) {
@@ -74,7 +74,7 @@ func TestStoreKillRestart(t *testing.T) {
 	col1 := obs.NewCollector()
 	flight1 := obs.NewFlightRecorder(obs.DefaultFlightEvents)
 	rec1 := obs.Fanout(col1, flight1)
-	s1, err := store.Open(storeDir, store.SegmentConfig{Obs: rec1})
+	s1, err := store.Open(storeDir, store.Config{Obs: rec1})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -98,13 +98,13 @@ func TestStoreKillRestart(t *testing.T) {
 	waitState(t, d1, 4, 30*time.Second, StateFailed)
 
 	// The terminal snapshots carry their convergence summaries, and the
-	// store has all four campaigns.
+	// log has all four campaigns.
 	for _, c := range listCampaigns(t, base1, "?state=done") {
 		if c.Converge == nil || c.Converge.TotalQueries == 0 {
 			t.Errorf("campaign %d finished without a convergence summary: %+v", c.ID, c.Converge)
 		}
 	}
-	if st := d1.StoreStats(); st.Records != 4 {
+	if st := s1.Stats(); st.Records != 4 {
 		t.Fatalf("store holds %d records after 4 terminal campaigns", st.Records)
 	}
 
@@ -118,7 +118,7 @@ func TestStoreKillRestart(t *testing.T) {
 	if code != http.StatusOK {
 		t.Fatalf("GET /campaigns/1/events: %d: %s", code, wantEvents)
 	}
-	var batch store.EventBatch
+	var batch EventBatch
 	if err := json.Unmarshal(wantEvents, &batch); err != nil {
 		t.Fatal(err)
 	}
@@ -145,7 +145,7 @@ func TestStoreKillRestart(t *testing.T) {
 	// stored event tails — byte-identically (modulo the Resumed mark).
 	col2 := obs.NewCollector()
 	rec2 := obs.Fanout(col2)
-	s2, err := store.Open(storeDir, store.SegmentConfig{Obs: rec2})
+	s2, err := store.Open(storeDir, store.Config{Obs: rec2})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -180,7 +180,7 @@ func TestStoreKillRestart(t *testing.T) {
 	if string(gotAgg) != string(wantAgg) {
 		t.Errorf("aggregate diverged across restart:\n got %s\nwant %s", gotAgg, wantAgg)
 	}
-	var aggs []store.ModelAggregate
+	var aggs []ModelAggregate
 	if err := json.Unmarshal(gotAgg, &aggs); err != nil {
 		t.Fatal(err)
 	}
@@ -230,14 +230,10 @@ func TestStoreKillRestart(t *testing.T) {
 		t.Errorf("pagination windows wrong: %d + %d campaigns", len(page1), len(page2))
 	}
 
-	// The restarted store publishes its gauges, and the read paths record
-	// latency histograms on /metrics.
+	// The restarted log publishes its gauges on /metrics.
 	metrics2 := scrapeProm(t, base2)
 	if metrics2["store_records"] < 4 {
 		t.Errorf("store_records after restart = %v, want >= 4", metrics2["store_records"])
-	}
-	if metrics2["store_read_seconds_count"] <= 0 {
-		t.Errorf("store read-latency histogram missing after queried reads: %v", metrics2["store_read_seconds_count"])
 	}
 
 	// New submissions continue above the stored high-water mark.
@@ -254,8 +250,7 @@ func TestStoreKillRestart(t *testing.T) {
 	}
 }
 
-// fixedSnapshot builds a deterministic terminal snapshot (fixed timestamps)
-// for backend-comparability tests.
+// fixedSnapshot builds a deterministic terminal snapshot (fixed timestamps).
 func fixedSnapshot(id int, model, state string, fin time.Time, queries int, degraded bool) CampaignSnapshot {
 	started := fin.Add(-3 * time.Second)
 	submitted := started.Add(-time.Second)
@@ -273,10 +268,74 @@ func fixedSnapshot(id int, model, state string, fin time.Time, queries int, degr
 	}
 }
 
-// TestBackendsServeIdenticalResponses pre-populates a memory store and a
-// segment store with identical terminal campaigns, fronts each with a
-// daemon+server, and requires byte-identical HTTP responses for the whole
-// query matrix — listings, filters, pagination, and aggregates.
+// putSnapshots writes each snapshot to the log the way the daemon's write
+// path does: its JSON as the campaign's latest payload.
+func putSnapshots(t *testing.T, l *store.Log, snaps ...CampaignSnapshot) {
+	t.Helper()
+	for _, snap := range snaps {
+		payload, err := json.Marshal(snap)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if err := l.Put(snap.ID, payload); err != nil {
+			t.Fatal(err)
+		}
+	}
+}
+
+// storedSnapshots replays the log into its latest snapshot per campaign.
+func storedSnapshots(t *testing.T, l *store.Log) map[int]CampaignSnapshot {
+	t.Helper()
+	out := map[int]CampaignSnapshot{}
+	if err := l.Replay(func(id int, payload json.RawMessage) error {
+		var snap CampaignSnapshot
+		if err := json.Unmarshal(payload, &snap); err != nil {
+			return err
+		}
+		out[id] = snap
+		return nil
+	}); err != nil {
+		t.Fatal(err)
+	}
+	return out
+}
+
+// fixedAggregate is the /campaigns/aggregate?by=model body for the twelve
+// snapshots of TestBackendsServeIdenticalResponses, as served when the
+// campaign store computed the aggregate from its own filter columns. The
+// daemon's fold of its table must serve the same bytes.
+const fixedAggregate = `[
+ {
+  "model": "smallcnn",
+  "campaigns": 6,
+  "done": 3,
+  "failed": 3,
+  "degraded": 1,
+  "degraded_rate": 0.16666666666666666,
+  "p50_wall_seconds": 3,
+  "p95_wall_seconds": 3,
+  "total_queries": 4200
+ },
+ {
+  "model": "vggs",
+  "campaigns": 6,
+  "done": 6,
+  "failed": 0,
+  "degraded": 1,
+  "degraded_rate": 0.16666666666666666,
+  "p50_wall_seconds": 3,
+  "p95_wall_seconds": 3,
+  "total_queries": 3600
+ }
+]
+`
+
+// TestBackendsServeIdenticalResponses restores a daemon from a log holding
+// twelve fixed terminal campaigns and requires its HTTP responses to match a
+// reference backend: every listing query serves, in ascending order, the IDs
+// a plain filter of the snapshots gives, and the aggregate body is
+// byte-identical to the one the campaign store's column-based aggregate
+// served for the same campaigns.
 func TestBackendsServeIdenticalResponses(t *testing.T) {
 	base := time.Date(2026, 8, 1, 12, 0, 0, 0, time.UTC)
 	var snaps []CampaignSnapshot
@@ -289,98 +348,88 @@ func TestBackendsServeIdenticalResponses(t *testing.T) {
 		snaps = append(snaps, fixedSnapshot(
 			i, models[i%2], state, base.Add(time.Duration(i)*time.Minute), 100*i, i%5 == 0))
 	}
-
-	mem := store.NewMemory()
-	defer mem.Close()
-	seg, err := store.Open(t.TempDir(), store.SegmentConfig{SegmentBytes: 2048, CompactAfter: -1})
+	l, err := store.Open(t.TempDir(), store.Config{NoSync: true, CompactAfter: -1})
 	if err != nil {
 		t.Fatal(err)
 	}
-	defer seg.Close()
-	for _, s := range []store.Store{mem, seg} {
-		for _, snap := range snaps {
-			rec, err := recordFromSnapshot(snap)
-			if err != nil {
-				t.Fatal(err)
-			}
-			if err := s.PutCampaign(rec); err != nil {
-				t.Fatal(err)
-			}
-		}
-	}
+	defer l.Close()
+	putSnapshots(t, l, snaps...)
+	d := newTestDaemon(t, DaemonConfig{Workers: 1, Store: l})
+	defer d.Kill()
+	b, stop := startServer(t, d, nil)
+	defer stop()
 
-	dMem := newTestDaemon(t, DaemonConfig{Workers: 1, Store: mem})
-	defer dMem.Kill()
-	dSeg := newTestDaemon(t, DaemonConfig{Workers: 1, Store: seg})
-	defer dSeg.Kill()
-	baseMem, stopMem := startServer(t, dMem, nil)
-	defer stopMem()
-	baseSeg, stopSeg := startServer(t, dSeg, nil)
-	defer stopSeg()
-
-	queries := []string{
-		"",
-		"?state=done",
-		"?state=failed",
-		"?model=vggs",
-		"?model=vggs&state=done",
-		"?limit=4",
-		"?offset=3&limit=4",
-		"?offset=100",
-		fmt.Sprintf("?since=%d", base.Add(6*time.Minute).UnixNano()),
-		fmt.Sprintf("?state=done&since=%d&limit=2&offset=1", base.Add(3*time.Minute).UnixNano()),
-	}
-	for _, q := range queries {
-		gotMem, codeMem := getRaw(t, baseMem, "/campaigns"+q)
-		gotSeg, codeSeg := getRaw(t, baseSeg, "/campaigns"+q)
-		if codeMem != http.StatusOK || codeSeg != http.StatusOK {
-			t.Fatalf("GET /campaigns%s: memory %d, segment %d", q, codeMem, codeSeg)
-		}
-		if string(gotMem) != string(gotSeg) {
-			t.Errorf("backends diverge on /campaigns%s:\n memory: %s\nsegment: %s", q, gotMem, gotSeg)
-		}
-		var snaps []CampaignSnapshot
-		if err := json.Unmarshal(gotMem, &snaps); err != nil {
-			t.Fatalf("GET /campaigns%s: %v", q, err)
-		}
-		for i := 1; i < len(snaps); i++ {
-			if snaps[i].ID <= snaps[i-1].ID {
-				t.Errorf("/campaigns%s not ascending: %d then %d", q, snaps[i-1].ID, snaps[i].ID)
+	since6, since3 := base.Add(6*time.Minute), base.Add(3*time.Minute)
+	for _, tc := range []struct {
+		query         string
+		keep          func(CampaignSnapshot) bool
+		offset, limit int
+	}{
+		{"", nil, 0, 0},
+		{"?state=done", func(s CampaignSnapshot) bool { return s.State == StateDone }, 0, 0},
+		{"?state=failed", func(s CampaignSnapshot) bool { return s.State == StateFailed }, 0, 0},
+		{"?model=vggs", func(s CampaignSnapshot) bool { return s.Spec.Model == "vggs" }, 0, 0},
+		{"?model=vggs&state=done", func(s CampaignSnapshot) bool { return s.Spec.Model == "vggs" && s.State == StateDone }, 0, 0},
+		{"?limit=4", nil, 0, 4},
+		{"?offset=3&limit=4", nil, 3, 4},
+		{"?offset=100", nil, 100, 0},
+		{fmt.Sprintf("?since=%d", since6.UnixNano()), func(s CampaignSnapshot) bool { return !s.Finished.Before(since6) }, 0, 0},
+		{fmt.Sprintf("?state=done&since=%d&limit=2&offset=1", since3.UnixNano()),
+			func(s CampaignSnapshot) bool { return s.State == StateDone && !s.Finished.Before(since3) }, 1, 2},
+	} {
+		var want []int
+		for _, s := range snaps {
+			if tc.keep == nil || tc.keep(s) {
+				want = append(want, s.ID)
 			}
 		}
+		want = want[min(tc.offset, len(want)):]
+		if tc.limit > 0 && tc.limit < len(want) {
+			want = want[:tc.limit]
+		}
+		var got []int
+		for _, s := range listCampaigns(t, b, tc.query) {
+			got = append(got, s.ID)
+		}
+		if fmt.Sprint(got) != fmt.Sprint(want) {
+			t.Errorf("/campaigns%s served IDs %v, want %v", tc.query, got, want)
+		}
 	}
-	aggMem, _ := getRaw(t, baseMem, "/campaigns/aggregate?by=model")
-	aggSeg, _ := getRaw(t, baseSeg, "/campaigns/aggregate?by=model")
-	if string(aggMem) != string(aggSeg) {
-		t.Errorf("backends diverge on aggregate:\n memory: %s\nsegment: %s", aggMem, aggSeg)
-	}
-	var aggs []store.ModelAggregate
-	if err := json.Unmarshal(aggMem, &aggs); err != nil {
-		t.Fatal(err)
-	}
-	if len(aggs) != 2 || aggs[0].Model != "smallcnn" || aggs[1].Model != "vggs" {
-		t.Errorf("aggregate models wrong (want sorted smallcnn, vggs): %+v", aggs)
+	if agg, code := getRaw(t, b, "/campaigns/aggregate?by=model"); code != http.StatusOK || string(agg) != fixedAggregate {
+		t.Errorf("aggregate = %d:\n%s\nwant 200:\n%s", code, agg, fixedAggregate)
 	}
 
-	// Bad query parameters are rejected identically.
+	// Bad query parameters are rejected.
 	for _, q := range []string{"?state=bogus", "?limit=x", "?limit=-2", "?offset=x", "?since=tuesday"} {
-		if _, code := getRaw(t, baseMem, "/campaigns"+q); code != http.StatusBadRequest {
+		if _, code := getRaw(t, b, "/campaigns"+q); code != http.StatusBadRequest {
 			t.Errorf("GET /campaigns%s = %d, want 400", q, code)
 		}
 	}
-	if _, code := getRaw(t, baseMem, "/campaigns/aggregate?by=color"); code != http.StatusBadRequest {
+	if _, code := getRaw(t, b, "/campaigns/aggregate?by=color"); code != http.StatusBadRequest {
 		t.Errorf("aggregate?by=color accepted; want 400")
 	}
-	if _, code := getRaw(t, baseMem, "/campaigns/99/events"); code != http.StatusNotFound {
+	if _, code := getRaw(t, b, "/campaigns/99/events"); code != http.StatusNotFound {
 		t.Errorf("events for unknown campaign should 404")
 	}
 }
 
-// TestRecordFromSnapshot pins the store columns extracted from snapshots
-// the daemon writes: a live campaign is not finished and has no wall time,
-// and a terminal one without a start time (the zero-start case) must not
+// foldJSON is the aggregate fold of snaps, marshaled for byte comparison.
+func foldJSON(t *testing.T, snaps ...CampaignSnapshot) string {
+	t.Helper()
+	raw, err := json.Marshal(aggregateByModel(snaps))
+	if err != nil {
+		t.Fatal(err)
+	}
+	return string(raw)
+}
+
+// TestRecordFromSnapshot pins what the aggregate fold records from each
+// snapshot. A live campaign is not history yet and folds to nothing (an
+// empty fold is [], not null). A terminal one without a start time must not
 // derive wall seconds from the zero time — finished.Sub(zero) is ~54 years,
-// which would permanently skew the per-model p50/p95 aggregates.
+// which would permanently skew the per-model p50/p95 aggregates. And a
+// snapshot whose times carry a monotonic reading, as a live campaign's do,
+// folds to the same bytes as its JSON round trip, which has lost it.
 func TestRecordFromSnapshot(t *testing.T) {
 	fin := time.Date(2026, 8, 1, 12, 0, 0, 0, time.UTC)
 	done := fixedSnapshot(1, "smallcnn", StateDone, fin, 100, true)
@@ -389,27 +438,32 @@ func TestRecordFromSnapshot(t *testing.T) {
 	running := fixedSnapshot(3, "vggs", StateRunning, fin, 7, false)
 	running.Finished = nil
 	for _, tc := range []struct {
-		snap       CampaignSnapshot
-		finishedNS int64
-		wall       float64
+		snap CampaignSnapshot
+		want string
 	}{
-		{done, fin.UnixNano(), 3},
-		{zeroStart, fin.UnixNano(), 0},
-		{running, 0, 0},
+		{done, `[{"model":"smallcnn","campaigns":1,"done":1,"failed":0,"degraded":1,"degraded_rate":1,"p50_wall_seconds":3,"p95_wall_seconds":3,"total_queries":100}]`},
+		{zeroStart, `[{"model":"smallcnn","campaigns":1,"done":1,"failed":0,"degraded":0,"degraded_rate":0,"p50_wall_seconds":0,"p95_wall_seconds":0,"total_queries":100}]`},
+		{running, `[]`},
 	} {
-		rec, err := recordFromSnapshot(tc.snap)
-		if err != nil {
-			t.Fatal(err)
+		if got := foldJSON(t, tc.snap); got != tc.want {
+			t.Errorf("campaign %d folds to %s, want %s", tc.snap.ID, got, tc.want)
 		}
-		s := tc.snap
-		if rec.ID != s.ID || rec.Model != s.Spec.Model || rec.State != s.State ||
-			rec.Queries != int64(s.VictimQueries) || rec.Degraded != s.Degraded {
-			t.Errorf("campaign %d: columns %+v do not match the snapshot", s.ID, rec)
-		}
-		if rec.FinishedNS != tc.finishedNS || rec.WallSeconds != tc.wall {
-			t.Errorf("campaign %d: finished_ns %d, wall %v; want %d, %v",
-				s.ID, rec.FinishedNS, rec.WallSeconds, tc.finishedNS, tc.wall)
-		}
+	}
+
+	started := time.Now()
+	finished := started.Add(1500 * time.Millisecond)
+	live := CampaignSnapshot{ID: 4, Spec: JobSpec{Model: "smallcnn"}, State: StateDone,
+		Started: &started, Finished: &finished, VictimQueries: 9}
+	raw, err := json.Marshal(live)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var restored CampaignSnapshot
+	if err := json.Unmarshal(raw, &restored); err != nil {
+		t.Fatal(err)
+	}
+	if a, b := foldJSON(t, live), foldJSON(t, restored); a != b {
+		t.Errorf("live and restored snapshots fold differently:\n live %s\n restored %s", a, b)
 	}
 }
 

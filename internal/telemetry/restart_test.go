@@ -3,6 +3,7 @@ package telemetry
 import (
 	"context"
 	"errors"
+	"fmt"
 	"net"
 	"os"
 	"path/filepath"
@@ -63,7 +64,7 @@ func TestDaemonKillRestart(t *testing.T) {
 
 	// Phase 1: every victim run stalls, so campaign 1 wedges mid-attack
 	// while 2 and 3 wait in the queue. Then the process "dies".
-	s1, err := store.Open(dir, store.SegmentConfig{})
+	s1, err := store.Open(dir, store.Config{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -90,7 +91,7 @@ func TestDaemonKillRestart(t *testing.T) {
 	// restore must rebuild all three campaigns, requeue them, and run them
 	// to completion under their original IDs.
 	col := obs.NewCollector()
-	s2, err := store.Open(dir, store.SegmentConfig{Obs: col})
+	s2, err := store.Open(dir, store.Config{Obs: col})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -251,7 +252,7 @@ func TestJobDeadline(t *testing.T) {
 // while the store cannot persist.
 func TestJournalFailureDegradesHealth(t *testing.T) {
 	faulty := chaos.NewDaemonFaults(chaos.DaemonFaultsConfig{WriteErrProb: 1, StallProb: 1})
-	s, err := store.Open(t.TempDir(), store.SegmentConfig{NoSync: true})
+	s, err := store.Open(t.TempDir(), store.Config{NoSync: true})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -277,7 +278,7 @@ func TestJournalFailureDegradesHealth(t *testing.T) {
 func TestShutdownUnderLoad(t *testing.T) {
 	dir := t.TempDir()
 	stall := chaos.NewDaemonFaults(chaos.DaemonFaultsConfig{StallProb: 1})
-	s, err := store.Open(dir, store.SegmentConfig{NoSync: true})
+	s, err := store.Open(dir, store.Config{NoSync: true})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -324,27 +325,20 @@ func TestShutdownUnderLoad(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	s2, err := store.Open(dir, store.SegmentConfig{NoSync: true})
+	s2, err := store.Open(dir, store.Config{NoSync: true})
 	if err != nil {
 		t.Fatal(err)
 	}
 	defer s2.Close()
-	recs, err := s2.Campaigns(store.Query{})
-	if err != nil {
-		t.Fatal(err)
-	}
-	stored := map[int]store.CampaignRecord{}
-	for _, rec := range recs {
-		stored[rec.ID] = rec
-	}
+	stored := storedSnapshots(t, s2)
 	for id := range accepted {
-		rec, ok := stored[id]
+		snap, ok := stored[id]
 		if !ok {
 			t.Errorf("accepted campaign %d lost: not in the store", id)
 			continue
 		}
-		if terminalState(rec.State) {
-			t.Errorf("stalled campaign %d stored terminal: %q", id, rec.State)
+		if terminalState(snap.State) {
+			t.Errorf("stalled campaign %d stored terminal: %q", id, snap.State)
 		}
 	}
 	for id := range stored {
@@ -360,7 +354,7 @@ func TestShutdownUnderLoad(t *testing.T) {
 // campaign (chaos stall), so the rest stay exactly as restored.
 func TestRestoreFromStore(t *testing.T) {
 	dir := t.TempDir()
-	s1, err := store.Open(dir, store.SegmentConfig{NoSync: true})
+	s1, err := store.Open(dir, store.Config{NoSync: true})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -373,13 +367,7 @@ func TestRestoreFromStore(t *testing.T) {
 		t.Helper()
 		snap.Spec = tinySpec().withDefaults()
 		snap.Submitted = t0
-		rec, err := recordFromSnapshot(snap)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if err := s1.PutCampaign(rec); err != nil {
-			t.Fatal(err)
-		}
+		putSnapshots(t, s1, snap)
 	}
 	// Campaign 1 finished, 2 failed after a retry, 3 was still queued, 4
 	// was mid-run, and 5 crashed mid-backoff.
@@ -401,7 +389,7 @@ func TestRestoreFromStore(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	s2, err := store.Open(dir, store.SegmentConfig{NoSync: true})
+	s2, err := store.Open(dir, store.Config{NoSync: true})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -450,123 +438,148 @@ func TestRestoreFromStore(t *testing.T) {
 	}
 	// The worker is wedged on campaign 3, so only Submit can have stored
 	// the new campaign: its queued record is durable before the ack.
-	if rec, ok, err := s2.Campaign(snap.ID); err != nil || !ok || rec.State != StateQueued {
-		t.Errorf("campaign %d not stored as queued when Submit returned: %+v (found %v, err %v)", snap.ID, rec, ok, err)
+	if stored, ok := storedSnapshots(t, s2)[snap.ID]; !ok || stored.State != StateQueued {
+		t.Errorf("campaign %d not stored as queued when Submit returned: %+v (found %v)", snap.ID, stored, ok)
 	}
 }
 
 // TestRestoreRefusesUnreadableStore corrupts campaign 1's only record in a
-// sealed segment, whose valid sidecar lets the store open without reading
-// it: the restore scan then fails, and NewDaemon must refuse to start
-// rather than serve without knowing the highest stored ID. Nothing is
-// written, so no stored campaign can be superseded by a reused ID.
+// sealed segment. A sealed frame was acknowledged, so it cannot be skipped
+// as a torn tail: opening the log fails, naming the segment and the frame's
+// offset, and huffduffd, which opens the log before it builds the daemon,
+// refuses to start rather than serve without knowing the highest stored ID.
+// The failed open writes and removes nothing, so no stored campaign can be
+// superseded by a reused ID and the history stays as the operator left it.
 func TestRestoreRefusesUnreadableStore(t *testing.T) {
 	dir := t.TempDir()
-	// Every append rotates, so each campaign's record seals in its own
-	// segment; compaction is off so the corrupt frame stays unread.
-	cfg := store.SegmentConfig{NoSync: true, SegmentBytes: 1, CompactAfter: -1}
+	cfg := store.Config{NoSync: true, CompactAfter: -1}
 	s1, err := store.Open(dir, cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
 	for id := 1; id <= 2; id++ {
-		rec, err := recordFromSnapshot(CampaignSnapshot{ID: id, Spec: tinySpec().withDefaults(), State: StateDone})
-		if err != nil {
-			t.Fatal(err)
-		}
-		if err := s1.PutCampaign(rec); err != nil {
-			t.Fatal(err)
-		}
+		putSnapshots(t, s1, CampaignSnapshot{ID: id, Spec: tinySpec().withDefaults(), State: StateDone})
 	}
 	if err := s1.Close(); err != nil {
 		t.Fatal(err)
 	}
 	logs, err := filepath.Glob(filepath.Join(dir, "seg-*.log"))
-	if err != nil || len(logs) < 2 {
-		t.Fatalf("segments = %v (err %v), want one per campaign", logs, err)
+	if err != nil || len(logs) == 0 {
+		t.Fatalf("segments = %v (err %v)", logs, err)
 	}
 	raw, err := os.ReadFile(logs[0])
 	if err != nil {
 		t.Fatal(err)
 	}
-	raw[len(raw)-1] ^= 0xff // inside the frame body: the CRC no longer matches
+	raw[20] ^= 0xff // inside campaign 1's frame body: the CRC no longer matches
 	if err := os.WriteFile(logs[0], raw, 0o644); err != nil {
 		t.Fatal(err)
 	}
+	// A sidecar index an older build left, which a successful open deletes.
+	if err := os.WriteFile(filepath.Join(dir, "seg-0000000000000001.idx"), []byte(`{}`), 0o644); err != nil {
+		t.Fatal(err)
+	}
+	before := dirContents(t, dir)
 
-	s2, err := store.Open(dir, cfg)
+	if s2, err := store.Open(dir, cfg); err == nil {
+		s2.Close()
+		t.Fatal("opened a log whose sealed segment holds a corrupt frame, want an error")
+	} else if want := logs[0] + ": corrupt frame at offset 0"; !strings.Contains(err.Error(), want) {
+		t.Errorf("open error %q does not name %q", err, want)
+	}
+	if after := dirContents(t, dir); after != before {
+		t.Errorf("the failed open changed the data directory:\n before %s\n after %s", before, after)
+	}
+}
+
+// dirContents renders every file in dir, names and bytes, for comparison.
+func dirContents(t *testing.T, dir string) string {
+	t.Helper()
+	entries, err := os.ReadDir(dir)
 	if err != nil {
 		t.Fatal(err)
 	}
-	defer s2.Close()
-	if d, err := NewDaemon(DaemonConfig{Workers: 1, Store: s2}); err == nil {
-		d.Kill()
-		t.Fatal("NewDaemon started on a store whose restore scan fails, want an error")
+	var b strings.Builder
+	for _, e := range entries {
+		raw, err := os.ReadFile(filepath.Join(dir, e.Name()))
+		if err != nil {
+			t.Fatal(err)
+		}
+		fmt.Fprintf(&b, "%s:%x;", e.Name(), raw)
 	}
-	if st := s2.Stats(); st.Appends != 0 {
-		t.Errorf("%d records written after a failed restore", st.Appends)
-	}
-	if rec, ok, err := s2.Campaign(2); err != nil || !ok || rec.State != StateDone {
-		t.Errorf("campaign 2 after the failed restore = %+v (found %v, err %v), want its stored done record", rec, ok, err)
-	}
+	return b.String()
 }
 
 // TestWriteFaultsRecover replays a seeded chaos write-fault schedule against
 // the daemon's write path: /healthz is degraded exactly while the most
 // recent durable write failed, failures are counted, and only successful
-// writes reach the store.
+// writes reach the log.
 func TestWriteFaultsRecover(t *testing.T) {
 	cfg := chaos.DaemonFaultsConfig{Seed: 42, WriteErrProb: 0.5}
 	schedule := chaos.NewDaemonFaults(cfg)
-	mem := store.NewMemory()
-	defer mem.Close()
-	d := newTestDaemon(t, DaemonConfig{Workers: 1, Store: mem, Faults: chaos.NewDaemonFaults(cfg)})
+	l, err := store.Open(t.TempDir(), store.Config{NoSync: true})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer l.Close()
+	d := newTestDaemon(t, DaemonConfig{Workers: 1, Store: l, Faults: chaos.NewDaemonFaults(cfg)})
 	defer d.Kill()
 
 	var failed uint64
 	recovered := false
+	want := map[int]bool{}
 	for id := 1; id <= 16; id++ {
 		fail := schedule.WriteFault() != nil
 		d.persist(CampaignSnapshot{ID: id, Spec: tinySpec().withDefaults(), State: StateQueued})
 		if fail {
 			failed++
-		} else if failed > 0 {
-			recovered = true
+		} else {
+			want[id] = true
+			recovered = recovered || failed > 0
 		}
 		if h := d.Health(); (h.Status == "degraded") != fail || h.WriteErrors != failed {
 			t.Errorf("write %d (failed: %v): health %+v, want %d errors", id, fail, h, failed)
 		}
-		if _, stored, err := mem.Campaign(id); err != nil || stored == fail {
-			t.Errorf("write %d (failed: %v): stored = %v, err = %v", id, fail, stored, err)
+		if got := l.Stats().Appends; got != uint64(len(want)) {
+			t.Errorf("write %d (failed: %v): %d appends, want %d", id, fail, got, len(want))
 		}
 	}
 	if failed == 0 || !recovered {
 		t.Fatalf("schedule never failed and then recovered (%d failures); test proves nothing", failed)
 	}
+	stored := storedSnapshots(t, l)
+	for id := 1; id <= 16; id++ {
+		if _, ok := stored[id]; ok != want[id] {
+			t.Errorf("campaign %d stored = %v, want %v", id, ok, want[id])
+		}
+	}
 }
 
 // TestKillStopsWrites proves Kill stops durable writes before teardown:
 // once it returns, neither the unwinding worker nor any later transition
-// reaches the store.
+// reaches the log.
 func TestKillStopsWrites(t *testing.T) {
-	mem := store.NewMemory()
-	defer mem.Close()
+	l, err := store.Open(t.TempDir(), store.Config{NoSync: true})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer l.Close()
 	stall := chaos.NewDaemonFaults(chaos.DaemonFaultsConfig{StallProb: 1})
-	d := newTestDaemon(t, DaemonConfig{Workers: 1, Store: mem, Faults: stall})
+	d := newTestDaemon(t, DaemonConfig{Workers: 1, Store: l, Faults: stall})
 	snap, err := d.Submit(tinySpec())
 	if err != nil {
 		t.Fatal(err)
 	}
 	waitState(t, d, snap.ID, 30*time.Second, StateRunning)
 	d.Kill()
-	appends := mem.Stats().Appends
+	appends := l.Stats().Appends
 	fin := time.Now()
 	snap.State, snap.Finished = StateDone, &fin
 	d.persistTerminal(snap)
-	if got := mem.Stats().Appends; got != appends {
-		t.Errorf("%d appends reached the store after Kill", got-appends)
+	if got := l.Stats().Appends; got != appends {
+		t.Errorf("%d appends reached the log after Kill", got-appends)
 	}
-	if rec, ok, err := mem.Campaign(snap.ID); err != nil || !ok || terminalState(rec.State) {
-		t.Errorf("stored campaign after Kill = %+v (found %v, err %v), want non-terminal", rec, ok, err)
+	if stored, ok := storedSnapshots(t, l)[snap.ID]; !ok || terminalState(stored.State) {
+		t.Errorf("stored campaign after Kill = %+v (found %v), want non-terminal", stored, ok)
 	}
 }

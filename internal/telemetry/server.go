@@ -20,7 +20,6 @@ import (
 	"github.com/huffduff/huffduff/internal/converge"
 	"github.com/huffduff/huffduff/internal/obs"
 	"github.com/huffduff/huffduff/internal/prof"
-	"github.com/huffduff/huffduff/internal/store"
 )
 
 // CampaignSource lists campaigns for /campaigns. *Daemon implements it.
@@ -29,16 +28,10 @@ type CampaignSource interface {
 	CampaignByID(id int) (CampaignSnapshot, bool)
 }
 
-// AggregateSource serves GET /campaigns/aggregate?by=model. *Daemon
-// implements it (from the campaign store).
-type AggregateSource interface {
-	AggregateByModel() ([]store.ModelAggregate, error)
-}
-
 // CampaignEventsSource serves GET /campaigns/{id}/events — the persisted
 // flight-recorder tail of a terminal campaign. *Daemon implements it.
 type CampaignEventsSource interface {
-	CampaignEvents(id int) (store.EventBatch, bool, error)
+	CampaignEvents(id int) (EventBatch, bool, error)
 }
 
 // Submitter accepts campaign jobs for POST /campaigns. *Daemon implements
@@ -67,7 +60,8 @@ type ServerOptions struct {
 	Collector *obs.Collector
 	// Flight backs /events (JSONL dump of the retained event tail).
 	Flight *obs.FlightRecorder
-	// Campaigns backs GET /campaigns and /campaigns/{id}.
+	// Campaigns backs GET /campaigns, /campaigns/{id} and
+	// /campaigns/aggregate.
 	Campaigns CampaignSource
 	// Submitter enables POST /campaigns.
 	Submitter Submitter
@@ -313,9 +307,39 @@ func parseIntParam(r *http.Request, name string, bits int) (int64, bool) {
 	return v, true
 }
 
-// parseCampaignQuery builds the store query from GET /campaigns parameters.
-func parseCampaignQuery(r *http.Request) (store.Query, string, bool) {
-	var q store.Query
+// campaignQuery filters and paginates GET /campaigns. The zero query
+// matches everything.
+type campaignQuery struct {
+	// State and Model keep only campaigns in that state, of that victim
+	// model ("" = any).
+	State, Model string
+	// SinceNS keeps only campaigns finished at or after it, in Unix
+	// nanoseconds (0 = any).
+	SinceNS int64
+	// Offset skips that many matching campaigns; Limit caps the page (0 =
+	// all).
+	Offset, Limit int
+}
+
+// match reports whether a snapshot passes the query's filters (pagination
+// excluded — that is a property of the result window, not the campaign).
+// A SinceNS filter only ever matches finished campaigns.
+func (q campaignQuery) match(s CampaignSnapshot) bool {
+	if q.State != "" && s.State != q.State {
+		return false
+	}
+	if q.Model != "" && s.Spec.Model != q.Model {
+		return false
+	}
+	if q.SinceNS != 0 && (s.Finished == nil || s.Finished.UnixNano() < q.SinceNS) {
+		return false
+	}
+	return true
+}
+
+// parseCampaignQuery builds the listing query from GET /campaigns parameters.
+func parseCampaignQuery(r *http.Request) (campaignQuery, string, bool) {
+	var q campaignQuery
 	q.State = r.URL.Query().Get("state")
 	switch q.State {
 	case "", StateQueued, StateRunning, StateRetrying, StateDone, StateFailed:
@@ -342,15 +366,14 @@ func parseCampaignQuery(r *http.Request) (store.Query, string, bool) {
 }
 
 // queryCampaigns serves the filtered listing behind GET
-// /campaigns?state=&model=&since=&limit=&offset= from the source's listing,
-// with the store's filter semantics and ascending-ID windows. The daemon's
-// table holds every stored campaign once NewDaemon has restored it, so the
-// listing needs no store read.
-func queryCampaigns(src CampaignSource, q store.Query) []CampaignSnapshot {
+// /campaigns?state=&model=&since=&limit=&offset= from the source's listing
+// in ascending-ID windows. The daemon's table holds every stored campaign
+// once NewDaemon has restored it, so the listing needs no log read.
+func queryCampaigns(src CampaignSource, q campaignQuery) []CampaignSnapshot {
 	all := src.Campaigns()
 	out := make([]CampaignSnapshot, 0, len(all))
 	for _, snap := range all {
-		if matchSnapshot(q, snap) {
+		if q.match(snap) {
 			out = append(out, snap)
 		}
 	}
@@ -448,27 +471,22 @@ func (s *Server) handleCampaignByID(w http.ResponseWriter, r *http.Request) {
 }
 
 // handleAggregate serves GET /campaigns/aggregate?by=model: the per-model
-// fold of the stored campaign history.
+// fold of the source's terminal campaigns, which for a daemon restored from
+// its log is the whole stored history.
 func (s *Server) handleAggregate(w http.ResponseWriter, r *http.Request) {
 	if r.Method != http.MethodGet {
 		http.Error(w, "method not allowed", http.StatusMethodNotAllowed)
-		return
-	}
-	src, ok := s.opts.Campaigns.(AggregateSource)
-	if !ok {
-		http.Error(w, "no aggregate source configured", http.StatusNotFound)
 		return
 	}
 	if by := r.URL.Query().Get("by"); by != "" && by != "model" {
 		http.Error(w, "unsupported aggregation "+strconv.Quote(by)+"; only by=model", http.StatusBadRequest)
 		return
 	}
-	aggs, err := src.AggregateByModel()
-	if err != nil {
-		http.Error(w, "aggregating campaigns: "+err.Error(), http.StatusInternalServerError)
-		return
+	var snaps []CampaignSnapshot
+	if s.opts.Campaigns != nil {
+		snaps = s.opts.Campaigns.Campaigns()
 	}
-	writeJSON(w, http.StatusOK, aggs)
+	writeJSON(w, http.StatusOK, aggregateByModel(snaps))
 }
 
 // handleCampaignEvents serves GET /campaigns/{id}/events: the persisted
