@@ -1,6 +1,9 @@
 // Command huffvet runs this module's project-specific static analyzers
 // (internal/lint) over the given packages and reports every violated
-// simulation invariant with file/line diagnostics.
+// simulation invariant with file/line diagnostics. The six analyzers
+// (crashsafe, floateq, globalrand, hosttime, maporder, wrapcheck; -list
+// describes each) check what neither the compiler, go vet nor the
+// race-instrumented tests would catch.
 //
 // Usage:
 //
@@ -14,7 +17,9 @@
 //
 //	//lint:ignore <analyzer> <reason>
 //
-// on the offending line or the line above it; the reason is mandatory.
+// on the offending line or the line above it; the reason is mandatory, and
+// a directive that suppresses nothing, or names no registered analyzer, is
+// itself reported.
 package main
 
 import (

@@ -166,7 +166,6 @@ type Result struct {
 // attack degrades instead of failing: the returned Result has Degraded set
 // and a sparse-bound-only solution space that still contains the truth.
 func Attack(victim Victim, cfg Config) (*Result, error) {
-	//lint:ignore ctxflow compatibility wrapper: Attack is the documented no-context entry point
 	return AttackContext(context.Background(), victim, cfg)
 }
 

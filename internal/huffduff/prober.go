@@ -312,7 +312,6 @@ func retryClass(err error) string {
 // weight footprints are input-invariant — and against trace.Validate's byte
 // accounting; failing inferences are retried within cfg.MaxRetries.
 func Collect(victim Victim, g *ObsGraph, inC, inH, inW int, cfg ProbeConfig) (*ProbeData, error) {
-	//lint:ignore ctxflow compatibility wrapper: Collect is the documented no-context entry point
 	return CollectContext(context.Background(), victim, g, inC, inH, inW, cfg)
 }
 

@@ -5,10 +5,10 @@ package lint
 // operations that publish it, and failed writes never leave a handle whose
 // in-memory bookkeeping has drifted from the bytes on disk.
 //
-// Two rules, both over the CFG/dataflow core:
+// Two rules, both syntax-directed walks of each function body:
 //
-// Rule A — unsynced rename. A forward dataflow tracks, per *os.File
-// expression, whether it carries written-but-unsynced data. Write-family
+// Rule A — unsynced rename. A may-dirty walk tracks, per *os.File
+// expression, whether it may carry written-but-unsynced data. Write-family
 // calls mark the handle dirty, Sync clears it; Close does NOT clear it
 // (close flushes to the page cache, not to the platter — the exact torn-
 // sidecar shape PR 9's review caught). os.WriteFile never syncs, so its
@@ -19,15 +19,27 @@ package lint
 // the production value (false), so the test-only fsync bypass does not
 // poison every path.
 //
+// The walk follows Go's structured control flow: `if` joins both arms;
+// switch, type switch and select walk every clause from the head's facts,
+// and a switch without default also joins the head's facts; break,
+// continue and fallthrough carry their facts to the statement they name;
+// return, panic, os.Exit and log.Fatal* end the path. A loop body is walked
+// silently until the facts at its head stop growing, then once more with
+// reporting on. goto is not followed, so code that only a goto reaches is
+// never checked; no function in the analyzer's scope uses goto.
+//
 // Rule B — failed write/fsync falling through. When `err != nil` guards
 // the result of a Write/Sync on a durable (non-scratch) *os.File, the
 // error path must do something that re-establishes a known state: close,
 // truncate, stat-reconcile, reopen, remove, or crash — directly or through
-// a module function within two calls. An error path that just returns
+// a function of this package within two calls. An error path that just returns
 // leaves the handle appendable with torn bytes and stale cached offsets;
 // the next append concatenates onto garbage (the PR 9 failed-fsync bug,
 // encoded). Scratch files (opened under a *.tmp path and abandoned on
-// error) are exempt: their torn bytes are never renamed into place.
+// error) are exempt: their torn bytes are never renamed into place. Callees
+// are looked up only in the package under analysis: the persistence layers
+// keep their recovery helpers next to their write paths, and a helper
+// elsewhere is missed, so the rule errs toward reporting.
 
 import (
 	"go/ast"
@@ -49,25 +61,23 @@ var CrashSafe = &Analyzer{
 
 func runCrashSafe(pass *Pass) {
 	eachFuncBody(pass.Pkg.Files, func(body *ast.BlockStmt) {
-		crashSafeRuleA(pass, body)
+		w := &dirtyWalk{pass: pass, report: true}
+		w.stmts(dirtyFacts{}, body.List)
 		crashSafeRuleB(pass, body)
 	})
 }
 
-// dirtyFacts is Rule A's lattice value: the set of handle expressions (by
-// source text) carrying written-but-unsynced data.
+// dirtyFacts is Rule A's fact: the set of handle expressions (by source
+// text) that carry written-but-unsynced data on some path. Nil means no path
+// reaches the statement. Facts are shared between paths, so a change makes
+// a new set; none is mutated in place.
 type dirtyFacts map[string]bool
 
-type crashProblem struct {
-	info *types.Info
-}
-
-func (p *crashProblem) Entry() dirtyFacts { return dirtyFacts{} }
-
-func (p *crashProblem) Transfer(f dirtyFacts, n ast.Node) dirtyFacts {
+// transfer applies one simple statement or expression to a fact.
+func transfer(info *types.Info, f dirtyFacts, n ast.Node) dirtyFacts {
 	var dirty, clean []string
 	inspectCalls(n, func(call *ast.CallExpr) {
-		if recv, name, ok := osFileMethod(p.info, call); ok {
+		if recv, name, ok := osFileMethod(info, call); ok {
 			key := types.ExprString(recv)
 			switch name {
 			case "Write", "WriteString", "WriteAt", "ReadFrom":
@@ -77,7 +87,7 @@ func (p *crashProblem) Transfer(f dirtyFacts, n ast.Node) dirtyFacts {
 			}
 			return
 		}
-		if path, fn, ok := pkgCall(p.info, call); ok && path == "os" &&
+		if path, fn, ok := pkgCall(info, call); ok && path == "os" &&
 			fn == "WriteFile" && len(call.Args) > 0 {
 			// os.WriteFile closes without syncing: the written path can
 			// stay dirty in the page cache indefinitely.
@@ -100,11 +110,14 @@ func (p *crashProblem) Transfer(f dirtyFacts, n ast.Node) dirtyFacts {
 	return out
 }
 
-func (p *crashProblem) Merge(a, b dirtyFacts) dirtyFacts {
-	if len(b) == 0 {
+// join merges the facts of two paths that meet.
+func join(a, b dirtyFacts) dirtyFacts {
+	switch {
+	case a == nil:
+		return b
+	case len(b) == 0:
 		return a
-	}
-	if len(a) == 0 {
+	case len(a) == 0:
 		return b
 	}
 	out := make(dirtyFacts, len(a)+len(b))
@@ -117,28 +130,19 @@ func (p *crashProblem) Merge(a, b dirtyFacts) dirtyFacts {
 	return out
 }
 
-func (p *crashProblem) Equal(a, b dirtyFacts) bool {
-	if len(a) != len(b) {
-		return false
+// branches splits f over the true and false edges of a condition. A NoSync
+// condition prunes the edge production never takes (NoSync is false there):
+// the fsync-bypass paths exist for tests only.
+func branches(cond ast.Expr, f dirtyFacts) (onTrue, onFalse dirtyFacts) {
+	match, negated := noSyncCond(cond)
+	switch {
+	case !match:
+		return f, f
+	case negated:
+		return f, nil
+	default:
+		return nil, f
 	}
-	for k := range a {
-		if !b[k] {
-			return false
-		}
-	}
-	return true
-}
-
-// Edge prunes branches on a NoSync config flag to its production value
-// (false): the fsync-bypass paths exist for tests only.
-func (p *crashProblem) Edge(f dirtyFacts, e *Edge) (dirtyFacts, bool) {
-	if e.Cond == nil {
-		return f, true
-	}
-	if match, negated := noSyncCond(e.Cond); match {
-		return f, e.Branch == negated
-	}
-	return f, true
 }
 
 // noSyncCond matches the conditions `x.NoSync` and `!x.NoSync`.
@@ -154,14 +158,184 @@ func noSyncCond(cond ast.Expr) (match, negated bool) {
 	return false, false
 }
 
-func crashSafeRuleA(pass *Pass, body *ast.BlockStmt) {
-	prob := &crashProblem{info: pass.Pkg.Info}
-	g := pass.Pkg.CFG(body)
-	res := Solve[dirtyFacts](g, prob)
-	res.Walk(g, func(f dirtyFacts, n ast.Node) {
+// dirtyWalk is Rule A's walk over one function body.
+type dirtyWalk struct {
+	pass   *Pass
+	report bool // off while a loop body is walked to its fixpoint
+	frames []*jumpFrame
+}
+
+// jumpFrame is an enclosing loop (token.FOR), switch (token.SWITCH) or
+// select (token.SELECT), collecting the facts that break, continue or
+// fallthrough send to it.
+type jumpFrame struct {
+	label           string
+	kind            token.Token
+	brk, cont, fall dirtyFacts
+}
+
+func (w *dirtyWalk) push(label string, kind token.Token) *jumpFrame {
+	fr := &jumpFrame{label: label, kind: kind}
+	w.frames = append(w.frames, fr)
+	return fr
+}
+
+func (w *dirtyWalk) pop() { w.frames = w.frames[:len(w.frames)-1] }
+
+func (w *dirtyWalk) stmts(f dirtyFacts, list []ast.Stmt) dirtyFacts {
+	for _, s := range list {
+		f = w.stmt(f, s, "")
+	}
+	return f
+}
+
+// stmt walks one statement from f and returns the facts after it; label
+// names the statement when it is labeled. Code that only a goto reaches
+// stays unreachable.
+func (w *dirtyWalk) stmt(f dirtyFacts, s ast.Stmt, label string) dirtyFacts {
+	if f == nil {
+		return nil
+	}
+	switch st := s.(type) {
+	case *ast.BlockStmt:
+		return w.stmts(f, st.List)
+	case *ast.LabeledStmt:
+		return w.stmt(f, st.Stmt, st.Label.Name)
+	case *ast.IfStmt:
+		then, els := branches(st.Cond, w.leaf(w.leaf(f, st.Init), st.Cond))
+		then = w.stmts(then, st.Body.List)
+		if st.Else != nil {
+			els = w.stmt(els, st.Else, "")
+		}
+		return join(then, els)
+	case *ast.ForStmt:
+		return w.loop(w.leaf(f, st.Init), label, st.Cond, st.Post, st.Body, st.Cond != nil)
+	case *ast.RangeStmt:
+		// X is evaluated once, and the body may run zero times.
+		return w.loop(w.leaf(f, st.X), label, nil, nil, st.Body, true)
+	case *ast.SwitchStmt:
+		return w.clauses(w.leaf(w.leaf(f, st.Init), st.Tag), label, st.Body)
+	case *ast.TypeSwitchStmt:
+		return w.clauses(w.leaf(w.leaf(f, st.Init), st.Assign), label, st.Body)
+	case *ast.SelectStmt:
+		fr := w.push(label, token.SELECT)
+		var out dirtyFacts
+		for _, s := range st.Body.List {
+			cc := s.(*ast.CommClause)
+			out = join(out, w.stmts(w.leaf(f, cc.Comm), cc.Body))
+		}
+		w.pop()
+		return join(out, fr.brk)
+	case *ast.BranchStmt:
+		w.jump(f, st)
+		return nil
+	case *ast.ReturnStmt:
+		w.leaf(f, st)
+		return nil
+	case *ast.ExprStmt:
+		f = w.leaf(f, st)
+		if call, ok := st.X.(*ast.CallExpr); ok && neverReturns(w.pass.Pkg.Info, call) {
+			return nil
+		}
+		return f
+	default:
+		return w.leaf(f, st)
+	}
+}
+
+// loop walks a for or range loop entered with facts in. The head evaluates
+// cond (nil for range and for {}); exits says whether the head can leave
+// the loop, which only a break can do in for {}. The body is walked
+// silently until the facts at the head stop growing, then once more with
+// reporting on, so each rename in it is reported once, against the facts
+// of every path that reaches it.
+func (w *dirtyWalk) loop(in dirtyFacts, label string, cond ast.Expr, post ast.Stmt, body *ast.BlockStmt, exits bool) dirtyFacts {
+	// pass walks the loop once from the facts at its head, returning the
+	// facts that leave the loop and those that take the back edge.
+	pass := func(head dirtyFacts) (out, back dirtyFacts) {
+		in := w.leaf(head, cond)
+		var exit dirtyFacts
+		if cond != nil {
+			in, exit = branches(cond, in)
+		} else if exits {
+			exit = in
+		}
+		fr := w.push(label, token.FOR)
+		end := w.stmts(in, body.List)
+		w.pop()
+		return join(exit, fr.brk), w.leaf(join(end, fr.cont), post)
+	}
+	report := w.report
+	w.report = false
+	head := in
+	for {
+		_, back := pass(head)
+		next := join(in, back)
+		if len(next) == len(head) { // facts only grow: same size, same set
+			break
+		}
+		head = next
+	}
+	w.report = report
+	out, _ := pass(head)
+	return out
+}
+
+// clauses walks the body of a switch or type switch. Each clause starts
+// from the head's facts, joined with those falling through from the clause
+// before it; without a default, the head's facts also skip every clause.
+func (w *dirtyWalk) clauses(f dirtyFacts, label string, body *ast.BlockStmt) dirtyFacts {
+	fr := w.push(label, token.SWITCH)
+	var out dirtyFacts
+	hasDefault := false
+	for _, s := range body.List {
+		cc := s.(*ast.CaseClause)
+		hasDefault = hasDefault || cc.List == nil
+		in := join(f, fr.fall)
+		fr.fall = nil
+		for _, e := range cc.List {
+			in = w.leaf(in, e)
+		}
+		out = join(out, w.stmts(in, cc.Body))
+	}
+	w.pop()
+	if !hasDefault {
+		out = join(out, f)
+	}
+	return join(out, fr.brk)
+}
+
+// jump sends f to the frame a break, continue or fallthrough names. goto
+// is not followed.
+func (w *dirtyWalk) jump(f dirtyFacts, st *ast.BranchStmt) {
+	for i := len(w.frames) - 1; i >= 0; i-- {
+		fr := w.frames[i]
+		named := st.Label == nil || st.Label.Name == fr.label
+		switch {
+		case st.Tok == token.BREAK && named:
+			fr.brk = join(fr.brk, f)
+		case st.Tok == token.CONTINUE && named && fr.kind == token.FOR:
+			fr.cont = join(fr.cont, f)
+		case st.Tok == token.FALLTHROUGH && fr.kind == token.SWITCH:
+			fr.fall = join(fr.fall, f)
+		default:
+			continue
+		}
+		return
+	}
+}
+
+// leaf applies one simple statement or expression (nil is a no-op): it
+// reports each os.Rename under n while any handle is dirty, then transfers
+// f across n.
+func (w *dirtyWalk) leaf(f dirtyFacts, n ast.Node) dirtyFacts {
+	if f == nil || n == nil {
+		return f
+	}
+	info := w.pass.Pkg.Info
+	if w.report && len(f) > 0 {
 		inspectCalls(n, func(call *ast.CallExpr) {
-			path, fn, ok := pkgCall(pass.Pkg.Info, call)
-			if !ok || path != "os" || fn != "Rename" || len(f) == 0 {
+			if path, fn, ok := pkgCall(info, call); !ok || path != "os" || fn != "Rename" {
 				return
 			}
 			keys := make([]string, 0, len(f))
@@ -169,11 +343,22 @@ func crashSafeRuleA(pass *Pass, body *ast.BlockStmt) {
 				keys = append(keys, k)
 			}
 			sort.Strings(keys)
-			pass.Reportf(call.Pos(), "os.Rename while %s is written but not fsynced; "+
+			w.pass.Reportf(call.Pos(), "os.Rename while %s is written but not fsynced; "+
 				"a crash after the rename can publish a torn file under the final name",
 				strings.Join(keys, ", "))
 		})
-	})
+	}
+	return transfer(info, f, n)
+}
+
+// neverReturns reports whether a call ends the path: panic, os.Exit or
+// log.Fatal*.
+func neverReturns(info *types.Info, call *ast.CallExpr) bool {
+	if id, ok := call.Fun.(*ast.Ident); ok {
+		return id.Name == "panic"
+	}
+	path, fn, ok := pkgCall(info, call)
+	return ok && (path == "os" && fn == "Exit" || path == "log" && strings.HasPrefix(fn, "Fatal"))
 }
 
 // crashSafeRuleB walks every `if err != nil` guarding a Write/Sync on a
@@ -218,7 +403,7 @@ func checkErrGuard(pass *Pass, ifSt *ast.IfStmt, prev ast.Stmt, scratch map[type
 			return // abandoned *.tmp scratch file: torn bytes are never published
 		}
 	}
-	if hasRecovery(pass, ifSt.Body, 2) {
+	if hasRecovery(pass.Pkg, ifSt.Body, 2) {
 		return
 	}
 	pass.Reportf(origin.Pos(), "a failed %s on %s leaves torn bytes and stale cached state behind; "+
@@ -291,52 +476,57 @@ func assignedCall(info *types.Info, st ast.Stmt, errIdent *ast.Ident) *ast.CallE
 
 // hasRecovery reports whether the error path re-establishes a known handle
 // state: a close/truncate/stat/seek on a file, a filesystem operation that
-// replaces or removes state, a crash, or a module function that does one of
-// those within depth calls.
-func hasRecovery(pass *Pass, body ast.Node, depth int) bool {
+// replaces or removes state, a crash, or a function of this package that
+// does one of those within depth calls.
+func hasRecovery(pkg *Package, body ast.Node, depth int) bool {
 	found := false
 	inspectCalls(body, func(call *ast.CallExpr) {
 		if found {
 			return
 		}
-		if id, ok := call.Fun.(*ast.Ident); ok && id.Name == "panic" {
+		if neverReturns(pkg.Info, call) {
 			found = true
 			return
 		}
-		if _, name, ok := osFileMethod(pass.Pkg.Info, call); ok {
+		if _, name, ok := osFileMethod(pkg.Info, call); ok {
 			switch name {
 			case "Close", "Truncate", "Stat", "Seek":
 				found = true
 			}
 			return
 		}
-		if path, fn, ok := pkgCall(pass.Pkg.Info, call); ok {
+		if path, fn, ok := pkgCall(pkg.Info, call); ok {
 			if path == "os" {
 				switch fn {
-				case "OpenFile", "Open", "Create", "Remove", "Rename", "Truncate", "Exit":
+				case "OpenFile", "Open", "Create", "Remove", "Rename", "Truncate":
 					found = true
 				}
 			}
-			if path == "log" && strings.HasPrefix(fn, "Fatal") {
-				found = true
-			}
 			return
 		}
-		if depth > 0 && pass.Calls != nil {
-			if callee, ok := calleeObject(pass.Pkg.Info, call).(*types.Func); ok {
-				if decl := pass.Calls.Decls[callee]; decl != nil && decl.Body != nil {
-					calleePass := pass
-					if declPkg := pass.Calls.DeclPkg[callee]; declPkg != nil {
-						calleePass = &Pass{Analyzer: pass.Analyzer, Pkg: declPkg, Calls: pass.Calls, diags: pass.diags}
-					}
-					if hasRecovery(calleePass, decl.Body, depth-1) {
-						found = true
-					}
-				}
+		if depth > 0 {
+			if decl := funcDecl(pkg, calleeObject(pkg.Info, call)); decl != nil {
+				found = hasRecovery(pkg, decl.Body, depth-1)
 			}
 		}
 	})
 	return found
+}
+
+// funcDecl returns the declaration, with a body, of a function or method
+// that pkg declares, or nil.
+func funcDecl(pkg *Package, fn types.Object) *ast.FuncDecl {
+	if fn == nil {
+		return nil
+	}
+	for _, f := range pkg.Files {
+		for _, d := range f.Decls {
+			if fd, ok := d.(*ast.FuncDecl); ok && fd.Body != nil && pkg.Info.Defs[fd.Name] == fn {
+				return fd
+			}
+		}
+	}
+	return nil
 }
 
 // scratchLocals collects local variables opened on a *.tmp path: scratch

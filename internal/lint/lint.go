@@ -2,14 +2,18 @@
 // built on the standard library's go/parser and go/types only. It exists to
 // turn the simulation's correctness invariants — device time comes from the
 // cycle model, results are bit-for-bit deterministic, errors stay
-// classifiable — from conventions into machine-checked rules that run in CI
-// on every change (see cmd/huffvet).
+// classifiable, durable writes reach disk before they are published — from
+// conventions into machine-checked rules that run in CI on every change
+// (see cmd/huffvet).
 //
 // The engine loads every package of the module (load.go), type-checks it
 // against an offline source importer, and runs a registry of project-
-// specific analyzers over the typed syntax trees. Diagnostics carry exact
-// file/line/column positions and can be suppressed, one site at a time, with
-// an explanatory directive:
+// specific analyzers over the typed syntax trees (registry.go): hosttime,
+// maporder, globalrand, floateq, wrapcheck and crashsafe. Each keeps an
+// invariant that neither the compiler, go vet nor the race-instrumented
+// tests would catch; every analyzer walks syntax, crashsafe path by path
+// (crashsafe.go). Diagnostics carry exact file/line/column positions and
+// can be suppressed, one site at a time, with an explanatory directive:
 //
 //	//lint:ignore <analyzer> <reason>
 //
@@ -75,10 +79,6 @@ func (a *Analyzer) applies(pkgPath string) bool {
 type Pass struct {
 	Analyzer *Analyzer
 	Pkg      *Package
-	// Calls is the module-level call graph over every package of the run,
-	// for analyzers that chase facts across function boundaries. Nil when
-	// the driver runs without one (unit harnesses).
-	Calls *CallGraph
 
 	diags *[]Diagnostic
 }
@@ -177,9 +177,11 @@ func lineKey(file string, line int) string {
 // findings, as are stale ones: a directive naming an analyzer that ran over
 // its package but silenced nothing documents a violation that no longer
 // exists, and must be pruned so suppressions stay an accurate audit trail.
+// A directive naming no registered analyzer can never silence anything; it
+// is reported whichever analyzers run, so a misspelt or retired name cannot
+// linger.
 func RunAnalyzers(pkgs []*Package, analyzers []*Analyzer) []Diagnostic {
 	var diags []Diagnostic
-	cg := BuildCallGraph(pkgs)
 	ran := map[string]bool{}
 	for _, pkg := range pkgs {
 		diags = append(diags, pkg.malformed...)
@@ -191,14 +193,19 @@ func RunAnalyzers(pkgs []*Package, analyzers []*Analyzer) []Diagnostic {
 				continue
 			}
 			ran[a.Name] = true
-			pass := &Pass{Analyzer: a, Pkg: pkg, Calls: cg, diags: &diags}
+			pass := &Pass{Analyzer: a, Pkg: pkg, diags: &diags}
 			a.Run(pass)
 		}
 	}
 	for _, pkg := range pkgs {
 		for _, d := range pkg.directives {
 			for _, name := range d.analyzers {
-				if name == "*" || !ran[name] || d.used[name] {
+				var msg string
+				if _, err := ByName(name); err != nil && name != "*" {
+					msg = "unknown analyzer " + name
+				} else if ran[name] && !d.used[name] {
+					msg = fmt.Sprintf("stale directive: %s does not fire here; remove the suppression", name)
+				} else {
 					continue
 				}
 				diags = append(diags, Diagnostic{
@@ -206,7 +213,7 @@ func RunAnalyzers(pkgs []*Package, analyzers []*Analyzer) []Diagnostic {
 					File:     d.pos.Filename,
 					Line:     d.pos.Line,
 					Col:      d.pos.Column,
-					Message:  fmt.Sprintf("stale directive: %s does not fire here; remove the suppression", name),
+					Message:  msg,
 				})
 			}
 		}

@@ -33,7 +33,6 @@ type Package struct {
 	ignores    map[string][]*ignoreDirective
 	directives []*ignoreDirective
 	malformed  []Diagnostic
-	cfgs       map[*ast.BlockStmt]*Graph
 }
 
 // suppressed reports whether an //lint:ignore directive covers the analyzer
@@ -47,20 +46,6 @@ func (p *Package) suppressed(analyzer string, pos token.Position) bool {
 		}
 	}
 	return false
-}
-
-// CFG returns the control-flow graph of one function body of this package,
-// memoized so analyzers sharing a body share the graph.
-func (p *Package) CFG(body *ast.BlockStmt) *Graph {
-	if g, ok := p.cfgs[body]; ok {
-		return g
-	}
-	if p.cfgs == nil {
-		p.cfgs = map[*ast.BlockStmt]*Graph{}
-	}
-	g := BuildCFG(body)
-	p.cfgs[body] = g
-	return g
 }
 
 // Loader loads and type-checks packages of one module. The standard

@@ -6,12 +6,9 @@ import "fmt"
 func All() []*Analyzer {
 	return []*Analyzer{
 		CrashSafe,
-		CtxFlow,
 		FloatEq,
 		GlobalRand,
-		GoroLeak,
 		HostTime,
-		LockGuard,
 		MapOrder,
 		WrapCheck,
 	}

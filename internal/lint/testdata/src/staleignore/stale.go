@@ -17,3 +17,10 @@ func Fixed(rng *rand.Rand) int {
 	//lint:ignore globalrand stale: the global draw was removed
 	return rng.Intn(6)
 }
+
+// Misnamed carries a directive naming no registered analyzer: it can never
+// suppress anything, so it is reported whichever analyzers run.
+func Misnamed(rng *rand.Rand) int {
+	//lint:ignore nosuch a misspelt or retired analyzer name
+	return rng.Intn(6)
+}

@@ -347,7 +347,7 @@ func NewDaemon(cfg DaemonConfig) (*Daemon, error) {
 	if err != nil {
 		return nil, err
 	}
-	//lint:ignore ctxflow the daemon owns the process-lifetime root context; Kill/Shutdown cancel it
+	// The daemon owns the process-lifetime root context; Kill/Shutdown cancel it.
 	d.ctx, d.cancel = context.WithCancel(context.Background())
 	// Extra capacity beyond QueueDepth absorbs restart requeues and retry
 	// re-enqueues, which bypass submission backpressure; retries that

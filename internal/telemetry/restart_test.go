@@ -7,6 +7,7 @@ import (
 	"net"
 	"os"
 	"path/filepath"
+	"runtime"
 	"strings"
 	"sync"
 	"testing"
@@ -345,6 +346,36 @@ func TestShutdownUnderLoad(t *testing.T) {
 		if !accepted[id] {
 			t.Errorf("store holds campaign %d that no submit acknowledged", id)
 		}
+	}
+}
+
+// TestGoroutinesStopWithOwner checks that no goroutine outlives its owner:
+// once the daemon is shut down and the log closed, the workers and the
+// compactor have exited and the goroutine count is back where it started.
+func TestGoroutinesStopWithOwner(t *testing.T) {
+	base := runtime.NumGoroutine()
+	s, err := store.Open(t.TempDir(), store.Config{NoSync: true, CompactAfter: 1})
+	if err != nil {
+		t.Fatal(err)
+	}
+	d := newTestDaemon(t, DaemonConfig{Workers: 3, Store: s})
+	if n := runtime.NumGoroutine(); n <= base {
+		t.Fatalf("%d goroutines with the daemon and log running, want more than the %d before", n, base)
+	}
+	if err := d.Shutdown(context.Background()); err != nil {
+		t.Fatal(err)
+	}
+	if err := s.Close(); err != nil {
+		t.Fatal(err)
+	}
+	deadline := time.Now().Add(5 * time.Second)
+	for runtime.NumGoroutine() > base {
+		if time.Now().After(deadline) {
+			buf := make([]byte, 1<<20)
+			t.Fatalf("%d goroutines after Shutdown and Close, %d before the daemon started:\n%s",
+				runtime.NumGoroutine(), base, buf[:runtime.Stack(buf, true)])
+		}
+		time.Sleep(10 * time.Millisecond)
 	}
 }
 
