@@ -457,8 +457,9 @@ func BenchmarkRecorderOverhead(b *testing.B) {
 }
 
 // ---------------------------------------------------------------------------
-// Ablation: exact hash-consed symbolic engine vs numeric random evaluation
-// for pattern prediction (DESIGN.md design-choice ablation).
+// Ablation: the symbolic engine (exact evaluation in GF(2⁶¹−1)) vs numeric
+// float evaluation with random weights, for pattern prediction (DESIGN.md
+// design-choice ablation).
 // ---------------------------------------------------------------------------
 
 func BenchmarkAblationSymbolicVsNumeric(b *testing.B) {
@@ -466,8 +467,8 @@ func BenchmarkAblationSymbolicVsNumeric(b *testing.B) {
 	layers := [][3]int{{5, 1, 1}, {3, 1, 2}, {3, 2, 1}}
 	for i := 0; i < b.N; i++ {
 		// Symbolic prediction.
-		eng := symconv.NewEngine()
-		symKeys := make([]string, pat.Q)
+		var eng symconv.Engine
+		symKeys := make([]symconv.Value, pat.Q)
 		for q := 0; q < pat.Q; q++ {
 			g := eng.ProbeGrid(pat, q, 32, 32)
 			for li, l := range layers {
@@ -485,8 +486,8 @@ func BenchmarkAblationSymbolicVsNumeric(b *testing.B) {
 		if i == 0 {
 			fmt.Printf("\n[ablation] symbolic %s vs numeric %s (agree: %v)\n",
 				symconv.PatternString(symPat), symconv.PatternString(numPat), agree)
-			fmt.Println("numeric evaluation reproduces the partition with high probability but")
-			fmt.Println("carries a Schwartz-Zippel-style failure probability the exact engine avoids.")
+			fmt.Println("float evaluation reproduces the partition with high probability, but rounding")
+			fmt.Println("can merge or split values; the field engine's exact arithmetic cannot.")
 		}
 	}
 }

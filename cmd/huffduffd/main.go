@@ -73,7 +73,7 @@ func main() {
 	flag.Parse()
 
 	// Every campaign's attack allocates tens of MB of short-lived
-	// activations and symbolic expressions, while the daemon's live heap —
+	// activations and symbolic grids, while the daemon's live heap —
 	// finished campaigns are plain snapshots — stays a few MB. At the
 	// default GOGC=100 the collector then runs about a dozen times per
 	// campaign (2,170 cycles over 160 daemon_mix-shaped SmallCNN campaigns,
@@ -86,16 +86,14 @@ func main() {
 
 	col := obs.NewCollector()
 	flight := obs.NewFlightRecorder(*flightN)
-	sinks := []obs.Recorder{col, flight}
 	var sink *obs.JSONLSink
 	if *eventsOut != "" {
 		f, err := os.OpenFile(*eventsOut, os.O_CREATE|os.O_WRONLY|os.O_APPEND, 0o644)
 		cli.Check(err)
 		defer f.Close()
 		sink = obs.NewJSONLSink(f)
-		sinks = append(sinks, sink)
 	}
-	rec := obs.Fanout(sinks...)
+	rec := newRecorder(col, flight, sink)
 
 	// A log that cannot be read back is fatal: serving on would reuse
 	// stored campaign IDs.
@@ -169,4 +167,16 @@ func main() {
 		}
 	}
 	log.Printf("huffduffd stopped")
+}
+
+// newRecorder fans every campaign's instrumentation out to the daemon's
+// sinks. col backs /metrics and gets metrics only: nothing reads a span back
+// from it, and it would keep every span of every campaign. Spans go to the
+// flight recorder behind /events and /debug/profile, and to sink when set.
+func newRecorder(col *obs.Collector, flight *obs.FlightRecorder, sink *obs.JSONLSink) obs.Recorder {
+	sinks := []obs.Recorder{obs.MetricsOnly(col), flight}
+	if sink != nil {
+		sinks = append(sinks, sink)
+	}
+	return obs.Fanout(sinks...)
 }

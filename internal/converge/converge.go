@@ -79,18 +79,12 @@ type Snapshot struct {
 	GeomAmbiguity int `json:"geom_ambiguity,omitempty"`
 	// Layers is the per-layer candidate state, sorted by Node.
 	Layers []LayerState `json:"layers,omitempty"`
-	// SymExprs/SymHitRate snapshot the symbolic interner (solver memory
-	// pressure; the VGG-S blowup shows up here).
-	SymExprs   int     `json:"sym_exprs,omitempty"`
-	SymHitRate float64 `json:"sym_hit_rate,omitempty"`
-	// Degraded marks a snapshot taken on the timing-free or budget-aborted
-	// path; Partial additionally marks a solve cut short by the sym budget
-	// watchdog. Done marks the campaign's final snapshot.
+	// Degraded marks a snapshot taken on the timing-free path. Done marks
+	// the campaign's final snapshot.
 	Degraded bool `json:"degraded,omitempty"`
-	Partial  bool `json:"partial,omitempty"`
 	Done     bool `json:"done,omitempty"`
-	// Note carries free-form context (degradation reason, exhausted budget
-	// site, convergence-loop trial count).
+	// Note carries free-form context (degradation reason, convergence-loop
+	// trial count).
 	Note string `json:"note,omitempty"`
 }
 
@@ -204,9 +198,6 @@ func (l *Ledger) publish(s Snapshot) {
 	}
 	if s.GeomAmbiguity > 0 {
 		l.rec.Gauge("converge.geom_ambiguity", "", float64(s.GeomAmbiguity))
-	}
-	if s.SymExprs > 0 {
-		l.rec.Gauge("converge.sym_exprs", "", float64(s.SymExprs))
 	}
 }
 
@@ -328,8 +319,6 @@ type Summary struct {
 	// 90% of the total log-volume collapse had happened — the attack's
 	// "time to useful answer". 0 when no volume was ever computed.
 	QueriesTo90Pct int64 `json:"queries_to_90pct"`
-	// PeakSymExprs is the largest interner size any snapshot reported.
-	PeakSymExprs int `json:"peak_sym_exprs"`
 	// TotalQueries and Snapshots size the campaign.
 	TotalQueries int64 `json:"total_queries"`
 	Snapshots    int   `json:"snapshots"`
@@ -346,9 +335,6 @@ func (l *Ledger) Summary() Summary {
 	sum.TotalQueries = l.Queries()
 	first := true
 	for _, s := range snaps {
-		if s.SymExprs > sum.PeakSymExprs {
-			sum.PeakSymExprs = s.SymExprs
-		}
 		if !s.VolumeKnown {
 			continue
 		}

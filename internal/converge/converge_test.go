@@ -213,9 +213,9 @@ func TestSummary(t *testing.T) {
 	l.AddQueries(50)
 	l.Append(Snapshot{Stage: "probe", Log10Volume: 100, VolumeKnown: true})
 	l.AddQueries(50)
-	l.Append(Snapshot{Stage: "solve", Log10Volume: 40, VolumeKnown: true, SymExprs: 700})
+	l.Append(Snapshot{Stage: "solve", Log10Volume: 40, VolumeKnown: true})
 	l.AddQueries(100)
-	l.Append(Snapshot{Stage: "finalize", Log10Volume: 0, VolumeKnown: true, SymExprs: 200})
+	l.Append(Snapshot{Stage: "finalize", Log10Volume: 0, VolumeKnown: true})
 
 	sum := l.Summary()
 	if sum.InitialLog10Volume != 100 || sum.FinalLog10Volume != 0 {
@@ -223,9 +223,6 @@ func TestSummary(t *testing.T) {
 	}
 	if sum.QueriesTo90Pct != 200 {
 		t.Fatalf("QueriesTo90Pct = %d, want 200 (first snapshot at or past 90%% collapse)", sum.QueriesTo90Pct)
-	}
-	if sum.PeakSymExprs != 700 {
-		t.Fatalf("PeakSymExprs = %d, want 700", sum.PeakSymExprs)
 	}
 	if sum.TotalQueries != 200 || sum.Snapshots != 3 {
 		t.Fatalf("sizes: %+v", sum)

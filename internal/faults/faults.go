@@ -43,11 +43,6 @@ var (
 	// stalled device run or a pathologically slow solve); a retry gets a
 	// fresh deadline.
 	ErrDeadline = errors.New("job deadline exceeded")
-	// ErrSymBudget marks a solve aborted by the symbolic interner's growth
-	// watchdog (expression/byte budget). The attack degrades to a partial
-	// solution space; retrying with the same budget reproduces the abort,
-	// so the class is not retryable.
-	ErrSymBudget = errors.New("symbolic expression budget exceeded")
 )
 
 // Fault classes as short metric-label-safe strings, returned by Class.
@@ -59,7 +54,6 @@ const (
 	ClassPanic     = "panic"
 	ClassDeadline  = "deadline"
 	ClassCanceled  = "canceled"
-	ClassBudget    = "budget"
 	ClassUnknown   = "unknown"
 )
 
@@ -85,8 +79,6 @@ func Class(err error) string {
 		return ClassTrace
 	case errors.Is(err, ErrTimingUnusable):
 		return ClassTiming
-	case errors.Is(err, ErrSymBudget):
-		return ClassBudget
 	default:
 		return ClassUnknown
 	}

@@ -259,26 +259,6 @@ func AttackContext(ctx context.Context, victim Victim, cfg Config) (*Result, err
 	sctx, endSolve := stage(ctx, "solve")
 	pr, conv, serr := solveConverged(sctx, data, cfg)
 	endSolve()
-	if serr != nil && pr != nil && pr.Partial && errors.Is(serr, faults.ErrSymBudget) {
-		// The sym watchdog aborted the solve: escalation would re-collect
-		// only to blow the same budget again, so salvage what the solved
-		// prefix pins — a partial, degraded solution space — and finish
-		// with a complete ledger instead of an OOM.
-		res.Data, res.Probe = data, pr
-		fctx, endFin := stage(ctx, "finalize")
-		space := FinalizePartial(g, pr, fin)
-		res.Space = space
-		res.Degraded = true
-		res.DegradedReason = serr.Error()
-		res.recordSpace(fctx)
-		note := serr.Error()
-		hook.snap("finalize", pr, nil, space, nil, func(s *converge.Snapshot) {
-			s.Done = true
-			s.Note = note
-		})
-		endFin()
-		return res, nil
-	}
 	if serr != nil && cfg.EscalateNoiseTolerant && !cfg.Probe.NoiseTolerant {
 		ncfg := cfg.Probe
 		ncfg.NoiseTolerant = true
@@ -518,28 +498,12 @@ func solveConverged(ctx context.Context, data *ProbeData, cfg Config) (*ProbeRes
 		pr, err := data.Solve(t)
 		if err != nil {
 			lastErr = err
-			if pr != nil && pr.Partial && errors.Is(err, faults.ErrSymBudget) {
-				// Budget abort: a later solve with more trials would only
-				// blow the budget sooner. Snapshot the partial knowledge
-				// and surface it to the caller's salvage path.
-				note := err.Error()
-				hook.snap("solve", pr, nil, nil, nil, func(s *converge.Snapshot) {
-					s.Note = note
-				})
-				sp.End()
-				return pr, convergence{}, err
-			}
 			sp.End()
 			continue
 		}
 		note := fmt.Sprintf("trials=%d", t)
 		hook.snap("solve", pr, nil, nil, nil, func(s *converge.Snapshot) { s.Note = note })
 		obs.Gauge(ictx, "solve.ambiguity", fmt.Sprintf("trials=%d", t), float64(solveAmbiguity(pr)))
-		// Interner cost attribution: each scheduled solve builds a fresh
-		// engine, so the per-solve expression count and hit rate localize
-		// where symbolic blowup (the VGG-S failure mode) comes from.
-		obs.Gauge(ictx, "sym.interned_exprs", fmt.Sprintf("trials=%d", t), float64(pr.Sym.Exprs))
-		obs.Gauge(ictx, "sym.intern_hit_rate", fmt.Sprintf("trials=%d", t), pr.Sym.HitRate())
 		results[i] = pr
 		sp.End()
 	}

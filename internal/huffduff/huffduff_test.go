@@ -48,11 +48,11 @@ type attackRun struct {
 // never on the host, so tier-1 pins them (checkCostPins).
 type attackCosts struct {
 	queries, deviceCycles, traceEvents, solutions float64
-	// internedExprs, log10Volume and queriesTo90Pct come from the
-	// convergence ledger: the interner's peak size, the final log10
-	// solution-space volume, and the victim queries spent when 90% of the
-	// collapse had happened.
-	internedExprs, log10Volume, queriesTo90Pct float64
+	// cellsEvaluated is the symbolic grid cells the final solve evaluated.
+	// log10Volume and queriesTo90Pct come from the convergence ledger: the
+	// final log10 solution-space volume, and the victim queries spent when
+	// 90% of the collapse had happened.
+	cellsEvaluated, log10Volume, queriesTo90Pct float64
 }
 
 // runAttack deploys a victim and attacks it with a convergence ledger
@@ -75,7 +75,7 @@ func runAttack(arch *models.Arch, keep float64, cfg Config) (attackRun, error) {
 		deviceCycles:   dev.SimulatedTime * m.Cfg.ClockHz,
 		traceEvents:    float64(dev.TraceReadEvents + dev.TraceWriteEvents),
 		solutions:      float64(res.Space.Count()),
-		internedExprs:  float64(sum.PeakSymExprs),
+		cellsEvaluated: float64(res.Probe.Cells),
 		log10Volume:    sum.FinalLog10Volume,
 		queriesTo90Pct: float64(sum.QueriesTo90Pct),
 	}}, nil
@@ -121,7 +121,7 @@ func (s *sharedAttack) get(t *testing.T) attackRun {
 }
 
 // checkCostPins fails t when a cost exceeds its pin by more than 5%, or 10%
-// for interned expressions, whose count moves with solve-schedule changes.
+// for cells evaluated, whose count moves with solve-schedule changes.
 // A pin is the cost measured when it was set: lower it when a change lowers
 // the cost, and raise it only with a reason.
 func checkCostPins(t *testing.T, got, pin attackCosts) {
@@ -134,7 +134,7 @@ func checkCostPins(t *testing.T, got, pin attackCosts) {
 		{"device cycles", got.deviceCycles, pin.deviceCycles, 1.05},
 		{"trace events", got.traceEvents, pin.traceEvents, 1.05},
 		{"solutions", got.solutions, pin.solutions, 1.05},
-		{"interned expressions", got.internedExprs, pin.internedExprs, 1.1},
+		{"cells evaluated", got.cellsEvaluated, pin.cellsEvaluated, 1.1},
 		{"final log10 volume", got.log10Volume, pin.log10Volume, 1.05},
 		{"queries to 90% of the collapse", got.queriesTo90Pct, pin.queriesTo90Pct, 1.05},
 	} {
@@ -232,7 +232,7 @@ func TestSolutionSpaceContainsTruth(t *testing.T) {
 func TestSmallCNNCostPins(t *testing.T) {
 	checkCostPins(t, smallCNNDense.get(t).costs, attackCosts{
 		queries: 3074, deviceCycles: 24_257_256, traceEvents: 2_165_366, solutions: 13,
-		internedExprs: 21_996, log10Volume: 1.114, queriesTo90Pct: 3074,
+		cellsEvaluated: 2_241_024, log10Volume: 1.114, queriesTo90Pct: 3074,
 	})
 }
 
@@ -370,8 +370,9 @@ func TestAttackResNetStyleGraph(t *testing.T) {
 
 	checkCostPins(t, run.costs, attackCosts{
 		queries: 578, deviceCycles: 5_208_434, traceEvents: 1_366_113, solutions: 4,
-		internedExprs: 600_631, log10Volume: 10.637, queriesTo90Pct: 578,
+		cellsEvaluated: 9_782_880, log10Volume: 10.637, queriesTo90Pct: 578,
 	})
+	checkSolveGoldens(t, "resnet18_16", res.Data)
 }
 
 // TestTrialEscalationResolvesAlias reproduces §5.4's probability
@@ -420,6 +421,7 @@ func TestTrialEscalationResolvesAlias(t *testing.T) {
 	if err == nil && SameGeometry(prev, final) {
 		t.Log("geometry already converged by T=64")
 	}
+	checkSolveGoldens(t, "alias", data)
 }
 
 func TestObservabilityRate(t *testing.T) {

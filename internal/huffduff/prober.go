@@ -12,7 +12,6 @@ import (
 	"github.com/huffduff/huffduff/internal/faults"
 	"github.com/huffduff/huffduff/internal/obs"
 	"github.com/huffduff/huffduff/internal/probe"
-	"github.com/huffduff/huffduff/internal/sym"
 	"github.com/huffduff/huffduff/internal/symconv"
 	"github.com/huffduff/huffduff/internal/tensor"
 	"github.com/huffduff/huffduff/internal/trace"
@@ -84,12 +83,6 @@ type ProbeConfig struct {
 	// (Trials × families × Q). It runs on the collection goroutine between
 	// victim inferences — keep it cheap and non-blocking.
 	Progress func(done, total int)
-	// SymMaxExprs/SymMaxBytes arm the symbolic interner's growth watchdog
-	// for the solve: past either limit (0 = unlimited) the solve aborts
-	// into a partial ProbeResult with per-site growth attribution instead
-	// of growing toward OOM. The error wraps faults.ErrSymBudget.
-	SymMaxExprs int
-	SymMaxBytes int64
 }
 
 // DefaultProbeConfig returns the configuration used in the evaluation.
@@ -153,9 +146,6 @@ func (cfg ProbeConfig) Validate() error {
 	}
 	if cfg.MaxRetries < 0 || cfg.RetryBackoff < 0 {
 		return bad("negative retry budget (MaxRetries=%d, RetryBackoff=%v)", cfg.MaxRetries, cfg.RetryBackoff)
-	}
-	if cfg.SymMaxExprs < 0 || cfg.SymMaxBytes < 0 {
-		return bad("negative sym budget (SymMaxExprs=%d, SymMaxBytes=%d)", cfg.SymMaxExprs, cfg.SymMaxBytes)
 	}
 	if cfg.Consistency != nil {
 		return cfg.Consistency.Validate()
@@ -630,17 +620,9 @@ type ProbeResult struct {
 	Exact map[int]bool
 	// TrialsUsed is how many trials the result was computed from.
 	TrialsUsed int
-	// Sym snapshots the symbolic engine's interner after the solve:
-	// distinct-expression count and intern hit/miss split. This is the
-	// solver's cost attribution — a VGG-S-style expression blowup is visible
-	// here long before the process runs out of memory.
-	Sym sym.Stats
-	// Partial marks a solve aborted by the sym budget watchdog: the maps
-	// above hold whatever prefix of the graph had been assigned when the
-	// budget blew, and Sites attributes the interner growth per expression
-	// family (largest first).
-	Partial bool
-	Sites   []sym.SiteStats
+	// Cells counts the symbolic grid cells the solve evaluated, over every
+	// hypothesis it tried: the solver's cost, independent of the host.
+	Cells int
 }
 
 // solver carries the state of the backtracking geometry search.
@@ -675,12 +657,10 @@ func (s *solver) observedOf(node int) []int {
 
 func (s *solver) predictedPattern(gs [][]symconv.Grid) []int {
 	keys := make([]string, s.pd.Cfg.Q)
-	for q := 0; q < s.pd.Cfg.Q; q++ {
-		key := ""
+	for q := range keys {
 		for f := range s.pd.Families {
-			key += symconv.Signature(gs[f][q]) + "|"
+			keys[q] += fmt.Sprint(symconv.Signature(gs[f][q]))
 		}
-		keys[q] = key
 	}
 	return symconv.ClassPattern(keys)
 }
@@ -967,13 +947,13 @@ func (s *solver) solveFrom(i int) bool {
 // (keeping refinements — the one-sided error — and preferring exact
 // matches), and prunes assignments that violate residual-dimension,
 // weight-capacity, transfer-header, or timing consistency (§7).
-func (pd *ProbeData) Solve(trials int) (res *ProbeResult, err error) {
+func (pd *ProbeData) Solve(trials int) (*ProbeResult, error) {
 	if trials < 1 || trials > pd.Cfg.Trials {
 		return nil, fmt.Errorf("huffduff: %d trials requested, %d collected", trials, pd.Cfg.Trials)
 	}
 	s := &solver{
 		pd:       pd,
-		eng:      symconv.NewEngine(),
+		eng:      &symconv.Engine{},
 		trials:   trials,
 		observed: map[int][]int{},
 		grids:    make([][][]symconv.Grid, len(pd.Graph.Nodes)),
@@ -984,34 +964,6 @@ func (pd *ProbeData) Solve(trials int) (res *ProbeResult, err error) {
 		outH:     map[int]int{},
 		psumH:    map[int]int{},
 	}
-	if pd.Cfg.SymMaxExprs > 0 || pd.Cfg.SymMaxBytes > 0 {
-		s.eng.In.SetBudget(pd.Cfg.SymMaxExprs, pd.Cfg.SymMaxBytes)
-		// The watchdog aborts via panic from deep inside the backtracking
-		// search; recover it into a partial result carrying whatever prefix
-		// of the graph had been assigned, plus the per-site attribution that
-		// names the expression family that exploded.
-		defer func() {
-			r := recover()
-			if r == nil {
-				return
-			}
-			be, ok := r.(*sym.BudgetExceeded)
-			if !ok {
-				panic(r)
-			}
-			res = &ProbeResult{
-				Geoms:       s.geom,
-				Candidates:  s.cand,
-				PoolFactors: s.pools,
-				Exact:       s.exact,
-				TrialsUsed:  trials,
-				Sym:         s.eng.In.Stats(),
-				Partial:     true,
-				Sites:       s.eng.In.Sites(),
-			}
-			err = fmt.Errorf("huffduff: solve aborted by watchdog: %v: %w", be, faults.ErrSymBudget)
-		}()
-	}
 	if !s.solveFrom(0) {
 		return nil, fmt.Errorf("huffduff: no consistent geometry assignment: %s", s.failNote)
 	}
@@ -1021,8 +973,7 @@ func (pd *ProbeData) Solve(trials int) (res *ProbeResult, err error) {
 		PoolFactors: s.pools,
 		Exact:       s.exact,
 		TrialsUsed:  trials,
-		Sym:         s.eng.In.Stats(),
-		Sites:       s.eng.In.Sites(),
+		Cells:       s.eng.Cells,
 	}, nil
 }
 

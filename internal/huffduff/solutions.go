@@ -115,11 +115,6 @@ type SolutionSpace struct {
 	// KBounds maps each conv node to its admissible [min, max] channel
 	// interval in a Degraded space; empty for exact spaces.
 	KBounds map[int][2]int
-	// Partial marks a space built from a budget-aborted solve
-	// (FinalizePartial): only the prefix of conv nodes whose geometry was
-	// pinned before the sym watchdog fired carry KBounds entries; the rest
-	// are unconstrained. Partial spaces are always Degraded.
-	Partial bool
 }
 
 // Count returns the number of candidate architectures (one per admissible
@@ -418,87 +413,4 @@ func FinalizeDegraded(g *ObsGraph, pr *ProbeResult, dims *SpatialDims, cfg Final
 			bounds[first][0], bounds[first][1])
 	}
 	return space, nil
-}
-
-// FinalizePartial salvages a solution space from a budget-aborted solve: the
-// sym watchdog fired mid-search, so pr holds geometry only for a prefix of
-// the graph. Spatial dims are propagated while geometry is known, each
-// pinned conv gets its transfer-header channel interval, and the first conv
-// (when pinned) additionally gets the sparse weight bound — the same hard
-// constraints as FinalizeDegraded, restricted to the solved prefix. Convs
-// past the abort point stay unconstrained (no KBounds entry), which Admits
-// treats as "anything goes". The space enumerates no Solutions: a partial
-// geometry has no buildable candidates, only bounds. It never fails — zero
-// solved layers yield an unconstrained (but well-formed) space, so a
-// budgeted campaign always ends with a ledger and a space instead of an OOM.
-func FinalizePartial(g *ObsGraph, pr *ProbeResult, cfg FinalizeConfig) *SolutionSpace {
-	convs := g.ConvNodes()
-	outH := map[int]int{0: cfg.InH}
-	bounds := map[int][2]int{}
-	for _, n := range g.Nodes {
-		switch n.Kind {
-		case NodeConv:
-			geom, ok := pr.Geoms[n.ID]
-			if !ok {
-				continue // abort point reached: downstream dims unknown
-			}
-			inH, haveIn := outH[n.Deps[0]]
-			if !haveIn {
-				continue
-			}
-			pad := (geom.Kernel - 1) / 2
-			p := (inH+2*pad-geom.Kernel)/geom.Stride + 1
-			pool := geom.Pool
-			if pool < 1 {
-				pool = 1
-			}
-			oh := p / pool
-			if oh <= 0 {
-				continue
-			}
-			outH[n.ID] = oh
-			area := oh * oh
-			b := g.Nodes[n.ID].OutputBytes
-			lo := (8*b + 9*area - 1) / (9 * area)
-			hi := 8 * b / area
-			if lo < 1 {
-				lo = 1
-			}
-			if hi >= lo {
-				bounds[n.ID] = [2]int{lo, hi}
-			}
-		case NodeAdd:
-			a, okA := outH[n.Deps[0]]
-			if _, okB := outH[n.Deps[1]]; okA && okB {
-				outH[n.ID] = a
-			}
-		case NodePool:
-			f, okF := pr.PoolFactors[n.ID]
-			if inH, okIn := outH[n.Deps[0]]; okF && okIn && f >= 1 && inH%f == 0 {
-				outH[n.ID] = inH / f
-			}
-		case NodeLinear:
-			outH[n.ID] = 1
-		}
-	}
-	space := &SolutionSpace{
-		GeomAmbiguity: geomAmbiguity(convs, pr),
-		Degraded:      true,
-		Partial:       true,
-		KBounds:       bounds,
-	}
-	if len(convs) > 0 {
-		first := convs[0]
-		if b, okB := bounds[first]; okB {
-			if geom, okG := pr.Geoms[first]; okG {
-				if k1lo, k1hi, ok := cfg.k1SparseRange(geom, g.Nodes[first].WeightBytes); ok {
-					if iv, ok := intersect(b, [2]int{k1lo, k1hi}); ok {
-						bounds[first] = iv
-					}
-				}
-			}
-			space.K1Min, space.K1Max = bounds[first][0], bounds[first][1]
-		}
-	}
-	return space
 }

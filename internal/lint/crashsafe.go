@@ -17,7 +17,13 @@ package lint
 // point, and publishing unsynced bytes means a crash can expose a torn
 // file under the final name. Branches on a cfg `NoSync` flag are pruned to
 // the production value (false), so the test-only fsync bypass does not
-// poison every path.
+// poison every path. A call to a function of the package under analysis
+// carries the callee's exit state into the caller, one call deep: the
+// handles the callee may leave dirty where it may succeed stay dirty in the
+// caller, named after the callee, so a helper that writes a file without
+// syncing it is caught at the caller's rename. The callee may succeed at
+// every return except those inside an `if err != nil` block, which hand
+// their error to a caller that does not go on to the rename.
 //
 // The walk follows Go's structured control flow: `if` joins both arms;
 // switch, type switch and select walk every clause from the head's facts,
@@ -60,8 +66,9 @@ var CrashSafe = &Analyzer{
 }
 
 func runCrashSafe(pass *Pass) {
+	exits := map[*ast.FuncDecl][]string{}
 	eachFuncBody(pass.Pkg.Files, func(body *ast.BlockStmt) {
-		w := &dirtyWalk{pass: pass, report: true}
+		w := &dirtyWalk{pass: pass, report: true, exits: exits}
 		w.stmts(dirtyFacts{}, body.List)
 		crashSafeRuleB(pass, body)
 	})
@@ -74,7 +81,8 @@ func runCrashSafe(pass *Pass) {
 type dirtyFacts map[string]bool
 
 // transfer applies one simple statement or expression to a fact.
-func transfer(info *types.Info, f dirtyFacts, n ast.Node) dirtyFacts {
+func (w *dirtyWalk) transfer(f dirtyFacts, n ast.Node) dirtyFacts {
+	info := w.pass.Pkg.Info
 	var dirty, clean []string
 	inspectCalls(n, func(call *ast.CallExpr) {
 		if recv, name, ok := osFileMethod(info, call); ok {
@@ -92,6 +100,10 @@ func transfer(info *types.Info, f dirtyFacts, n ast.Node) dirtyFacts {
 			// os.WriteFile closes without syncing: the written path can
 			// stay dirty in the page cache indefinitely.
 			dirty = append(dirty, "os.WriteFile("+types.ExprString(call.Args[0])+")")
+			return
+		}
+		if w.callee == nil {
+			dirty = append(dirty, w.calleeDirty(call)...)
 		}
 	})
 	if len(dirty) == 0 && len(clean) == 0 {
@@ -163,6 +175,36 @@ type dirtyWalk struct {
 	pass   *Pass
 	report bool // off while a loop body is walked to its fixpoint
 	frames []*jumpFrame
+	// exits caches calleeDirty per callee, for the whole package.
+	exits map[*ast.FuncDecl][]string
+	// callee is set when the walk computes a callee's exit state, which
+	// it collects in exit; calls inside it are not followed. failing
+	// counts the `if err != nil` blocks around the current statement.
+	callee  *ast.FuncDecl
+	exit    dirtyFacts
+	failing int
+}
+
+// calleeDirty returns the handles that call's callee, when this package
+// declares it, may leave written but not fsynced on a return where it
+// succeeds, named after the callee.
+func (w *dirtyWalk) calleeDirty(call *ast.CallExpr) []string {
+	decl := funcDecl(w.pass.Pkg, calleeObject(w.pass.Pkg.Info, call))
+	if decl == nil {
+		return nil
+	}
+	if keys, ok := w.exits[decl]; ok {
+		return keys
+	}
+	cw := &dirtyWalk{pass: w.pass, callee: decl}
+	exit := join(cw.exit, cw.stmts(dirtyFacts{}, decl.Body.List))
+	keys := []string{}
+	for k := range exit {
+		keys = append(keys, k+" (in "+decl.Name.Name+")")
+	}
+	sort.Strings(keys)
+	w.exits[decl] = keys
+	return keys
 }
 
 // jumpFrame is an enclosing loop (token.FOR), switch (token.SWITCH) or
@@ -203,7 +245,14 @@ func (w *dirtyWalk) stmt(f dirtyFacts, s ast.Stmt, label string) dirtyFacts {
 		return w.stmt(f, st.Stmt, st.Label.Name)
 	case *ast.IfStmt:
 		then, els := branches(st.Cond, w.leaf(w.leaf(f, st.Init), st.Cond))
+		guard := errNilCond(w.pass.Pkg.Info, st.Cond) != nil
+		if guard {
+			w.failing++
+		}
 		then = w.stmts(then, st.Body.List)
+		if guard {
+			w.failing--
+		}
 		if st.Else != nil {
 			els = w.stmt(els, st.Else, "")
 		}
@@ -230,7 +279,10 @@ func (w *dirtyWalk) stmt(f dirtyFacts, s ast.Stmt, label string) dirtyFacts {
 		w.jump(f, st)
 		return nil
 	case *ast.ReturnStmt:
-		w.leaf(f, st)
+		f = w.leaf(f, st)
+		if w.callee != nil && w.failing == 0 {
+			w.exit = join(w.exit, f)
+		}
 		return nil
 	case *ast.ExprStmt:
 		f = w.leaf(f, st)
@@ -348,7 +400,7 @@ func (w *dirtyWalk) leaf(f dirtyFacts, n ast.Node) dirtyFacts {
 				strings.Join(keys, ", "))
 		})
 	}
-	return transfer(info, f, n)
+	return w.transfer(f, n)
 }
 
 // neverReturns reports whether a call ends the path: panic, os.Exit or

@@ -21,6 +21,10 @@ type Conv2D struct {
 	Bias   *Param // shape [OutC], nil when the layer has no bias
 
 	lastX *tensor.Tensor
+	// cols is im2col's column matrix, kept between calls: a victim
+	// inference would otherwise allocate one per conv layer, most of the
+	// simulator's garbage.
+	cols []float64
 }
 
 // NewConv2D constructs a convolution with Kaiming-initialized weights.
@@ -60,12 +64,19 @@ func (c *Conv2D) OutSize(h, w int) (int, int) {
 }
 
 // im2col expands one sample's group-slice of input into a
-// [cg*K*K, P*Q] column matrix. x is the full [C,H,W] sample.
+// [cg*K*K, P*Q] column matrix, which the layer's next im2col overwrites.
+// x is the full [C,H,W] sample.
 func (c *Conv2D) im2col(x *tensor.Tensor, n, g, p, q int) *tensor.Tensor {
 	cg := c.InC / c.Groups
 	k := c.Kernel
 	h, w := x.Dim(2), x.Dim(3)
-	cols := tensor.New(cg*k*k, p*q)
+	if size := cg * k * k * p * q; cap(c.cols) < size {
+		c.cols = make([]float64, size)
+	} else {
+		c.cols = c.cols[:size]
+		clear(c.cols)
+	}
+	cols := tensor.FromSlice(c.cols, cg*k*k, p*q)
 	for cc := 0; cc < cg; cc++ {
 		srcC := g*cg + cc
 		for ky := 0; ky < k; ky++ {
@@ -144,12 +155,10 @@ func (c *Conv2D) Forward(x *tensor.Tensor, train bool) *tensor.Tensor {
 	for n := 0; n < nB; n++ {
 		for g := 0; g < c.Groups; g++ {
 			cols := c.im2col(x, n, g, p, q)
-			wm := c.weightMatrix(g)
-			res := tensor.MatMul(wm, cols) // [outCg, P*Q]
-			for oc := 0; oc < outCg; oc++ {
-				dst := out.Data[((n*c.OutC+g*outCg+oc)*p)*q : ((n*c.OutC+g*outCg+oc)*p+p)*q]
-				copy(dst, res.Data[oc*p*q:(oc+1)*p*q])
-			}
+			// This sample's group of output channels is one [outCg, P*Q] block.
+			lo := (n*c.OutC + g*outCg) * p * q
+			dst := tensor.FromSlice(out.Data[lo:lo+outCg*p*q], outCg, p*q)
+			tensor.MatMulInto(dst, c.weightMatrix(g), cols)
 		}
 	}
 	if c.Bias != nil {

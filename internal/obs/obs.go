@@ -55,6 +55,17 @@ func (noop) Observe(string, string, float64)             {}
 // the instrumentation itself.
 func Noop() Recorder { return noop{} }
 
+// MetricsOnly returns a Recorder that passes rec's metrics through and drops
+// its spans. A long-running process that serves a Collector's metrics but
+// never exports its span tree wraps it in one; the Collector would
+// otherwise keep every span it is sent.
+func MetricsOnly(rec Recorder) Recorder { return metricsOnly{rec} }
+
+type metricsOnly struct{ Recorder }
+
+func (metricsOnly) SpanStart(string, uint64, uint64, time.Time) {}
+func (metricsOnly) SpanEnd(uint64, time.Time)                   {}
+
 // ctxKey keys the observability state in a context.
 type ctxKey struct{}
 

@@ -150,6 +150,20 @@ func TestFanout(t *testing.T) {
 	}
 }
 
+func TestMetricsOnlyDropsSpans(t *testing.T) {
+	col := NewCollector()
+	ctx := WithRecorder(context.Background(), MetricsOnly(col))
+	ctx, sp := Start(ctx, "campaign")
+	Count(ctx, "x", "", 2)
+	sp.End()
+	if col.CounterValue("x", "") != 2 {
+		t.Fatal("metric did not pass through")
+	}
+	if tree := col.Tree(); tree != "" {
+		t.Fatalf("span kept:\n%s", tree)
+	}
+}
+
 // TestStreamSinksConcurrentRecorders hammers a JSONLSink and a
 // FlightRecorder through one Fanout from many goroutines at once — the
 // daemon's steady state, where worker campaigns, the scrape handler, and the

@@ -6,58 +6,81 @@
 // The engine works on single-channel symbolic grids: the boundary effect is
 // agnostic to channel counts (§6.4), so one generic channel predicts the
 // same equivalence classes as the victim's many.
+//
+// The engine's one question is whether two cells are equal for generic
+// weights, and it answers it by evaluation rather than by building
+// expressions. Every named variable takes a fixed pseudo-random value in
+// the prime field GF(2⁶¹−1), and every cell is evaluated twice, under two
+// independent keys. By the Schwartz–Zippel lemma two different polynomials
+// of degree d agree at a random point with probability at most d/(2⁶¹−1),
+// so equal values stand for equal expressions. The residual "different
+// expressions but equal nnz" case is exactly the one-sided observability
+// error the attack already tolerates (§5.4).
 package symconv
 
 import (
 	"fmt"
-	"sort"
+	"math/bits"
+	"slices"
 	"strings"
 
 	"github.com/huffduff/huffduff/internal/probe"
-	"github.com/huffduff/huffduff/internal/sym"
 )
+
+// modulus is the field's, the Mersenne prime 2⁶¹−1.
+const modulus = 1<<61 - 1
+
+// keys are the two evaluations' keys. They are constants, so every run
+// predicts the same patterns.
+var keys = [2]uint64{0x243f6a8885a308d3, 0x13198a2e03707344}
+
+// Value is one cell evaluated under each key.
+type Value [len(keys)]uint64
 
 // Grid is a single-channel symbolic feature map.
 type Grid struct {
 	H, W  int
-	Cells []sym.ID
+	Cells []Value
 }
 
 // At returns the cell at (y, x).
-func (g Grid) At(y, x int) sym.ID { return g.Cells[y*g.W+x] }
+func (g Grid) At(y, x int) Value { return g.Cells[y*g.W+x] }
 
-// Engine evaluates symbolic layers. All grids produced by one engine share
-// its interner, so cross-grid cell equality is ID equality.
+// Engine evaluates symbolic layers. Cells counts the grid cells it has
+// evaluated: the solver's deterministic cost measure.
 type Engine struct {
-	In *sym.Interner
+	Cells int
 }
 
-// NewEngine returns a fresh engine.
-func NewEngine() *Engine { return &Engine{In: sym.NewInterner()} }
+// grid allocates an h×w grid and counts its cells as evaluated.
+func (e *Engine) grid(h, w int) Grid {
+	e.Cells += h * w
+	return Grid{H: h, W: w, Cells: make([]Value, h*w)}
+}
 
 // ProbeGrid builds the symbolic input grid for probe i of pattern p on an
 // h×w image: boundary-constant columns s_j, an n×n feature patch f_dy_dx at
 // column m+i, background b elsewhere. The same variables are used for every
 // probe in the set, mirroring how one Values instantiation is shared.
 func (e *Engine) ProbeGrid(p probe.Pattern, i, h, w int) Grid {
-	g := Grid{H: h, W: w, Cells: make([]sym.ID, h*w)}
-	b := e.In.Var("b")
-	for y := 0; y < h; y++ {
-		for x := 0; x < w; x++ {
-			v := b
-			if !p.FromRight && x < p.M {
-				v = e.In.Var(fmt.Sprintf("s%d", x))
-			}
-			if p.FromRight && x >= w-p.M {
-				v = e.In.Var(fmt.Sprintf("s%d", w-1-x))
-			}
+	g := e.grid(h, w)
+	b := variable("b")
+	for x := 0; x < w; x++ {
+		v := b
+		if !p.FromRight && x < p.M {
+			v = variable(fmt.Sprintf("s%d", x))
+		}
+		if p.FromRight && x >= w-p.M {
+			v = variable(fmt.Sprintf("s%d", w-1-x))
+		}
+		for y := 0; y < h; y++ {
 			g.Cells[y*w+x] = v
 		}
 	}
 	fc := p.FeatureCol(i, w)
 	for dy := 0; dy < p.N; dy++ {
 		for dx := 0; dx < p.N; dx++ {
-			g.Cells[(p.FeatRow+dy)*w+fc+dx] = e.In.Var(fmt.Sprintf("f%d_%d", dy, dx))
+			g.Cells[(p.FeatRow+dy)*w+fc+dx] = variable(fmt.Sprintf("f%d_%d", dy, dx))
 		}
 	}
 	return g
@@ -73,31 +96,26 @@ func (e *Engine) ProbeGrids(p probe.Pattern, h, w int) []Grid {
 }
 
 // Conv applies a same-padded convolution with generic weights w_tag_dy_dx
-// and bias b_tag. BatchNorm's affine and ReLU are omitted: both are
-// injective on generic values per-position, so they never change the
-// equivalence classes the engine predicts (§5.2 shows how the numeric side
-// separates them).
+// and bias b_tag; padding cells are zero and drop out of the sum.
+// BatchNorm's affine and ReLU are omitted: both are injective on generic
+// values per-position, so they never change the equivalence classes the
+// engine predicts (§5.2 shows how the numeric side separates them).
 func (e *Engine) Conv(g Grid, tag string, kernel, stride int) Grid {
-	// Attribute interner growth to this layer hypothesis: when the sym
-	// budget watchdog aborts a runaway solve, the panic names the tag of
-	// the expression family that exploded.
-	e.In.SetSite(tag)
 	pad := (kernel - 1) / 2
 	oh := (g.H+2*pad-kernel)/stride + 1
 	ow := (g.W+2*pad-kernel)/stride + 1
-	out := Grid{H: oh, W: ow, Cells: make([]sym.ID, oh*ow)}
+	out := e.grid(oh, ow)
 	// Weight variables are shared across all positions and probes.
-	wv := make([]sym.ID, kernel*kernel)
+	wv := make([]Value, kernel*kernel)
 	for dy := 0; dy < kernel; dy++ {
 		for dx := 0; dx < kernel; dx++ {
-			wv[dy*kernel+dx] = e.In.Var(fmt.Sprintf("%s_w%d_%d", tag, dy, dx))
+			wv[dy*kernel+dx] = variable(fmt.Sprintf("%s_w%d_%d", tag, dy, dx))
 		}
 	}
-	bias := e.In.Var(tag + "_b")
-	terms := make([]sym.Term, 0, kernel*kernel+1)
+	bias := variable(tag + "_b")
 	for oy := 0; oy < oh; oy++ {
 		for ox := 0; ox < ow; ox++ {
-			terms = terms[:0]
+			acc := bias
 			for dy := 0; dy < kernel; dy++ {
 				iy := oy*stride + dy - pad
 				if iy < 0 || iy >= g.H {
@@ -108,11 +126,13 @@ func (e *Engine) Conv(g Grid, tag string, kernel, stride int) Grid {
 					if ix < 0 || ix >= g.W {
 						continue
 					}
-					terms = append(terms, sym.Term{Coef: wv[dy*kernel+dx], X: g.At(iy, ix)})
+					x, w := g.At(iy, ix), wv[dy*kernel+dx]
+					for l := range acc {
+						acc[l] = add(acc[l], mul(w[l], x[l]))
+					}
 				}
 			}
-			terms = append(terms, sym.Term{Coef: bias, X: e.In.One()})
-			out.Cells[oy*ow+ox] = e.In.Sum(terms)
+			out.Cells[oy*ow+ox] = acc
 		}
 	}
 	return out
@@ -123,43 +143,48 @@ func (e *Engine) MaxPool(g Grid, window int) Grid {
 	if window <= 1 {
 		return g
 	}
-	e.In.SetSite(fmt.Sprintf("maxpool%d", window))
 	oh, ow := g.H/window, g.W/window
-	out := Grid{H: oh, W: ow, Cells: make([]sym.ID, oh*ow)}
-	args := make([]sym.ID, 0, window*window)
+	out := e.grid(oh, ow)
+	args := make([]uint64, 0, window*window)
 	for oy := 0; oy < oh; oy++ {
 		for ox := 0; ox < ow; ox++ {
-			args = args[:0]
-			for dy := 0; dy < window; dy++ {
-				for dx := 0; dx < window; dx++ {
-					args = append(args, g.At(oy*window+dy, ox*window+dx))
+			for l, key := range keys {
+				args = args[:0]
+				for dy := 0; dy < window; dy++ {
+					for dx := 0; dx < window; dx++ {
+						args = append(args, g.At(oy*window+dy, ox*window+dx)[l])
+					}
 				}
+				out.Cells[oy*ow+ox][l] = maxOf(key, args)
 			}
-			out.Cells[oy*ow+ox] = e.In.Max(args)
 		}
 	}
 	return out
 }
 
-// AvgPool applies average pooling. For class prediction the 1/w² factor is
-// irrelevant (it is a global injective map), so the cell is the plain sum.
+// AvgPool applies average pooling. Its inputs are ReLU outputs, and a sum of
+// ReLU outputs depends on the multiset of the cells, not only on their sum;
+// so each cell passes through the keyed hash, a generic nonlinearity,
+// before the window is summed. The 1/w² factor is a global injective map
+// and is dropped.
 func (e *Engine) AvgPool(g Grid, window int) Grid {
 	if window <= 1 {
 		return g
 	}
-	e.In.SetSite(fmt.Sprintf("avgpool%d", window))
 	oh, ow := g.H/window, g.W/window
-	out := Grid{H: oh, W: ow, Cells: make([]sym.ID, oh*ow)}
-	terms := make([]sym.Term, 0, window*window)
+	out := e.grid(oh, ow)
 	for oy := 0; oy < oh; oy++ {
 		for ox := 0; ox < ow; ox++ {
-			terms = terms[:0]
+			var acc Value
 			for dy := 0; dy < window; dy++ {
 				for dx := 0; dx < window; dx++ {
-					terms = append(terms, sym.Term{Coef: e.In.One(), X: g.At(oy*window+dy, ox*window+dx)})
+					x := g.At(oy*window+dy, ox*window+dx)
+					for l, key := range keys {
+						acc[l] = add(acc[l], hash(key, x[l]))
+					}
 				}
 			}
-			out.Cells[oy*ow+ox] = e.In.Sum(terms)
+			out.Cells[oy*ow+ox] = acc
 		}
 	}
 	return out
@@ -170,24 +195,89 @@ func (e *Engine) Add(a, b Grid) Grid {
 	if a.H != b.H || a.W != b.W {
 		panic(fmt.Sprintf("symconv: Add shape mismatch %dx%d vs %dx%d", a.H, a.W, b.H, b.W))
 	}
-	out := Grid{H: a.H, W: a.W, Cells: make([]sym.ID, len(a.Cells))}
-	for i := range a.Cells {
-		out.Cells[i] = e.In.Add(a.Cells[i], b.Cells[i])
+	out := e.grid(a.H, a.W)
+	for i := range out.Cells {
+		for l := range out.Cells[i] {
+			out.Cells[i][l] = add(a.Cells[i][l], b.Cells[i][l])
+		}
 	}
 	return out
 }
 
-// Signature returns a canonical fingerprint of the multiset of cell
-// expressions: grids with equal signatures have (generically) equal nnz.
-func Signature(g Grid) string {
-	ids := append([]sym.ID(nil), g.Cells...)
-	sort.Slice(ids, func(i, j int) bool { return ids[i] < ids[j] })
-	var b strings.Builder
-	fmt.Fprintf(&b, "%dx%d:", g.H, g.W)
-	for _, id := range ids {
-		fmt.Fprintf(&b, "%d,", id)
+// Signature fingerprints the multiset of g's cell values as the sum of the
+// hashed cells, which no cell order changes: grids with equal signatures
+// have (generically) equal nnz.
+func Signature(g Grid) Value {
+	var sig Value
+	for _, c := range g.Cells {
+		for l, key := range keys {
+			sig[l] = add(sig[l], hash(key, c[l]))
+		}
 	}
-	return b.String()
+	return sig
+}
+
+// variable returns the value of the named variable under each key: the
+// keyed hash of the name's FNV-1a digest.
+func variable(name string) Value {
+	h := uint64(0xcbf29ce484222325)
+	for i := 0; i < len(name); i++ {
+		h = (h ^ uint64(name[i])) * 0x100000001b3
+	}
+	var v Value
+	for l, key := range keys {
+		v[l] = hash(key, h)
+	}
+	return v
+}
+
+// maxOf is the value of a max node: a keyed hash of its sorted, distinct
+// arguments, so it depends on which values meet but not on their order or
+// multiplicity. A single distinct value passes through, as max(a, a) = a.
+// It sorts args in place.
+func maxOf(key uint64, args []uint64) uint64 {
+	slices.Sort(args)
+	args = slices.Compact(args)
+	if len(args) == 1 {
+		return args[0]
+	}
+	h := key
+	for _, a := range args {
+		h = hash(h, a)
+	}
+	return h
+}
+
+// hash is a keyed hash of a word into the field.
+func hash(key, v uint64) uint64 { return mix(key^v) % modulus }
+
+// mix is the splitmix64 finalizer, a bijective scrambler of 64-bit words.
+func mix(x uint64) uint64 {
+	x ^= x >> 30
+	x *= 0xbf58476d1ce4e5b9
+	x ^= x >> 27
+	x *= 0x94d049bb133111eb
+	return x ^ x>>31
+}
+
+// add returns a+b mod 2⁶¹−1 for a, b < 2⁶¹−1.
+func add(a, b uint64) uint64 {
+	s := a + b
+	if s >= modulus {
+		s -= modulus
+	}
+	return s
+}
+
+// mul returns a·b mod P for a, b < P = 2⁶¹−1. With a·b = q·2⁶¹ + r and
+// 2⁶¹ ≡ 1 (mod P), a·b ≡ q + r, and q + r < 2P because a·b ≤ (P−1)².
+func mul(a, b uint64) uint64 {
+	hi, lo := bits.Mul64(a, b)
+	s := (hi<<3 | lo>>61) + lo&modulus
+	if s >= modulus {
+		s -= modulus
+	}
+	return s
 }
 
 // ClassPattern converts a sequence of comparable observations into a

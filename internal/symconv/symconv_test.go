@@ -13,7 +13,7 @@ import (
 // returns the predicted class pattern across probes.
 func predict(t *testing.T, pat probe.Pattern, h, w int, layers [][3]int) []int {
 	t.Helper()
-	e := NewEngine()
+	var e Engine
 	grids := e.ProbeGrids(pat, h, w)
 	for li, l := range layers {
 		for i := range grids {
@@ -22,7 +22,7 @@ func predict(t *testing.T, pat probe.Pattern, h, w int, layers [][3]int) []int {
 			grids[i] = g
 		}
 	}
-	sigs := make([]string, len(grids))
+	sigs := make([]Value, len(grids))
 	for i, g := range grids {
 		sigs[i] = Signature(g)
 	}
@@ -202,7 +202,7 @@ func TestPredictionRefinesNumericObservation(t *testing.T) {
 }
 
 func TestAddGrids(t *testing.T) {
-	e := NewEngine()
+	var e Engine
 	pat := probe.Pattern{M: 0, N: 1, Q: 2, FeatRow: 0}
 	g := e.ProbeGrids(pat, 1, 6)
 	sum := e.Add(g[0], g[0])
@@ -217,7 +217,7 @@ func TestAddGrids(t *testing.T) {
 }
 
 func TestAddShapeMismatchPanics(t *testing.T) {
-	e := NewEngine()
+	var e Engine
 	pat := probe.Pattern{M: 0, N: 1, Q: 1, FeatRow: 0}
 	a := e.ProbeGrid(pat, 0, 1, 4)
 	b := e.ProbeGrid(pat, 0, 1, 6)
@@ -266,9 +266,9 @@ func TestRefines(t *testing.T) {
 // maxpool for class prediction).
 func TestAvgPoolChangesPattern(t *testing.T) {
 	pat := probe.Pattern{M: 0, N: 1, Q: 8, FeatRow: 0}
-	e := NewEngine()
+	var e Engine
 	grids := e.ProbeGrids(pat, 1, 20)
-	var sigsPool, sigsNo []string
+	var sigsPool, sigsNo []Value
 	for _, g := range grids {
 		c := e.Conv(g, "l0", 3, 1)
 		sigsNo = append(sigsNo, Signature(c))

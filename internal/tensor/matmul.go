@@ -1,13 +1,10 @@
 package tensor
 
-import (
-	"fmt"
-	"runtime"
-	"sync"
-)
+import "fmt"
 
 // MatMul computes C = A·B for 2-d tensors A (m×k) and B (k×n), returning a
-// new m×n tensor. Large products are split across goroutines by output row.
+// new m×n tensor. It runs on the calling goroutine: a victim inference's
+// products are too small to pay for handing rows to other goroutines.
 func MatMul(a, b *Tensor) *Tensor {
 	if a.NumDims() != 2 || b.NumDims() != 2 {
 		panic(fmt.Sprintf("tensor: MatMul requires 2-d operands, got %v and %v", a.shape, b.shape))
@@ -32,43 +29,10 @@ func MatMulInto(dst, a, b *Tensor) {
 	matMulInto(dst.Data, a.Data, b.Data, m, k, n)
 }
 
-// parallelThreshold is the minimum number of multiply-adds before MatMul
-// fans out across goroutines; below it the goroutine overhead dominates.
-const parallelThreshold = 1 << 16
-
+// matMulInto computes dst = a·b using an ikj loop order so the inner loop
+// streams through b and dst rows sequentially.
 func matMulInto(dst, a, b []float64, m, k, n int) {
-	if m*k*n < parallelThreshold {
-		matMulRange(dst, a, b, 0, m, k, n)
-		return
-	}
-	workers := runtime.GOMAXPROCS(0)
-	if workers > m {
-		workers = m
-	}
-	var wg sync.WaitGroup
-	chunk := (m + workers - 1) / workers
-	for w := 0; w < workers; w++ {
-		lo := w * chunk
-		hi := lo + chunk
-		if hi > m {
-			hi = m
-		}
-		if lo >= hi {
-			break
-		}
-		wg.Add(1)
-		go func(lo, hi int) {
-			defer wg.Done()
-			matMulRange(dst, a, b, lo, hi, k, n)
-		}(lo, hi)
-	}
-	wg.Wait()
-}
-
-// matMulRange computes rows [lo,hi) of dst = a·b using an ikj loop order so
-// the inner loop streams through b and dst rows sequentially.
-func matMulRange(dst, a, b []float64, lo, hi, k, n int) {
-	for i := lo; i < hi; i++ {
+	for i := 0; i < m; i++ {
 		drow := dst[i*n : (i+1)*n]
 		for x := range drow {
 			drow[x] = 0

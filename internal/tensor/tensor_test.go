@@ -233,7 +233,7 @@ func TestMatMulSmall(t *testing.T) {
 
 func TestMatMulParallelMatchesSerial(t *testing.T) {
 	rng := rand.New(rand.NewSource(3))
-	m, k, n := 70, 60, 50 // large enough to cross parallelThreshold
+	m, k, n := 70, 60, 50 // far larger than the hand-checked products
 	a := New(m, k)
 	b := New(k, n)
 	a.Randn(rng, 1)
