@@ -138,13 +138,7 @@ func main() {
 	var led *converge.Ledger
 	var progressDone chan struct{}
 	if *progress || *ledgerOut != "" {
-		// Don't wrap a nil *Collector in the Recorder interface: the ledger
-		// checks rec == nil, which a typed nil would evade.
-		var rec obs.Recorder
-		if col != nil {
-			rec = col
-		}
-		led = converge.NewLedger(rec)
+		led = converge.NewLedger()
 		cfg.Ledger = led
 	}
 	if *progress {

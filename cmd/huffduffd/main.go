@@ -2,7 +2,8 @@
 // over HTTP, runs them on a supervised bounded worker pool against freshly
 // deployed simulated victims, and exposes the operator surface of a
 // long-running service — Prometheus metrics, live per-campaign progress
-// with device telemetry, a flight-recorder event dump, and pprof.
+// (each campaign's convergence ledger) with device telemetry, a
+// flight-recorder event dump, and pprof.
 //
 // With -data-dir the daemon is crash-safe: every submission and state
 // transition is written, fsync'd, to an embedded segment log under
@@ -13,13 +14,11 @@
 // cannot be read back at start — a corrupt frame in a sealed segment, say —
 // is fatal, since serving without it would reuse stored campaign IDs. A
 // <data-dir>/journal directory left by an older build is ignored, so its
-// in-flight campaigns are not resumed. The log also keeps each finished
-// campaign's flight-recorder tail, which only a daemon with -data-dir
-// serves; the listing and the aggregate work either way:
+// in-flight campaigns are not resumed. The listing and the aggregate are
+// folds of the campaign table, so they work with or without -data-dir:
 //
 //	curl 'localhost:9120/campaigns?model=smallcnn&state=done&limit=10'
 //	curl 'localhost:9120/campaigns/aggregate?by=model'
-//	curl 'localhost:9120/campaigns/1/events'
 //
 // Usage:
 //
@@ -29,6 +28,7 @@
 //
 //	curl -d '{"model":"smallcnn","trials":8,"q":8}' localhost:9120/campaigns
 //	curl localhost:9120/campaigns/1
+//	curl localhost:9120/campaigns/1/progress
 //	curl localhost:9120/metrics
 //	curl localhost:9120/healthz
 //
@@ -109,7 +109,6 @@ func main() {
 		QueueDepth: *queue,
 		Recorder:   rec,
 		Store:      hist,
-		Flight:     flight,
 		JobTimeout: *jobTO,
 		Retry:      telemetry.RetryPolicy{MaxAttempts: *retryMax, BaseDelay: *retryBase},
 	})
@@ -134,7 +133,7 @@ func main() {
 	l, err := net.Listen("tcp", *addr)
 	cli.Check(err)
 	log.Printf("huffduffd listening on http://%s (%d workers, queue %d)", l.Addr(), *workers, *queue)
-	log.Printf("endpoints: /metrics /healthz /campaigns /campaigns/aggregate /campaigns/{id}/progress[/stream] /campaigns/{id}/events /events /debug/profile /debug/pprof/")
+	log.Printf("endpoints: /metrics /healthz /campaigns /campaigns/aggregate /campaigns/{id}/progress[/stream] /events /debug/profile /debug/pprof/")
 
 	serveErr := make(chan error, 1)
 	go func() { serveErr <- srv.Serve(l) }()

@@ -23,8 +23,9 @@
 // points a downstream user needs to deploy a victim on the simulated
 // accelerator and steal it back. The campaign daemon, cmd/huffduffd, is
 // not part of it: its campaign history — listings, per-model aggregates,
-// stored event tails — is served over HTTP from the daemon's table and its
-// durable log (internal/telemetry, internal/store).
+// per-campaign convergence ledgers — is served over HTTP from the daemon's
+// table, which its durable log rebuilds on restart (internal/telemetry,
+// internal/store).
 //
 // Quick start:
 //
@@ -225,10 +226,8 @@ type (
 	ConvergeSummary = converge.Summary
 )
 
-// NewConvergeLedger builds an empty convergence ledger; rec (optional,
-// may be nil) additionally receives each snapshot's headline numbers as
-// converge.* gauges.
-func NewConvergeLedger(rec ObsRecorder) *ConvergeLedger { return converge.NewLedger(rec) }
+// NewConvergeLedger builds an empty convergence ledger.
+func NewConvergeLedger() *ConvergeLedger { return converge.NewLedger() }
 
 // AttackStage extracts the pipeline stage ("calibration", "probe", "solve",
 // "geometry", "timing", "finalize") an attack error originated in.

@@ -9,6 +9,10 @@
 // the log10 volume of the remaining solution space, and the information
 // eliminated since the previous snapshot.
 //
+// The ledger is the attack's one record of knowledge and progress; host
+// cost (spans, metrics, pprof stage labels) travels separately, through the
+// obs.Recorder and prof.Stage, and the ledger copies nothing into it.
+//
 // Ledgers are safe for concurrent use: the attack appends from its worker
 // goroutine while HTTP handlers read Latest/Snapshots and streaming clients
 // consume Subscribe. Victim-query counting (AddQueries) is a single atomic
@@ -25,8 +29,6 @@ import (
 	"sync"
 	"sync/atomic"
 	"time"
-
-	"github.com/huffduff/huffduff/internal/obs"
 )
 
 // LayerState is one layer's recovered knowledge at snapshot time. Node is
@@ -95,13 +97,10 @@ type Snapshot struct {
 // stalled client ever hits this.
 const subBuffer = 256
 
-// Ledger accumulates Snapshots for one attack campaign and republishes them
-// as obs metrics (converge.* counters/gauges, which reach Prometheus and
-// JSONL event sinks through whatever Recorder fanout is attached) and as a
-// live subscription stream for HTTP progress endpoints.
+// Ledger accumulates Snapshots for one attack campaign and serves them as a
+// history, a JSONL export, and a live subscription stream for HTTP progress
+// endpoints.
 type Ledger struct {
-	rec obs.Recorder
-
 	queries atomic.Int64
 
 	mu sync.Mutex
@@ -115,10 +114,9 @@ type Ledger struct {
 	closed bool
 }
 
-// NewLedger returns an empty ledger. rec may be nil; snapshots are then
-// recorded but not republished as metrics.
-func NewLedger(rec obs.Recorder) *Ledger {
-	return &Ledger{rec: rec, subs: make(map[int]chan Snapshot)}
+// NewLedger returns an empty ledger.
+func NewLedger() *Ledger {
+	return &Ledger{subs: make(map[int]chan Snapshot)}
 }
 
 // AddQueries counts n victim inferences against the ledger. Nil-safe and
@@ -139,7 +137,7 @@ func (l *Ledger) Queries() int64 {
 }
 
 // Append records s, assigning Seq, TS, Queries, and BitsEliminated, and
-// fans the completed snapshot out to metrics and subscribers. It returns
+// fans the completed snapshot out to subscribers. It returns
 // the completed snapshot. Nil-safe; appends after Close are dropped.
 func (l *Ledger) Append(s Snapshot) Snapshot {
 	if l == nil {
@@ -176,29 +174,7 @@ func (l *Ledger) Append(s Snapshot) Snapshot {
 		}
 	}
 	l.mu.Unlock()
-
-	l.publish(s)
 	return s
-}
-
-// publish republishes one snapshot through the obs recorder. Metric names
-// use dots (the Prometheus exporter rewrites them to underscores, yielding
-// the converge_* family).
-func (l *Ledger) publish(s Snapshot) {
-	if l.rec == nil {
-		return
-	}
-	l.rec.Count("converge.snapshots", s.Stage, 1)
-	l.rec.Gauge("converge.queries", "", float64(s.Queries))
-	if s.VolumeKnown {
-		l.rec.Gauge("converge.log10_volume", "", s.Log10Volume)
-	}
-	if s.BitsEliminated > 0 {
-		l.rec.Observe("converge.bits_eliminated", s.Stage, s.BitsEliminated)
-	}
-	if s.GeomAmbiguity > 0 {
-		l.rec.Gauge("converge.geom_ambiguity", "", float64(s.GeomAmbiguity))
-	}
 }
 
 // Snapshots returns a copy of every snapshot appended so far. Nil-safe.

@@ -38,7 +38,7 @@ func TestNilLedgerIsInert(t *testing.T) {
 }
 
 func TestAppendAssignsSeqQueriesAndBits(t *testing.T) {
-	l := NewLedger(nil)
+	l := NewLedger()
 	l.AddQueries(10)
 	s0 := l.Append(Snapshot{Stage: "probe", Log10Volume: 96, VolumeKnown: true})
 	if s0.Seq != 0 || s0.Queries != 10 || s0.TS == 0 {
@@ -73,7 +73,7 @@ func TestAppendAssignsSeqQueriesAndBits(t *testing.T) {
 }
 
 func TestSubscribeReplayAndLive(t *testing.T) {
-	l := NewLedger(nil)
+	l := NewLedger()
 	l.Append(Snapshot{Stage: "calibrate"})
 	l.Append(Snapshot{Stage: "probe"})
 
@@ -109,7 +109,7 @@ func TestSubscribeReplayAndLive(t *testing.T) {
 }
 
 func TestSlowSubscriberDisconnected(t *testing.T) {
-	l := NewLedger(nil)
+	l := NewLedger()
 	ch, cancel := l.Subscribe()
 	defer cancel()
 	// Never read: once the buffer fills the ledger must disconnect the
@@ -131,7 +131,7 @@ func TestSlowSubscriberDisconnected(t *testing.T) {
 }
 
 func TestCloseDropsLaterAppends(t *testing.T) {
-	l := NewLedger(nil)
+	l := NewLedger()
 	l.Append(Snapshot{Stage: "probe"})
 	l.Close()
 	l.Close() // idempotent
@@ -142,7 +142,7 @@ func TestCloseDropsLaterAppends(t *testing.T) {
 }
 
 func TestConcurrentAppendSubscribe(t *testing.T) {
-	l := NewLedger(nil)
+	l := NewLedger()
 	var wg sync.WaitGroup
 	wg.Add(3)
 	go func() {
@@ -175,7 +175,7 @@ func TestConcurrentAppendSubscribe(t *testing.T) {
 }
 
 func TestWriteJSONLRoundTrips(t *testing.T) {
-	l := NewLedger(nil)
+	l := NewLedger()
 	l.AddQueries(3)
 	l.Append(Snapshot{
 		Stage: "probe", Log10Volume: 42.5, VolumeKnown: true,
@@ -204,7 +204,7 @@ func TestWriteJSONLRoundTrips(t *testing.T) {
 }
 
 func TestSummary(t *testing.T) {
-	l := NewLedger(nil)
+	l := NewLedger()
 	if sum := l.Summary(); sum.Snapshots != 0 || sum.QueriesTo90Pct != 0 {
 		t.Fatalf("empty ledger summary: %+v", sum)
 	}
@@ -236,7 +236,7 @@ func TestContextRoundTrip(t *testing.T) {
 	if ctx := WithLedger(context.Background(), nil); FromContext(ctx) != nil {
 		t.Fatal("nil ledger attached to context")
 	}
-	l := NewLedger(nil)
+	l := NewLedger()
 	ctx := WithLedger(context.Background(), l)
 	if FromContext(ctx) != l {
 		t.Fatal("ledger did not round-trip through context")

@@ -53,18 +53,12 @@ type Config struct {
 	// convergence diagnostics. Nil (the default) disables instrumentation at
 	// the cost of one nil-check per site.
 	Obs obs.Recorder
-	// Progress, when set, receives coarse live progress: each pipeline
-	// stage as it begins (calibrate, probe, solve, geometry, timing,
-	// finalize) with done=total=0, and — during the probing campaign —
-	// per-position counts (done positions, campaign total). It runs on the
-	// attack goroutine; keep it cheap and non-blocking. Long-running
-	// services (cmd/huffduffd) use it to report live campaign state.
-	Progress func(stage string, done, total int)
 	// Ledger, when set, receives a convergence Snapshot after every
 	// knowledge-changing step: calibration, throttled probe progress, each
-	// scheduled solve, the timing channel, and finalization (including the
-	// degraded and budget-aborted paths, which append a final snapshot
-	// before returning). The ledger also counts every victim inference.
+	// scheduled solve, the timing channel, and finalization (the degraded
+	// path included, which appends its own final snapshot). The ledger also
+	// counts every victim inference. It is the attack's one progress
+	// report; host cost goes to Obs.
 	Ledger *converge.Ledger
 }
 
@@ -169,18 +163,11 @@ func Attack(victim Victim, cfg Config) (*Result, error) {
 	return AttackContext(context.Background(), victim, cfg)
 }
 
-// stageSpan opens a cost-attributed pipeline-stage region (obs span, pprof
-// stage label, runtime sampling) and returns (stage ctx, closer); the closer
-// ends the span and records the stage's host wall time into the
-// `stage.seconds{stage=...}` histogram plus the `prof.stage.*` resource
-// counters. See internal/prof.
-func stageSpan(ctx context.Context, name string) (context.Context, func()) {
-	return prof.Stage(ctx, name)
-}
-
 // AttackContext is Attack with a caller-supplied context. Config.Obs (when
 // set) is attached to the context, so spans and metrics flow to it; a
-// recorder already present in ctx is used otherwise.
+// recorder already present in ctx is used otherwise. Each pipeline stage is
+// a prof.Stage region: an obs span, a `stage=` pprof label, and the
+// `stage.seconds` and `prof.stage.*` costs.
 func AttackContext(ctx context.Context, victim Victim, cfg Config) (*Result, error) {
 	if err := cfg.Validate(); err != nil {
 		return nil, faults.Stage("config", err)
@@ -191,28 +178,18 @@ func AttackContext(ctx context.Context, victim Victim, cfg Config) (*Result, err
 	ctx = converge.WithLedger(ctx, cfg.Ledger)
 	ctx, root := obs.Start(ctx, "attack")
 	defer root.End()
-	hook := ledgerHook{led: cfg.Ledger, cfg: cfg}
+	hook := ledgerHook{led: cfg.Ledger, probe: cfg.Probe}
 
 	fin := cfg.Finalize
 	// The solver's consistency filters and the finalizer must agree on the
 	// device model.
 	cfg.Probe.Consistency = &fin
 	cfg.Probe.BlockBytes = cfg.BlockBytes
-	if cfg.Progress != nil && cfg.Probe.Progress == nil {
-		report := cfg.Progress
-		cfg.Probe.Progress = func(done, total int) { report("probe", done, total) }
-	}
-	stage := func(ctx context.Context, name string) (context.Context, func()) {
-		if cfg.Progress != nil {
-			cfg.Progress(name, 0, 0)
-		}
-		return stageSpan(ctx, name)
-	}
 
 	res := &Result{}
 
 	// 1. Calibration.
-	cctx, endCal := stage(ctx, "calibrate")
+	cctx, endCal := prof.Stage(ctx, "calibrate")
 	g, err := calibrate(cctx, victim, cfg, res)
 	endCal()
 	if err != nil {
@@ -222,30 +199,9 @@ func AttackContext(ctx context.Context, victim Victim, cfg Config) (*Result, err
 	hook.g = g
 	hook.snap("calibrate", nil, nil, nil, nil, nil)
 
-	// Ledger probe snapshots: the per-position callback fires thousands of
-	// times per campaign, so snapshots are throttled to ~8 per probe stage
-	// (plus the final position). The volume is flat here — probing gathers
-	// evidence, the solve spends it — which is exactly what the queries-vs-
-	// volume curve should show.
-	if cfg.Ledger != nil {
-		prev := cfg.Probe.Progress
-		hk := hook
-		cfg.Probe.Progress = func(done, total int) {
-			if prev != nil {
-				prev(done, total)
-			}
-			step := total / 8
-			if step < 1 {
-				step = 1
-			}
-			if done%step == 0 || done == total {
-				hk.snap("probe", nil, nil, nil, nil, nil)
-			}
-		}
-	}
-
-	// 2. Probing campaign.
-	pctx, endProbe := stage(ctx, "probe")
+	// 2. Probing campaign; it appends its own throttled probe snapshots to
+	// the ledger in ctx.
+	pctx, endProbe := prof.Stage(ctx, "probe")
 	data, err := CollectContext(pctx, victim, g, fin.InC, fin.InH, fin.InW, cfg.Probe)
 	endProbe()
 	if err != nil {
@@ -256,20 +212,20 @@ func AttackContext(ctx context.Context, victim Victim, cfg Config) (*Result, err
 	// 3. Geometry solve, with the §8.2 convergence loop and — if the solve
 	// finds no consistent geometry — one escalation into the §9.2
 	// repeated-measurement mode.
-	sctx, endSolve := stage(ctx, "solve")
+	sctx, endSolve := prof.Stage(ctx, "solve")
 	pr, conv, serr := solveConverged(sctx, data, cfg)
 	endSolve()
 	if serr != nil && cfg.EscalateNoiseTolerant && !cfg.Probe.NoiseTolerant {
 		ncfg := cfg.Probe
 		ncfg.NoiseTolerant = true
-		pctx, endProbe := stage(ctx, "probe")
+		pctx, endProbe := prof.Stage(ctx, "probe")
 		nd, nerr := CollectContext(pctx, victim, g, fin.InC, fin.InH, fin.InW, ncfg)
 		endProbe()
 		if nerr != nil {
 			return nil, faults.Stage("probe", fmt.Errorf("noise-tolerant escalation after solve failure (%v): %w", serr, nerr))
 		}
 		res.VictimRetries += nd.Retries
-		sctx, endSolve := stage(ctx, "solve")
+		sctx, endSolve := prof.Stage(ctx, "solve")
 		pr2, conv2, serr2 := solveConverged(sctx, nd, cfg)
 		endSolve()
 		if serr2 == nil {
@@ -285,7 +241,7 @@ func AttackContext(ctx context.Context, victim Victim, cfg Config) (*Result, err
 	res.Converged, res.TrialsConverged, res.Confidence = conv.converged, conv.trialsConverged, conv.confidence
 
 	// 4. Spatial propagation.
-	_, endGeom := stage(ctx, "geometry")
+	_, endGeom := prof.Stage(ctx, "geometry")
 	dims, err := PropagateDims(g, pr, fin.InH)
 	endGeom()
 	if err != nil {
@@ -296,7 +252,7 @@ func AttackContext(ctx context.Context, victim Victim, cfg Config) (*Result, err
 	// 5. Timing channel — from the per-inference Δt samples the campaign
 	// gathered, falling back to the calibration interval if none exist.
 	var terr error
-	_, endTiming := stage(ctx, "timing")
+	_, endTiming := prof.Stage(ctx, "timing")
 	if len(data.Enc) > 0 {
 		res.Timing, terr = TimingChannelFromSamples(g, dims, data.Enc, cfg.TimingTolerance)
 	} else {
@@ -310,7 +266,7 @@ func AttackContext(ctx context.Context, victim Victim, cfg Config) (*Result, err
 
 	// 6. Solution space, with graceful degradation when the timing channel
 	// cannot be trusted.
-	fctx, endFinalize := stage(ctx, "finalize")
+	fctx, endFinalize := prof.Stage(ctx, "finalize")
 	defer endFinalize()
 	if terr == nil {
 		space, ferr := Finalize(g, pr, dims, res.Timing, fin)
@@ -329,12 +285,8 @@ func AttackContext(ctx context.Context, victim Victim, cfg Config) (*Result, err
 	} else if !cfg.DegradeOnTimingFault || !errors.Is(terr, faults.ErrTimingUnusable) {
 		return nil, faults.Stage("timing", terr)
 	}
-	// Degraded path: report it through the same progress/ledger hooks as
-	// every other stage so degraded campaigns stay observable (operators
-	// see *why* the space got wider, not just that finalize ran twice).
-	if cfg.Progress != nil {
-		cfg.Progress("finalize_degraded", 0, 0)
-	}
+	// Degraded path: its final ledger snapshot carries the reason, so a
+	// degraded campaign shows *why* the space got wider.
 	space, derr := FinalizeDegraded(g, pr, dims, fin)
 	if derr != nil {
 		return nil, faults.Stage("finalize", fmt.Errorf("degraded fallback after %v: %w", terr, derr))
@@ -489,7 +441,7 @@ func solveConverged(ctx context.Context, data *ProbeData, cfg Config) (*ProbeRes
 	}
 	schedule = append(schedule, total)
 
-	hook := ledgerHook{led: cfg.Ledger, g: data.Graph, cfg: cfg}
+	hook := ledgerHook{led: cfg.Ledger, g: data.Graph, probe: cfg.Probe}
 	results := make([]*ProbeResult, len(schedule))
 	var lastErr error
 	for i, t := range schedule {

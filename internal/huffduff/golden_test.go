@@ -76,7 +76,7 @@ func TestLedgerJSONLDeterministic(t *testing.T) {
 	var out [2]string
 	for i := range out {
 		m, _ := deployVictim(t, models.SmallCNN(), 0.5)
-		led := converge.NewLedger(nil)
+		led := converge.NewLedger()
 		cfg.Ledger = led
 		if _, err := Attack(m, cfg); err != nil {
 			t.Fatal(err)

@@ -1,6 +1,7 @@
 package huffduff
 
 import (
+	"fmt"
 	"math"
 	"math/rand"
 	"sync"
@@ -42,6 +43,8 @@ type attackRun struct {
 	res   *Result
 	bind  *models.Binding
 	costs attackCosts
+	// ledger is every snapshot the attack's convergence ledger recorded.
+	ledger []converge.Snapshot
 }
 
 // attackCosts are the costs of one attack that depend only on the code,
@@ -62,7 +65,7 @@ func runAttack(arch *models.Arch, keep float64, cfg Config) (attackRun, error) {
 	if err != nil {
 		return attackRun{}, err
 	}
-	led := converge.NewLedger(nil)
+	led := converge.NewLedger()
 	cfg.Ledger = led
 	res, err := Attack(m, cfg)
 	led.Close()
@@ -70,7 +73,7 @@ func runAttack(arch *models.Arch, keep float64, cfg Config) (attackRun, error) {
 		return attackRun{}, err
 	}
 	dev, sum := m.Campaign(), led.Summary()
-	return attackRun{res: res, bind: bind, costs: attackCosts{
+	return attackRun{res: res, bind: bind, ledger: led.Snapshots(), costs: attackCosts{
 		queries:        float64(dev.Runs),
 		deviceCycles:   dev.SimulatedTime * m.Cfg.ClockHz,
 		traceEvents:    float64(dev.TraceReadEvents + dev.TraceWriteEvents),
@@ -435,6 +438,52 @@ func TestObservabilityRate(t *testing.T) {
 	}
 	if rate > 1 {
 		t.Fatalf("rate %.2f out of range", rate)
+	}
+}
+
+// TestProbeSnapshots pins the probe snapshots the collection appends to the
+// ledger in its ctx: at most nine per collection, their notes counting the
+// positions done strictly up to the campaign total, queries never falling,
+// and the volume flat — probing gathers evidence, the solve spends it.
+func TestProbeSnapshots(t *testing.T) {
+	run := smallCNNPruned.get(t)
+	cfg := run.res.Data.Cfg
+	total := cfg.Trials * 4 * cfg.Q
+	var probes []converge.Snapshot
+	var before converge.Snapshot
+	for i, s := range run.ledger {
+		if s.Stage != "probe" {
+			continue
+		}
+		if len(probes) == 0 {
+			if i == 0 {
+				t.Fatal("ledger opens on a probe snapshot; want calibrate first")
+			}
+			before = run.ledger[i-1]
+		}
+		probes = append(probes, s)
+	}
+	if len(probes) == 0 || len(probes) > 9 {
+		t.Fatalf("%d probe snapshots for one collection, want 1 to 9", len(probes))
+	}
+	done, queries := 0, before.Queries
+	for _, s := range probes {
+		var k, n int
+		if _, err := fmt.Sscanf(s.Note, "positions=%d/%d", &k, &n); err != nil || n != total || k <= done {
+			t.Errorf("probe snapshot %d note %q after %d positions, want positions=k/%d with k > %d", s.Seq, s.Note, done, total, done)
+		}
+		done = k
+		if s.Queries < queries {
+			t.Errorf("probe snapshot %d: queries fell from %d to %d", s.Seq, queries, s.Queries)
+		}
+		queries = s.Queries
+		if math.Abs(s.Log10Volume-before.Log10Volume) > 1e-12 || s.BitsEliminated > 0 {
+			t.Errorf("probe snapshot %d: log10 volume %v (%v bits eliminated), want the %s snapshot's %v",
+				s.Seq, s.Log10Volume, s.BitsEliminated, before.Stage, before.Log10Volume)
+		}
+	}
+	if done != total {
+		t.Errorf("last probe snapshot at %d positions, want %d", done, total)
 	}
 }
 

@@ -18,9 +18,9 @@ const channelSpan = 1024
 // ledgerHook builds and appends convergence snapshots for one attack. The
 // zero hook (nil ledger or graph) is inert, so call sites need no checks.
 type ledgerHook struct {
-	led *converge.Ledger
-	g   *ObsGraph
-	cfg Config
+	led   *converge.Ledger
+	g     *ObsGraph
+	probe ProbeConfig
 }
 
 // snap appends one snapshot reflecting the current knowledge state: pr, tm,
@@ -63,7 +63,7 @@ func (h ledgerHook) volume(pr *ProbeResult, space *SolutionSpace) float64 {
 	if space != nil && !space.Degraded {
 		return log10i(space.GeomAmbiguity) + log10i(space.Count())
 	}
-	hyp := len(h.cfg.Probe.hypotheses())
+	hyp := len(h.probe.hypotheses())
 	vol := 0.0
 	for _, n := range h.g.Nodes {
 		switch n.Kind {
@@ -82,7 +82,7 @@ func (h ledgerHook) volume(pr *ProbeResult, space *SolutionSpace) float64 {
 			}
 			vol += log10i(gf) + log10i(cf)
 		case NodePool:
-			pf := len(h.cfg.Probe.PoolNodeFactors) + 1
+			pf := len(h.probe.PoolNodeFactors) + 1
 			if pr != nil {
 				if _, ok := pr.PoolFactors[n.ID]; ok {
 					pf = 1
@@ -97,7 +97,7 @@ func (h ledgerHook) volume(pr *ProbeResult, space *SolutionSpace) float64 {
 // layers builds the per-layer knowledge states, in node-ID order (the
 // deterministic order the JSONL stream promises).
 func (h ledgerHook) layers(pr *ProbeResult, tm *TimingResult, space *SolutionSpace, conf map[int]float64) []converge.LayerState {
-	hyp := len(h.cfg.Probe.hypotheses())
+	hyp := len(h.probe.hypotheses())
 	var out []converge.LayerState
 	for _, n := range h.g.Nodes {
 		switch n.Kind {
@@ -126,7 +126,7 @@ func (h ledgerHook) layers(pr *ProbeResult, tm *TimingResult, space *SolutionSpa
 			}
 			out = append(out, ls)
 		case NodePool:
-			ls := converge.LayerState{Node: n.ID, Candidates: len(h.cfg.Probe.PoolNodeFactors) + 1}
+			ls := converge.LayerState{Node: n.ID, Candidates: len(h.probe.PoolNodeFactors) + 1}
 			if pr != nil {
 				if f, ok := pr.PoolFactors[n.ID]; ok {
 					ls.Pool, ls.Candidates = f, 1

@@ -78,11 +78,6 @@ type ProbeConfig struct {
 	// the repeat-until-agreement aggregation — any tolerance also forgives
 	// rare genuine boundary distinctions.
 	RobustMismatchBudget int
-	// Progress, when set, is invoked after every completed probe position
-	// with the positions done so far and the campaign total
-	// (Trials × families × Q). It runs on the collection goroutine between
-	// victim inferences — keep it cheap and non-blocking.
-	Progress func(done, total int)
 }
 
 // DefaultProbeConfig returns the configuration used in the evaluation.
@@ -307,7 +302,9 @@ func Collect(victim Victim, g *ObsGraph, inC, inH, inW int, cfg ProbeConfig) (*P
 
 // CollectContext is Collect with a caller-supplied context; an obs.Recorder
 // attached to ctx receives per-trial and per-position spans plus the
-// victim-query and retry counters.
+// victim-query and retry counters, and a converge.Ledger attached to ctx
+// counts every inference and receives about eight probe snapshots, each
+// noting the positions done so far (positions=k/N).
 func CollectContext(ctx context.Context, victim Victim, g *ObsGraph, inC, inH, inW int, cfg ProbeConfig) (*ProbeData, error) {
 	if err := cfg.Validate(); err != nil {
 		return nil, err
@@ -400,6 +397,13 @@ func CollectContext(ctx context.Context, victim Victim, g *ObsGraph, inC, inH, i
 	if aggMin {
 		maxRep += 3
 	}
+	// Ledger probe snapshots, throttled to ~8 per collection plus the final
+	// position. The volume is flat here — probing gathers evidence, the
+	// solve spends it — which is exactly what the queries-vs-volume curve
+	// should show.
+	hook := ledgerHook{led: converge.FromContext(ctx), g: g, probe: cfg}
+	total := cfg.Trials * len(families) * cfg.Q
+	step := max(total/8, 1)
 	for t := 0; t < cfg.Trials; t++ {
 		tctx, tspan := obs.Start(ctx, "probe.trial")
 		for fi, fam := range families {
@@ -463,9 +467,10 @@ func CollectContext(ctx context.Context, victim Victim, g *ObsGraph, inC, inH, i
 					varCnt++
 				}
 				qspan.End()
-				if cfg.Progress != nil {
-					done := (t*len(families)+fi)*cfg.Q + q + 1
-					cfg.Progress(done, cfg.Trials*len(families)*cfg.Q)
+				if done := (t*len(families)+fi)*cfg.Q + q + 1; done%step == 0 || done == total {
+					hook.snap("probe", nil, nil, nil, nil, func(s *converge.Snapshot) {
+						s.Note = fmt.Sprintf("positions=%d/%d", done, total)
+					})
 				}
 			}
 		}

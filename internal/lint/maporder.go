@@ -41,9 +41,9 @@ var obsMethodNames = map[string]bool{
 }
 
 // convergeMethodNames are the internal/converge Ledger entry points that
-// feed the ordered snapshot stream (JSONL artifacts, the progress endpoints,
-// and the converge.* metric family); appending from inside a map-range loop
-// randomizes the stream between identical runs.
+// feed the ordered snapshot stream (JSONL artifacts and the progress
+// endpoints); appending from inside a map-range loop randomizes the stream
+// between identical runs.
 var convergeMethodNames = map[string]bool{
 	"Append": true,
 }

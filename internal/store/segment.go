@@ -75,10 +75,10 @@ func Open(dir string, cfg Config) (*Log, error) {
 		}
 		l.segs = append(l.segs, seg)
 	}
-	// An interrupted compaction or event write leaves a *.tmp that never got
-	// renamed; *.idx files are sidecar indexes older builds wrote, which
-	// nothing reads.
-	for _, pat := range []string{"*.tmp", "seg-*.idx"} {
+	// An interrupted compaction leaves a *.tmp that never got renamed;
+	// *.idx sidecar indexes and events-*.json flight-recorder tails are
+	// files older builds wrote, which nothing reads.
+	for _, pat := range []string{"*.tmp", "seg-*.idx", "events-*.json"} {
 		leftovers, err := filepath.Glob(filepath.Join(dir, pat))
 		if err != nil {
 			l.closeFiles()
@@ -320,73 +320,6 @@ func (l *Log) rotateLocked() error {
 	}
 	l.signalCompactLocked()
 	return nil
-}
-
-// PutEvents durably stores one campaign's event batch, opaque bytes, in a
-// file of its own, superseding any earlier batch for the ID. The batch is
-// written to a temporary file, fsync'd, and renamed into place, so a crash
-// leaves the old batch or the new one, never a torn one.
-func (l *Log) PutEvents(id int, events []byte) error {
-	l.mu.Lock()
-	defer l.mu.Unlock()
-	if l.closed {
-		return errClosed
-	}
-	path := l.eventsPath(id)
-	tmp := path + ".tmp"
-	f, err := os.OpenFile(tmp, os.O_CREATE|os.O_TRUNC|os.O_WRONLY, 0o644)
-	if err != nil {
-		return fmt.Errorf("store: events %d: %w", id, err)
-	}
-	if _, err := f.Write(events); err != nil {
-		f.Close()
-		os.Remove(tmp)
-		return fmt.Errorf("store: events %d: %w", id, err)
-	}
-	if !l.cfg.NoSync {
-		if err := f.Sync(); err != nil {
-			f.Close()
-			os.Remove(tmp)
-			return fmt.Errorf("store: events %d: fsync: %w", id, err)
-		}
-	}
-	if err := f.Close(); err != nil {
-		os.Remove(tmp)
-		return fmt.Errorf("store: events %d: %w", id, err)
-	}
-	if err := os.Rename(tmp, path); err != nil {
-		os.Remove(tmp)
-		return fmt.Errorf("store: events %d: %w", id, err)
-	}
-	l.stats.Appends++
-	l.stats.AppendBytes += uint64(len(events))
-	l.count("store.appends", "kind="+kindEvents, 1)
-	l.count("store.append_bytes", "", float64(len(events)))
-	return nil
-}
-
-// Events returns one campaign's stored event batch; ok is false when none
-// is stored.
-func (l *Log) Events(id int) (events []byte, ok bool, err error) {
-	l.mu.Lock()
-	closed := l.closed
-	l.mu.Unlock()
-	if closed {
-		return nil, false, errClosed
-	}
-	raw, err := os.ReadFile(l.eventsPath(id))
-	if os.IsNotExist(err) {
-		return nil, false, nil
-	}
-	if err != nil {
-		return nil, false, fmt.Errorf("store: events %d: %w", id, err)
-	}
-	return raw, true, nil
-}
-
-// eventsPath names one campaign's event batch file.
-func (l *Log) eventsPath(id int) string {
-	return filepath.Join(l.dir, fmt.Sprintf("events-%d.json", id))
 }
 
 // Replay calls fn with every campaign's latest payload, in ascending ID

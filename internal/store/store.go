@@ -1,11 +1,10 @@
 // Package store is huffduffd's durable campaign log: an embedded,
 // stdlib-only, append-only segment log holding the latest payload per
 // campaign — the daemon's full CampaignSnapshot JSON, written at every
-// state transition — plus, for a finished campaign, the flight-recorder
-// event batch captured over its run. Records are fsync'd per append;
-// recovery skips and counts a torn tail and refuses a corrupt sealed
-// segment; background compaction drops superseded records and merges
-// small segments. The daemon reads the log once, at start, with Replay.
+// state transition. Records are fsync'd per append; recovery skips and
+// counts a torn tail and refuses a corrupt sealed segment; background
+// compaction drops superseded records and merges small segments. The
+// daemon reads the log once, at start, with Replay.
 package store
 
 import (
@@ -23,7 +22,6 @@ import (
 //
 //	seg-<firstLSN>.log    frames: u32 length | u32 crc32(body) | JSON body,
 //	                      then, once sealed, a trailer: magic | u64 frame bytes
-//	events-<id>.json      one campaign's event batch, opaque bytes
 //
 // Every record carries a monotone log sequence number (LSN); the latest LSN
 // for an ID wins, which is what makes compaction free to reorder files:
@@ -75,8 +73,7 @@ func (cfg Config) withDefaults() Config {
 type Stats struct {
 	// Records counts live (non-superseded) campaign records.
 	Records int `json:"records"`
-	// Appends and AppendBytes count accepted writes since open, event
-	// batches included.
+	// Appends and AppendBytes count accepted writes since open.
 	Appends     uint64 `json:"appends"`
 	AppendBytes uint64 `json:"append_bytes"`
 	// Segments and LiveBytes describe the segment files: their count and
@@ -95,9 +92,8 @@ type Stats struct {
 // errClosed rejects operations on a closed log.
 var errClosed = errors.New("store: closed")
 
-// Record kinds in the segment log. Event batches live in their own files;
-// a frame of the retired events kind, left by an older build, is intact
-// but dead, and compaction drops it.
+// Record kinds in the segment log. A frame of the retired events kind,
+// left by an older build, is intact but dead, and compaction drops it.
 const (
 	kindCampaign = "campaign"
 	kindEvents   = "events"

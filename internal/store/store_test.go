@@ -3,7 +3,6 @@ package store
 import (
 	"bytes"
 	"encoding/json"
-	"fmt"
 	"os"
 	"path/filepath"
 	"testing"
@@ -39,17 +38,12 @@ func testCorpus() []testRecord {
 	return recs
 }
 
-// putCorpus puts the corpus plus one event batch per third campaign.
+// putCorpus puts the corpus.
 func putCorpus(t *testing.T, l *Log, recs []testRecord) {
 	t.Helper()
 	for _, rec := range recs {
 		if err := l.Put(rec.id, rec.payload); err != nil {
 			t.Fatalf("Put(%d): %v", rec.id, err)
-		}
-		if rec.id%3 == 0 {
-			if err := l.PutEvents(rec.id, []byte(fmt.Sprintf(`[{"name":"probe","campaign":%d}]`, rec.id))); err != nil {
-				t.Fatalf("PutEvents(%d): %v", rec.id, err)
-			}
 		}
 	}
 }
@@ -72,22 +66,11 @@ func replayed(t *testing.T, l *Log) map[int]string {
 	return out
 }
 
-// snapshotReads captures everything a log serves — every replayed payload
-// and every stored event batch — as one comparable JSON string.
+// snapshotReads captures everything a log serves — every replayed payload —
+// as one comparable JSON string.
 func snapshotReads(t *testing.T, l *Log) string {
 	t.Helper()
-	payloads := replayed(t, l)
-	events := map[int]string{}
-	for id := range payloads {
-		raw, ok, err := l.Events(id)
-		if err != nil {
-			t.Fatalf("Events(%d): %v", id, err)
-		}
-		if ok {
-			events[id] = string(raw)
-		}
-	}
-	return mustJSON(t, map[string]any{"payloads": payloads, "events": events})
+	return mustJSON(t, replayed(t, l))
 }
 
 // mustJSON marshals for byte comparison.
@@ -131,8 +114,8 @@ func crash(l *Log) {
 	l.closeFiles()
 }
 
-// TestSupersedence re-puts records and batches under existing IDs: only the
-// latest version is served — by the open log's in-memory index, and by a
+// TestSupersedence re-puts records under existing IDs: only the latest
+// version is served — by the open log's in-memory index, and by a
 // log reopened from the segment files — and the live-record count does not
 // grow.
 func TestSupersedence(t *testing.T) {
@@ -147,23 +130,12 @@ func TestSupersedence(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	for _, batch := range []string{`[1]`, `[2]`} {
-		if err := l.PutEvents(7, []byte(batch)); err != nil {
-			t.Fatal(err)
-		}
-	}
 	check := func(t *testing.T, l *Log) {
 		if got := replayed(t, l); len(got) != 1 || got[7] != string(second) {
 			t.Errorf("Replay served a superseded record: %v", got)
 		}
 		if st := l.Stats(); st.Records != 1 {
 			t.Errorf("Stats.Records = %d, want 1", st.Records)
-		}
-		if b, ok, err := l.Events(7); err != nil || !ok || string(b) != `[2]` {
-			t.Errorf("Events(7) = %q, %v, %v; want the latest batch", b, ok, err)
-		}
-		if b, ok, err := l.Events(8); err != nil || ok {
-			t.Errorf("Events(8) = %q, %v, %v; want none stored", b, ok, err)
 		}
 	}
 	t.Run("memory", func(t *testing.T) { check(t, l) })
@@ -200,12 +172,6 @@ func TestClosedStore(t *testing.T) {
 		if err := l.Replay(func(int, json.RawMessage) error { return nil }); err != errClosed {
 			t.Errorf("Replay after close: %v, want errClosed", err)
 		}
-		if err := l.PutEvents(1, []byte(`[]`)); err != errClosed {
-			t.Errorf("PutEvents after close: %v, want errClosed", err)
-		}
-		if _, _, err := l.Events(1); err != errClosed {
-			t.Errorf("Events after close: %v, want errClosed", err)
-		}
 		if err := l.Compact(); err != errClosed {
 			t.Errorf("Compact after close: %v, want errClosed", err)
 		}
@@ -238,9 +204,10 @@ func TestClosedStore(t *testing.T) {
 
 // TestOlderBuildLog opens a directory in the format older builds wrote:
 // campaign frames carrying filter columns beside the payload, a frame of the
-// retired events kind, no trailer, and a sidecar index. Every campaign must
-// replay under its ID with its latest payload, the events frame and the
-// sidecar must be ignored, and compaction must drop the dead frames.
+// retired events kind, no trailer, a sidecar index, and a campaign's
+// flight-recorder tail in its own file. Every campaign must replay under its
+// ID with its latest payload, the events frame must be ignored, the sidecar
+// and the event file removed, and compaction must drop the dead frames.
 func TestOlderBuildLog(t *testing.T) {
 	dir := t.TempDir()
 	frames := []string{
@@ -260,6 +227,10 @@ func TestOlderBuildLog(t *testing.T) {
 	if err := os.WriteFile(idx, []byte(`{"bytes":1,"entries":[]}`), 0o644); err != nil {
 		t.Fatal(err)
 	}
+	events := filepath.Join(dir, "events-1.json")
+	if err := os.WriteFile(events, []byte(`{"campaign_id":1,"first_ns":1,"last_ns":5,"events":[{"name":"x"}]}`), 0o644); err != nil {
+		t.Fatal(err)
+	}
 
 	l, err := Open(dir, Config{CompactAfter: -1, NoSync: true})
 	if err != nil {
@@ -272,8 +243,8 @@ func TestOlderBuildLog(t *testing.T) {
 	if _, err := os.Stat(idx); !os.IsNotExist(err) {
 		t.Errorf("sidecar index survived Open: %v", err)
 	}
-	if _, ok, err := l.Events(1); err != nil || ok {
-		t.Errorf("Events(1) = %v, %v; an events frame is not a stored batch", ok, err)
+	if _, err := os.Stat(events); !os.IsNotExist(err) {
+		t.Errorf("event file survived Open: %v", err)
 	}
 	if st := l.Stats(); st.TornRecords != 0 || st.Records != 2 {
 		t.Errorf("stats after open = %+v, want 2 records and nothing torn", st)

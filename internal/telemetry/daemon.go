@@ -104,9 +104,10 @@ const (
 )
 
 // CampaignSnapshot is the JSON view of one campaign that /campaigns serves:
-// its spec, lifecycle timestamps, live pipeline progress, and — live while
-// running, final once finished — the per-layer device telemetry the victim
-// accelerator accumulated.
+// its spec, lifecycle timestamps, outcome, and — live while running, final
+// once finished — the per-layer device telemetry the victim accelerator
+// accumulated. Pipeline progress is the campaign's convergence ledger,
+// served at /campaigns/{id}/progress.
 type CampaignSnapshot struct {
 	ID        int        `json:"id"`
 	Spec      JobSpec    `json:"spec"`
@@ -116,14 +117,9 @@ type CampaignSnapshot struct {
 	Finished  *time.Time `json:"finished,omitempty"`
 	// Attempts counts run attempts so far (1 on the first run); Resumed
 	// marks a campaign restored from the store after a restart.
-	Attempts int  `json:"attempts,omitempty"`
-	Resumed  bool `json:"resumed,omitempty"`
-	// Stage is the pipeline stage most recently entered; ProbeDone/Total
-	// track per-position probe progress within the probing stage.
-	Stage      string `json:"stage,omitempty"`
-	ProbeDone  int    `json:"probe_done,omitempty"`
-	ProbeTotal int    `json:"probe_total,omitempty"`
-	Error      string `json:"error,omitempty"`
+	Attempts int    `json:"attempts,omitempty"`
+	Resumed  bool   `json:"resumed,omitempty"`
+	Error    string `json:"error,omitempty"`
 	// ErrorClass is the faults classification of Error (transient, panic,
 	// deadline, config, ...), for failed and retrying campaigns.
 	ErrorClass string `json:"error_class,omitempty"`
@@ -256,15 +252,10 @@ type DaemonConfig struct {
 	Recorder obs.Recorder
 	// Store is the daemon's durable log: every submission and state
 	// transition is written to it as the campaign's latest record, and
-	// NewDaemon rebuilds the campaign table from it. It also keeps the
-	// event tails GET /campaigns/{id}/events serves. Nil runs the daemon
-	// ephemeral: no durable writes, and no stored event tails. The daemon
-	// does not close the log — the owner that opened it does.
+	// NewDaemon rebuilds the campaign table from it. Nil runs the daemon
+	// ephemeral: no durable writes. The daemon does not close the log —
+	// the owner that opened it does.
 	Store *store.Log
-	// Flight, when set alongside Store, is the flight recorder whose event
-	// tail is captured into the store (the events of the campaign's final
-	// attempt window) when a campaign reaches a terminal state.
-	Flight *obs.FlightRecorder
 	// Retry is the per-campaign retry policy.
 	Retry RetryPolicy
 	// JobTimeout is the default per-job deadline propagated to the attack
@@ -395,7 +386,7 @@ func (d *Daemon) Submit(spec JobSpec) (CampaignSnapshot, error) {
 			State:     StateQueued,
 			Submitted: now,
 		},
-		ledger:     converge.NewLedger(d.cfg.Recorder),
+		ledger:     converge.NewLedger(),
 		queuedSlot: true,
 	}
 	select {
@@ -590,9 +581,9 @@ func (d *Daemon) gauge(name string, v float64) {
 }
 
 // run executes one attempt of a campaign end to end, publishing progress
-// into the record, transitions into the store, and spans/metrics into
-// the shared recorder; on a retryable failure it schedules the next
-// attempt with exponential backoff.
+// into the campaign's ledger, transitions into the store, and
+// spans/metrics into the shared recorder; on a retryable failure it
+// schedules the next attempt with exponential backoff.
 func (d *Daemon) run(c *campaign) {
 	if d.killed.Load() {
 		return
@@ -655,7 +646,7 @@ func (d *Daemon) finishDone(c *campaign, res *attack.Result, started, finished t
 	c.ledger.Close()
 	sum := c.ledger.Summary()
 	c.update(func(s *CampaignSnapshot) { s.Converge = &sum })
-	d.persistTerminal(c.snapshot())
+	d.persist(c.snapshot())
 	d.count("daemon.campaigns", "state=done", 1)
 	if d.cfg.Recorder != nil {
 		d.cfg.Recorder.Observe("daemon.campaign.seconds", "model="+spec.Model, finished.Sub(started).Seconds())
@@ -673,7 +664,7 @@ func (d *Daemon) finishFailed(c *campaign, err error, class string, started, fin
 	c.ledger.Close()
 	sum := c.ledger.Summary()
 	c.update(func(s *CampaignSnapshot) { s.Converge = &sum })
-	d.persistTerminal(c.snapshot())
+	d.persist(c.snapshot())
 	d.count("daemon.campaigns", "state=failed", 1)
 	d.count("daemon.failures", "class="+class, 1)
 	if d.cfg.Recorder != nil {
@@ -799,14 +790,6 @@ func (d *Daemon) attack(ctx context.Context, c *campaign, spec JobSpec) (*attack
 	cfg.Probe.Seed = spec.Seed
 	cfg.Obs = d.cfg.Recorder
 	cfg.Ledger = c.ledger
-	cfg.Progress = func(stage string, done, total int) {
-		c.update(func(s *CampaignSnapshot) {
-			s.Stage = stage
-			if total > 0 {
-				s.ProbeDone, s.ProbeTotal = done, total
-			}
-		})
-	}
 	return attack.AttackContext(ctx, victim, cfg)
 }
 

@@ -99,11 +99,26 @@ func TestDaemonEndToEnd(t *testing.T) {
 		if c.Started == nil || c.Finished == nil {
 			t.Fatalf("campaign %d missing lifecycle timestamps: %+v", c.ID, c)
 		}
-		if c.Stage != "finalize" {
-			t.Errorf("campaign %d final stage = %q, want finalize", c.ID, c.Stage)
+		// The campaign's ledger is its progress record: it ends on the
+		// finalize snapshot, and its last probe snapshot is the campaign's
+		// last probe position.
+		led, ok := d.ProgressLedger(c.ID)
+		if !ok {
+			t.Fatalf("campaign %d has no ledger", c.ID)
 		}
-		if c.ProbeTotal == 0 || c.ProbeDone != c.ProbeTotal {
-			t.Errorf("campaign %d probe progress %d/%d, want complete", c.ID, c.ProbeDone, c.ProbeTotal)
+		snaps := led.Snapshots()
+		if len(snaps) == 0 || snaps[len(snaps)-1].Stage != "finalize" || !snaps[len(snaps)-1].Done {
+			t.Errorf("campaign %d ledger does not end on a done finalize snapshot: %d snapshots", c.ID, len(snaps))
+		}
+		lastProbe := ""
+		for _, s := range snaps {
+			if s.Stage == "probe" {
+				lastProbe = s.Note
+			}
+		}
+		total := c.Spec.Trials * 4 * c.Spec.Q
+		if want := fmt.Sprintf("positions=%d/%d", total, total); lastProbe != want {
+			t.Errorf("campaign %d last probe note = %q, want %q", c.ID, lastProbe, want)
 		}
 		if c.SolutionCount < 1 {
 			t.Errorf("campaign %d has no solutions", c.ID)
@@ -133,8 +148,8 @@ func TestDaemonEndToEnd(t *testing.T) {
 		}
 	}
 
-	// This daemon is ephemeral: the aggregate is folded from its table, and
-	// with no log there are no stored event tails.
+	// This daemon is ephemeral: the aggregate is folded from its table. No
+	// route serves per-campaign events.
 	var aggs []ModelAggregate
 	if body, code := getRaw(t, base, "/campaigns/aggregate?by=model"); code != http.StatusOK {
 		t.Fatalf("/campaigns/aggregate = %d: %s", code, body)
@@ -145,7 +160,7 @@ func TestDaemonEndToEnd(t *testing.T) {
 		t.Errorf("ephemeral aggregate = %+v, want 2 smallcnn campaigns done", aggs)
 	}
 	if _, code := getRaw(t, base, "/campaigns/1/events"); code != http.StatusNotFound {
-		t.Errorf("/campaigns/1/events on an ephemeral daemon = %d, want 404", code)
+		t.Errorf("/campaigns/1/events = %d, want 404", code)
 	}
 
 	// /campaigns/{id} serves the same snapshot individually.

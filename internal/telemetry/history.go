@@ -5,14 +5,12 @@ import (
 	"fmt"
 
 	"github.com/huffduff/huffduff/internal/converge"
-	"github.com/huffduff/huffduff/internal/obs"
 )
 
 // This file is the daemon's bridge to the campaign log, its one durable
 // record: every state transition is written through one write path as the
-// campaign's latest payload (terminal ones add the flight-recorder tail of
-// their final attempt), stored event tails are served back out of it, and
-// at construction one replay of it rebuilds the campaign table.
+// campaign's latest payload, and at construction one replay of it rebuilds
+// the campaign table.
 
 // terminalState reports whether a campaign state is terminal.
 func terminalState(state string) bool {
@@ -42,7 +40,7 @@ func (d *Daemon) restore() ([]*campaign, error) {
 			return nil
 		}
 		snap.Resumed = true
-		c := &campaign{snap: snap, ledger: converge.NewLedger(d.cfg.Recorder)}
+		c := &campaign{snap: snap, ledger: converge.NewLedger()}
 		if terminalState(snap.State) {
 			// The in-memory convergence history died with the old process;
 			// a restored terminal campaign serves an empty, closed ledger.
@@ -107,76 +105,4 @@ func (d *Daemon) persist(snap CampaignSnapshot) {
 		}
 		return nil
 	})
-}
-
-// EventBatch is one campaign's flight-recorder tail, persisted at terminal
-// state so a post-mortem can read the events leading up to the outcome long
-// after the ring has recycled them: the body of GET /campaigns/{id}/events.
-type EventBatch struct {
-	CampaignID int `json:"campaign_id"`
-	// FirstNS and LastNS bound the batch's event timestamps (Unix nanos).
-	FirstNS int64 `json:"first_ns"`
-	LastNS  int64 `json:"last_ns"`
-	// Events is the []obs.Event array, as stored.
-	Events json.RawMessage `json:"events,omitempty"`
-}
-
-// persistTerminal writes a terminal campaign: the snapshot as its final
-// record, plus the flight-recorder events of its final attempt window as
-// the campaign's event batch.
-func (d *Daemon) persistTerminal(snap CampaignSnapshot) {
-	d.persist(snap)
-	if d.cfg.Store == nil || d.cfg.Flight == nil || snap.Started == nil || snap.Finished == nil {
-		return
-	}
-	var tail []obs.Event
-	startNS, endNS := snap.Started.UnixNano(), snap.Finished.UnixNano()
-	for _, ev := range d.cfg.Flight.Events() {
-		if ev.TS >= startNS && ev.TS <= endNS {
-			tail = append(tail, ev)
-		}
-	}
-	if len(tail) == 0 {
-		return
-	}
-	events, encErr := json.Marshal(tail)
-	var raw []byte
-	if encErr == nil {
-		raw, encErr = json.Marshal(EventBatch{
-			CampaignID: snap.ID,
-			FirstNS:    tail[0].TS,
-			LastNS:     tail[len(tail)-1].TS,
-			Events:     events,
-		})
-	}
-	d.write("put_events", func() error {
-		if encErr != nil {
-			return fmt.Errorf("telemetry: encoding campaign %d events: %w", snap.ID, encErr)
-		}
-		if err := d.cfg.Store.PutEvents(snap.ID, raw); err != nil {
-			return fmt.Errorf("telemetry: storing campaign %d events: %w", snap.ID, err)
-		}
-		return nil
-	})
-}
-
-// CampaignEvents returns the stored flight-recorder tail of one terminal
-// campaign — the read path behind GET /campaigns/{id}/events. An ephemeral
-// daemon stores none.
-func (d *Daemon) CampaignEvents(id int) (EventBatch, bool, error) {
-	if d.cfg.Store == nil {
-		return EventBatch{}, false, nil
-	}
-	raw, ok, err := d.cfg.Store.Events(id)
-	if err != nil {
-		return EventBatch{}, false, fmt.Errorf("telemetry: reading campaign %d events: %w", id, err)
-	}
-	if !ok {
-		return EventBatch{}, false, nil
-	}
-	var batch EventBatch
-	if err := json.Unmarshal(raw, &batch); err != nil {
-		return EventBatch{}, false, fmt.Errorf("telemetry: decoding campaign %d events: %w", id, err)
-	}
-	return batch, true, nil
 }

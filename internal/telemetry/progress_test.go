@@ -199,7 +199,7 @@ func (p ledgerProgress) ProgressLedger(id int) (*converge.Ledger, bool) {
 // campaign ends. Named to ride the CI race-instrumented TestProgressStream
 // run.
 func TestProgressStreamClientDisconnect(t *testing.T) {
-	led := converge.NewLedger(nil)
+	led := converge.NewLedger()
 	defer led.Close()
 	led.Append(converge.Snapshot{Stage: "calibrate"})
 	led.Append(converge.Snapshot{Stage: "probe"})

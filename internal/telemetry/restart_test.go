@@ -606,7 +606,7 @@ func TestKillStopsWrites(t *testing.T) {
 	appends := l.Stats().Appends
 	fin := time.Now()
 	snap.State, snap.Finished = StateDone, &fin
-	d.persistTerminal(snap)
+	d.persist(snap)
 	if got := l.Stats().Appends; got != appends {
 		t.Errorf("%d appends reached the log after Kill", got-appends)
 	}

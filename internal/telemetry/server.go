@@ -28,12 +28,6 @@ type CampaignSource interface {
 	CampaignByID(id int) (CampaignSnapshot, bool)
 }
 
-// CampaignEventsSource serves GET /campaigns/{id}/events — the persisted
-// flight-recorder tail of a terminal campaign. *Daemon implements it.
-type CampaignEventsSource interface {
-	CampaignEvents(id int) (EventBatch, bool, error)
-}
-
 // Submitter accepts campaign jobs for POST /campaigns. *Daemon implements
 // it; a nil Submitter makes the endpoint read-only.
 type Submitter interface {
@@ -463,8 +457,6 @@ func (s *Server) handleCampaignByID(w http.ResponseWriter, r *http.Request) {
 		s.handleProgress(w, r, id)
 	case "progress/stream":
 		s.handleProgressStream(w, r, id)
-	case "events":
-		s.handleCampaignEvents(w, r, id)
 	default:
 		http.NotFound(w, r)
 	}
@@ -487,26 +479,6 @@ func (s *Server) handleAggregate(w http.ResponseWriter, r *http.Request) {
 		snaps = s.opts.Campaigns.Campaigns()
 	}
 	writeJSON(w, http.StatusOK, aggregateByModel(snaps))
-}
-
-// handleCampaignEvents serves GET /campaigns/{id}/events: the persisted
-// flight-recorder tail of a terminal campaign, 404 until one is stored.
-func (s *Server) handleCampaignEvents(w http.ResponseWriter, r *http.Request, id int) {
-	src, ok := s.opts.Campaigns.(CampaignEventsSource)
-	if !ok {
-		http.NotFound(w, r)
-		return
-	}
-	batch, found, err := src.CampaignEvents(id)
-	if err != nil {
-		http.Error(w, "reading stored events: "+err.Error(), http.StatusInternalServerError)
-		return
-	}
-	if !found {
-		http.Error(w, "no stored events for campaign "+strconv.Itoa(id), http.StatusNotFound)
-		return
-	}
-	writeJSON(w, http.StatusOK, batch)
 }
 
 // handleProgress serves the latest convergence snapshot for one campaign.
