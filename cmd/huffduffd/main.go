@@ -1,9 +1,11 @@
 // Command huffduffd is the live campaign daemon: it accepts attack jobs
 // over HTTP, runs them on a supervised bounded worker pool against freshly
 // deployed simulated victims, and exposes the operator surface of a
-// long-running service — Prometheus metrics, live per-campaign progress
-// (each campaign's convergence ledger) with device telemetry, a
-// flight-recorder event dump, and pprof.
+// long-running service, serving each fact once: host cost on /metrics and,
+// sliced by stage= and layer= pprof labels, on /debug/pprof; what each
+// attack has learned on its campaign's convergence ledger
+// (/campaigns/{id}/progress[/stream]), beside its device telemetry on
+// /campaigns/{id}.
 //
 // With -data-dir the daemon is crash-safe: every submission and state
 // transition is written, fsync'd, to an embedded segment log under
@@ -32,6 +34,10 @@
 //	curl localhost:9120/metrics
 //	curl localhost:9120/healthz
 //
+// Profile a running campaign, by pipeline stage:
+//
+//	go tool pprof -tagfocus stage=probe 'http://localhost:9120/debug/pprof/profile?seconds=10'
+//
 // SIGINT/SIGTERM drain the worker pool before exit; during the drain
 // /healthz reports "draining" with 503 and new submissions are refused.
 // Anything not finished by -drain stays requeueable in the log.
@@ -51,7 +57,6 @@ import (
 
 	"github.com/huffduff/huffduff/cmd/internal/cli"
 	"github.com/huffduff/huffduff/internal/obs"
-	"github.com/huffduff/huffduff/internal/prof"
 	"github.com/huffduff/huffduff/internal/store"
 	"github.com/huffduff/huffduff/internal/telemetry"
 )
@@ -63,8 +68,6 @@ func main() {
 		workers   = flag.Int("workers", 2, "concurrent campaign workers")
 		queue     = flag.Int("queue", 16, "max queued (unstarted) campaigns; beyond it submissions get 429 + Retry-After")
 		dataDir   = flag.String("data-dir", "", "durable state directory; empty runs ephemeral (no crash resume)")
-		flightN   = flag.Int("flight", obs.DefaultFlightEvents, "flight-recorder capacity (events)")
-		eventsOut = flag.String("events-out", "", "append every telemetry event to this JSONL file")
 		drain     = flag.Duration("drain", 10*time.Minute, "max time to wait for running campaigns on shutdown")
 		jobTO     = flag.Duration("job-timeout", 0, "default per-campaign deadline (0 = none; jobs may override via timeout_seconds)")
 		retryMax  = flag.Int("retry-attempts", 3, "max run attempts per campaign (panics, deadlines, and transient faults are retried)")
@@ -84,16 +87,10 @@ func main() {
 		debug.SetGCPercent(400)
 	}
 
+	// col backs /metrics and gets metrics only: nothing reads a span back
+	// from it, and it would keep every span of every campaign.
 	col := obs.NewCollector()
-	flight := obs.NewFlightRecorder(*flightN)
-	var sink *obs.JSONLSink
-	if *eventsOut != "" {
-		f, err := os.OpenFile(*eventsOut, os.O_CREATE|os.O_WRONLY|os.O_APPEND, 0o644)
-		cli.Check(err)
-		defer f.Close()
-		sink = obs.NewJSONLSink(f)
-	}
-	rec := newRecorder(col, flight, sink)
+	rec := obs.MetricsOnly(col)
 
 	// A log that cannot be read back is fatal: serving on would reuse
 	// stored campaign IDs.
@@ -120,20 +117,12 @@ func main() {
 		log.Printf("store %s: %d finished campaign(s), requeued %d interrupted; %d segment(s), %d torn record(s) skipped",
 			storeDir, restored-requeued, requeued, st.Segments, st.TornRecords)
 	}
-	srv := telemetry.NewServer(telemetry.ServerOptions{
-		Collector: col,
-		Flight:    flight,
-		Campaigns: d,
-		Submitter: d,
-		Health:    d,
-		Progress:  d,
-		Runtime:   prof.NewRuntimeSampler(),
-	})
+	srv := telemetry.NewServer(d, col)
 
 	l, err := net.Listen("tcp", *addr)
 	cli.Check(err)
 	log.Printf("huffduffd listening on http://%s (%d workers, queue %d)", l.Addr(), *workers, *queue)
-	log.Printf("endpoints: /metrics /healthz /campaigns /campaigns/aggregate /campaigns/{id}/progress[/stream] /events /debug/profile /debug/pprof/")
+	log.Printf("endpoints: /metrics /healthz /campaigns /campaigns/aggregate /campaigns/{id}/progress[/stream] /debug/pprof/")
 
 	serveErr := make(chan error, 1)
 	go func() { serveErr <- srv.Serve(l) }()
@@ -160,22 +149,5 @@ func main() {
 			log.Printf("store: %v", err)
 		}
 	}
-	if sink != nil {
-		if err := sink.Err(); err != nil {
-			log.Printf("events-out: %v", err)
-		}
-	}
 	log.Printf("huffduffd stopped")
-}
-
-// newRecorder fans every campaign's instrumentation out to the daemon's
-// sinks. col backs /metrics and gets metrics only: nothing reads a span back
-// from it, and it would keep every span of every campaign. Spans go to the
-// flight recorder behind /events and /debug/profile, and to sink when set.
-func newRecorder(col *obs.Collector, flight *obs.FlightRecorder, sink *obs.JSONLSink) obs.Recorder {
-	sinks := []obs.Recorder{obs.MetricsOnly(col), flight}
-	if sink != nil {
-		sinks = append(sinks, sink)
-	}
-	return obs.Fanout(sinks...)
 }

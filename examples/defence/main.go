@@ -47,7 +47,6 @@ func tryAttack(arch *models.Arch, bind *models.Binding, p float64, tolerant bool
 	if tolerant {
 		cfg.Probe.NoiseTolerant = true
 		cfg.Probe.Trials = 4
-		cfg.Probe.NoiseRepeats = 25
 	}
 	res, err := huffduff.Attack(device, cfg)
 	if err != nil {

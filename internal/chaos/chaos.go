@@ -17,6 +17,7 @@
 package chaos
 
 import (
+	"context"
 	"fmt"
 	"math/rand"
 	"sync"
@@ -32,6 +33,12 @@ import (
 // both satisfy either.
 type Victim interface {
 	Run(img *tensor.Tensor) (*trace.Trace, error)
+}
+
+// ctxVictim is a Victim that also runs under its caller's context, as
+// accel.Machine does.
+type ctxVictim interface {
+	RunCtx(ctx context.Context, img *tensor.Tensor) (*trace.Trace, error)
 }
 
 // Config sets per-fault-class intensities. The zero value injects nothing.
@@ -123,9 +130,16 @@ func (f *FaultyVictim) inject(counter *int, class string) {
 	}
 }
 
-// Run executes one inference on the inner victim and corrupts the observed
-// trace per the configured fault model.
+// Run is RunCtx under context.Background.
 func (f *FaultyVictim) Run(img *tensor.Tensor) (*trace.Trace, error) {
+	return f.RunCtx(context.Background(), img)
+}
+
+// RunCtx executes one inference on the inner victim and corrupts the
+// observed trace per the configured fault model. An inner victim that
+// takes a context gets ctx, so the simulator's per-layer pprof labels merge
+// into the caller's stage= label set instead of replacing it.
+func (f *FaultyVictim) RunCtx(ctx context.Context, img *tensor.Tensor) (*trace.Trace, error) {
 	f.mu.Lock()
 	defer f.mu.Unlock()
 	f.stats.Runs++
@@ -136,7 +150,13 @@ func (f *FaultyVictim) Run(img *tensor.Tensor) (*trace.Trace, error) {
 		f.inject(&f.stats.Transients, "transient")
 		return nil, fmt.Errorf("chaos: injected device failure: %w", faults.ErrTransient)
 	}
-	tr, err := f.inner.Run(img)
+	var tr *trace.Trace
+	var err error
+	if cv, ok := f.inner.(ctxVictim); ok {
+		tr, err = cv.RunCtx(ctx, img)
+	} else {
+		tr, err = f.inner.Run(img)
+	}
 	if err != nil {
 		return nil, err
 	}

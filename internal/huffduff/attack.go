@@ -36,7 +36,7 @@ type Config struct {
 	ConvergeStart int
 	// TimingTolerance is the maximum robust relative dispersion
 	// (1.4826·MAD/median) tolerated in a conv layer's Δt samples before the
-	// timing channel is declared unusable (0 disables the check).
+	// timing channel is declared unusable (0 selects 0.25).
 	TimingTolerance float64
 	// DegradeOnTimingFault turns an unusable timing channel (or a timing-
 	// driven finalization failure) into a degraded, sparse-bound-only
@@ -250,14 +250,10 @@ func AttackContext(ctx context.Context, victim Victim, cfg Config) (*Result, err
 	res.Dims = dims
 
 	// 5. Timing channel — from the per-inference Δt samples the campaign
-	// gathered, falling back to the calibration interval if none exist.
-	var terr error
+	// gathered.
 	_, endTiming := prof.Stage(ctx, "timing")
-	if len(data.Enc) > 0 {
-		res.Timing, terr = TimingChannelFromSamples(g, dims, data.Enc, cfg.TimingTolerance)
-	} else {
-		res.Timing, terr = TimingChannel(g, dims, cfg.BlockBytes)
-	}
+	var terr error
+	res.Timing, terr = TimingChannelFromSamples(g, dims, data.Enc, cfg.TimingTolerance)
 	res.Timing.Record(obs.RecorderFrom(ctx))
 	if terr == nil {
 		hook.snap("timing", pr, res.Timing, nil, conv.confidence, nil)

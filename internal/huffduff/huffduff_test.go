@@ -546,7 +546,6 @@ func TestNoiseTolerantProberDefeatsWeakDefence(t *testing.T) {
 	cfg := DefaultConfig()
 	cfg.Probe.NoiseTolerant = true
 	cfg.Probe.Trials = 4
-	cfg.Probe.NoiseRepeats = 25
 	res, err := Attack(m, cfg)
 	if err != nil {
 		t.Fatalf("noise-tolerant attack failed: %v", err)

@@ -35,15 +35,12 @@ type ProbeConfig struct {
 	PoolNodeFactors []int
 	// NoiseTolerant switches the prober into the repeated-measurement mode
 	// that §9.2 anticipates against the randomized-padding defence: each
-	// probe inference is repeated NoiseRepeats times, and probe positions
-	// are related by comparing mean transfer volumes against a noise scale
-	// estimated from the repeats. The defence's padding is additive with
-	// a content-independent distribution, so the mean volume remains
-	// strictly monotone in nnz and averaging recovers the signal.
+	// probe inference is repeated 25 times (noiseRepeats), and probe
+	// positions are related by comparing mean transfer volumes against a
+	// noise scale estimated from the repeats. The defence's padding is
+	// additive with a content-independent distribution, so the mean volume
+	// remains strictly monotone in nnz and averaging recovers the signal.
 	NoiseTolerant bool
-	// NoiseRepeats is the per-probe repetition count in NoiseTolerant mode
-	// (0 selects the default of 25).
-	NoiseRepeats int
 	// Consistency enables the §7-based tie-breaking filters during the
 	// solve: weight-capacity bounds, transfer-header bounds, and timing-
 	// implied channel consistency. Deep layers whose boundary patterns
@@ -58,27 +55,26 @@ type ProbeConfig struct {
 	// MaxRetries bounds per-inference retries on transient victim failures
 	// and corrupt traces (faults.Retryable); 0 disables retry.
 	MaxRetries int
-	// RetryBackoff is the base sleep before a retry, doubling per attempt.
-	// The simulated victim needs none (the default); a real probe rig
-	// would set it to ride out device resets.
-	RetryBackoff time.Duration
 	// Robust enables the fault-hardened collection mode: each probe
-	// inference runs at least RobustRepeats times and until the last two
-	// runs agree on every node's volume (capped at RobustRepeats+3), with
+	// inference runs at least twice (robustRepeats) and until the last two
+	// runs agree on every node's volume (at most three more runs), with
 	// per-node volumes aggregating by minimum — after trace-consistency
 	// retries the surviving noise (§9.1-style padding) is strictly
 	// additive, so the minimum over any clean run recovers the true value.
+	// The partition then relates two probe positions only when every
+	// (family, trial) volume agrees: any tolerance would also forgive the
+	// rare genuine distinctions that §5.4 trial escalation exists to
+	// amplify.
 	Robust bool
-	// RobustRepeats is the minimum per-probe repetition count in Robust
-	// mode (0 selects the default of 2).
-	RobustRepeats int
-	// RobustMismatchBudget is how many (family, trial) disagreements two
-	// probe positions may show and still be related by the partition
-	// (default 0: strict equality). Leave it at 0 unless noise survives
-	// the repeat-until-agreement aggregation — any tolerance also forgives
-	// rare genuine boundary distinctions.
-	RobustMismatchBudget int
 }
+
+// Per-probe repetition counts of the two repeated-measurement modes.
+const (
+	// robustRepeats is the minimum in Robust mode.
+	robustRepeats = 2
+	// noiseRepeats is the count in NoiseTolerant mode.
+	noiseRepeats = 25
+)
 
 // DefaultProbeConfig returns the configuration used in the evaluation.
 func DefaultProbeConfig() ProbeConfig {
@@ -136,11 +132,8 @@ func (cfg ProbeConfig) Validate() error {
 	if cfg.BlockBytes < 0 {
 		return bad("BlockBytes = %d is negative", cfg.BlockBytes)
 	}
-	if cfg.NoiseRepeats < 0 || cfg.RobustRepeats < 0 {
-		return bad("negative repeat count (NoiseRepeats=%d, RobustRepeats=%d)", cfg.NoiseRepeats, cfg.RobustRepeats)
-	}
-	if cfg.MaxRetries < 0 || cfg.RetryBackoff < 0 {
-		return bad("negative retry budget (MaxRetries=%d, RetryBackoff=%v)", cfg.MaxRetries, cfg.RetryBackoff)
+	if cfg.MaxRetries < 0 {
+		return bad("negative retry budget (MaxRetries=%d)", cfg.MaxRetries)
 	}
 	if cfg.Consistency != nil {
 		return cfg.Consistency.Validate()
@@ -197,7 +190,9 @@ type ProbeData struct {
 
 // ctxVictim is the optional context-aware victim interface. accel.Machine
 // implements it so per-layer pprof labels (and any future per-run context)
-// flow into the simulator; victims that only implement Run work unchanged.
+// flow into the simulator, and so do the wrappers around it
+// (chaos.FaultyVictim, the daemon's supervisor), which pass the context on;
+// victims that only implement Run work unchanged.
 type ctxVictim interface {
 	RunCtx(ctx context.Context, img *tensor.Tensor) (*trace.Trace, error)
 }
@@ -212,10 +207,10 @@ func runVictim(ctx context.Context, victim Victim, img *tensor.Tensor) (*trace.T
 
 // runObserved runs one victim inference, analyzes the trace, and validates
 // it (trace.Validate plus the optional caller check), retrying transient
-// failures and corrupt traces up to cfg.MaxRetries times with exponential
-// backoff from cfg.RetryBackoff. It returns the accepted observation and
-// how many retries were spent. Every attempt increments victim.inferences;
-// retries are counted per sentinel class under victim.retries{class=...}.
+// failures and corrupt traces up to cfg.MaxRetries times. It returns the
+// accepted observation and how many retries were spent. Every attempt
+// increments victim.inferences; retries are counted per sentinel class
+// under victim.retries{class=...}.
 // With a recorder attached, the host cost of every attempt lands in the
 // victim.run_seconds and victim.analyze_seconds histograms — the per-query
 // price the cost-attribution report summarizes.
@@ -257,7 +252,6 @@ func runObserved(ctx context.Context, victim Victim, img *tensor.Tensor, cfg Pro
 		return segs, nil
 	}
 	retries := 0
-	backoff := cfg.RetryBackoff
 	for attempt := 0; ; attempt++ {
 		segs, err := runOnce()
 		if err == nil {
@@ -271,10 +265,6 @@ func runObserved(ctx context.Context, victim Victim, img *tensor.Tensor, cfg Pro
 		}
 		retries++
 		obs.Count(ctx, "victim.retries", "class="+retryClass(err), 1)
-		if backoff > 0 {
-			time.Sleep(backoff)
-			backoff *= 2
-		}
 	}
 }
 
@@ -335,10 +325,7 @@ func CollectContext(ctx context.Context, victim Victim, g *ObsGraph, inC, inH, i
 	aggMin := false
 	switch {
 	case cfg.NoiseTolerant:
-		pd.Repeats = cfg.NoiseRepeats
-		if pd.Repeats < 2 {
-			pd.Repeats = 25
-		}
+		pd.Repeats = noiseRepeats
 		pd.Means = make([][][][]float64, len(g.Nodes))
 		for n := range pd.Means {
 			pd.Means[n] = make([][][]float64, len(families))
@@ -350,10 +337,7 @@ func CollectContext(ctx context.Context, victim Victim, g *ObsGraph, inC, inH, i
 			}
 		}
 	case cfg.Robust:
-		pd.Repeats = cfg.RobustRepeats
-		if pd.Repeats < 2 {
-			pd.Repeats = 2
-		}
+		pd.Repeats = robustRepeats
 		aggMin = true
 	}
 	pd.Sigma = make([]float64, len(g.Nodes))
@@ -388,7 +372,7 @@ func CollectContext(ctx context.Context, victim Victim, g *ObsGraph, inC, inH, i
 	mins := make([]int, len(g.Nodes))
 	cur := make([]int, len(g.Nodes))
 	prev := make([]int, len(g.Nodes))
-	// In Robust mode, repeat beyond RobustRepeats until two consecutive
+	// In Robust mode, repeat beyond robustRepeats until two consecutive
 	// runs agree on every node volume: residual consistent padding (which
 	// passes byte accounting) then has to inflate the same node by the
 	// same amount twice in a row to be believed, and the minimum over all
@@ -488,13 +472,12 @@ func CollectContext(ctx context.Context, victim Victim, g *ObsGraph, inC, inH, i
 }
 
 // observedPartition builds the class pattern over probe positions for one
-// node using the first `trials` trials of every family.
+// node using the first `trials` trials of every family: two positions share
+// a class when every (family, trial) volume agrees, or, in NoiseTolerant
+// mode, when their means agree within the noise.
 func (pd *ProbeData) observedPartition(node, trials int) []int {
 	if pd.Cfg.NoiseTolerant {
 		return pd.noiseTolerantPartition(node, trials)
-	}
-	if pd.Cfg.Robust {
-		return pd.tolerantExactPartition(node, trials)
 	}
 	keys := make([]string, pd.Cfg.Q)
 	for q := 0; q < pd.Cfg.Q; q++ {
@@ -544,43 +527,8 @@ func (pd *ProbeData) noiseTolerantPartition(node, trials int) []int {
 	return symconv.ClassPattern(uf.labels())
 }
 
-// tolerantExactPartition is the Robust-mode partition: two probe positions
-// are related unless their (integer) volumes disagree in more than
-// RobustMismatchBudget of the (family, trial) draws, then the transitive
-// closure is taken. With the default budget of 0 this is the exact
-// partition — any nonzero tolerance also forgives the *rare genuine*
-// distinctions that §5.4 trial escalation exists to amplify (one draw can
-// be the only evidence separating conv3+pool2 from conv3+stride2), so
-// residual noise is scrubbed upstream by repeat-until-agreement
-// aggregation instead, and the budget is an explicit opt-in for rigs
-// whose noise survives even that.
-func (pd *ProbeData) tolerantExactPartition(node, trials int) []int {
-	q := pd.Cfg.Q
-	budget := pd.Cfg.RobustMismatchBudget
-	if budget < 0 {
-		budget = 0
-	}
-	uf := newUnionFind(q)
-	for i := 0; i < q; i++ {
-		for j := i + 1; j < q; j++ {
-			mismatch := 0
-			for f := range pd.Families {
-				for t := 0; t < trials && mismatch <= budget; t++ {
-					if pd.Bytes[node][f][i][t] != pd.Bytes[node][f][j][t] {
-						mismatch++
-					}
-				}
-			}
-			if mismatch <= budget {
-				uf.union(i, j)
-			}
-		}
-	}
-	return symconv.ClassPattern(uf.labels())
-}
-
 // unionFind is a small disjoint-set forest used by the noise-tolerant
-// partition builders.
+// partition builder.
 type unionFind struct{ parent []int }
 
 func newUnionFind(n int) *unionFind {

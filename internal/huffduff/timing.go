@@ -71,17 +71,17 @@ type TimingResult struct {
 	// RefNode is the conv node ratios are normalized to (the first conv).
 	RefNode int
 	// Dispersion maps each conv node to the robust relative spread
-	// (1.4826·MAD / median) of its per-inference Δt samples. Empty for
-	// results built from a single calibration observation.
+	// (1.4826·MAD / median) of its per-inference Δt samples.
 	Dispersion map[int]float64
 	// SampleCount is how many accepted Δt samples backed each node's
-	// estimate. Empty for single-observation results.
+	// estimate.
 	SampleCount map[int]int
 }
 
 // Record publishes the timing channel's per-node diagnostics — recovered
 // K ratios, robust dispersions, and sample counts — as gauges labelled by
-// node ID. Safe on a nil result (a failed TimingChannel) and a nil recorder.
+// node ID. Safe on a nil result (a failed TimingChannelFromSamples) and a
+// nil recorder.
 func (t *TimingResult) Record(rec obs.Recorder) {
 	if t == nil || rec == nil {
 		return
@@ -97,53 +97,23 @@ func (t *TimingResult) Record(rec obs.Recorder) {
 	}
 }
 
-// TimingChannel converts observed encoding intervals into output-channel
-// ratios. blockBytes corrects for the unobservable head of the interval:
-// the first DRAM write happens after only the psums backing the first block
-// were consumed, so Δt covers (1 − block/outBytes) of the layer's encoding
-// and the attacker — who knows both byte counts — can rescale.
-func TimingChannel(g *ObsGraph, dims *SpatialDims, blockBytes int) (*TimingResult, error) {
-	convs := g.ConvNodes()
-	if len(convs) == 0 {
-		return nil, fmt.Errorf("huffduff: no conv nodes")
-	}
-	perK := map[int]float64{} // Δt per psum-spatial-element == time·rate ∝ K
-	for _, id := range convs {
-		n := g.Nodes[id]
-		p := dims.PsumH[id]
-		if p <= 0 {
-			return nil, fmt.Errorf("huffduff: conv node %d has no psum dims", id)
-		}
-		dt := n.EncTime
-		if blockBytes > 0 && n.OutputBytes > blockBytes {
-			dt = dt * float64(n.OutputBytes) / float64(n.OutputBytes-blockBytes)
-		}
-		perK[id] = dt / float64(p*p)
-	}
-	ref := convs[0]
-	if perK[ref] <= 0 {
-		return nil, fmt.Errorf("huffduff: reference conv node %d has zero encoding time", ref)
-	}
-	res := &TimingResult{KRatio: map[int]float64{}, RefNode: ref}
-	for _, id := range convs {
-		res.KRatio[id] = perK[id] / perK[ref]
-	}
-	return res, nil
-}
-
-// TimingChannelFromSamples is the noise-resilient variant of TimingChannel:
-// instead of trusting one calibration observation per layer, it takes the
-// per-inference head-corrected Δt samples accumulated during the probing
-// campaign (ProbeData.Enc, already rescaled for the unobservable interval
-// head) and estimates each layer's encoding time by the sample median, which
-// jitter, duplicated events, and occasional truncations cannot drag far.
+// TimingChannelFromSamples converts observed encoding intervals into
+// output-channel ratios. Instead of trusting one calibration observation
+// per layer, it takes the per-inference Δt samples accumulated during the
+// probing campaign (ProbeData.Enc) and estimates each layer's encoding time
+// by the sample median, which jitter, duplicated events, and occasional
+// truncations cannot drag far. The samples are already head-corrected: the
+// first DRAM write happens after only the psums backing the first block
+// were consumed, so Δt covers (1 − block/outBytes) of the layer's encoding,
+// and the attacker — who knows both byte counts — rescales it.
 //
 // The per-node dispersion — 1.4826·MAD/median, a robust analogue of the
-// coefficient of variation — is checked against tolerance: if any conv
-// layer's samples spread wider than that, the ratios are not trustworthy
-// and the function reports faults.ErrTimingUnusable. The partially filled
-// TimingResult is still returned alongside the error so callers can degrade
-// gracefully (Attack falls back to FinalizeDegraded) and report diagnostics.
+// coefficient of variation — is checked against tolerance (0.25 when
+// tolerance ≤ 0): if any conv layer's samples spread wider than that, the
+// ratios are not trustworthy and the function reports
+// faults.ErrTimingUnusable. The partially filled TimingResult is still
+// returned alongside the error so callers can degrade gracefully (Attack
+// falls back to FinalizeDegraded) and report diagnostics.
 func TimingChannelFromSamples(g *ObsGraph, dims *SpatialDims, samples [][]float64, tolerance float64) (*TimingResult, error) {
 	convs := g.ConvNodes()
 	if len(convs) == 0 {

@@ -1,8 +1,11 @@
 package huffduff
 
 import (
+	"errors"
 	"math"
 	"testing"
+
+	"github.com/huffduff/huffduff/internal/faults"
 )
 
 func chainGraph(kinds ...NodeKind) *ObsGraph {
@@ -69,13 +72,11 @@ func TestPropagateDimsAddMismatch(t *testing.T) {
 
 func TestTimingChannelRatios(t *testing.T) {
 	// Two convs: psum 32² k=4 and psum 16² k=8; GLB-bound Δt ∝ psums·k.
+	// One head-corrected sample per node, as ProbeData.Enc holds them.
 	g := chainGraph(NodeInput, NodeConv, NodeConv)
-	g.Nodes[1].EncTime = 1024 * 4 * 1e-9
-	g.Nodes[1].OutputBytes = 100000 // make head correction negligible
-	g.Nodes[2].EncTime = 256 * 8 * 1e-9
-	g.Nodes[2].OutputBytes = 100000
 	dims := &SpatialDims{PsumH: map[int]int{1: 32, 2: 16}, OutH: map[int]int{}}
-	tm, err := TimingChannel(g, dims, 64)
+	samples := [][]float64{nil, {1024 * 4 * 1e-9}, {256 * 8 * 1e-9}}
+	tm, err := TimingChannelFromSamples(g, dims, samples, 0)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -88,42 +89,31 @@ func TestTimingChannelRatios(t *testing.T) {
 	if math.Abs(tm.KRatio[2]-2) > 1e-6 {
 		t.Fatalf("ratio = %g, want 2", tm.KRatio[2])
 	}
-}
-
-func TestTimingChannelHeadCorrection(t *testing.T) {
-	g := chainGraph(NodeInput, NodeConv)
-	g.Nodes[1].EncTime = 0.9 // observed Δt covers 90% of the layer
-	g.Nodes[1].OutputBytes = 640
-	dims := &SpatialDims{PsumH: map[int]int{1: 10}}
-	tm, err := TimingChannel(g, dims, 64)
-	if err != nil {
-		t.Fatal(err)
-	}
-	// Corrected Δt = 0.9·640/576 = 1.0; ratio to itself is 1 regardless,
-	// but the corrected perK is what later layers normalize against: check
-	// via a second run with no correction applied (block=0).
-	tm0, err := TimingChannel(g, dims, 0)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if tm.KRatio[1] != 1 || tm0.KRatio[1] != 1 {
-		t.Fatal("self ratio must be 1")
+	for _, id := range []int{1, 2} {
+		if tm.SampleCount[id] != 1 || tm.Dispersion[id] != 0 {
+			t.Fatalf("node %d: %d samples, dispersion %g; want 1 and 0", id, tm.SampleCount[id], tm.Dispersion[id])
+		}
 	}
 }
 
 func TestTimingChannelErrors(t *testing.T) {
 	g := chainGraph(NodeInput)
-	if _, err := TimingChannel(g, &SpatialDims{}, 64); err == nil {
+	if _, err := TimingChannelFromSamples(g, &SpatialDims{}, [][]float64{nil}, 0); err == nil {
 		t.Fatal("expected no-conv error")
 	}
 	g2 := chainGraph(NodeInput, NodeConv)
-	if _, err := TimingChannel(g2, &SpatialDims{PsumH: map[int]int{}}, 64); err == nil {
+	if _, err := TimingChannelFromSamples(g2, &SpatialDims{PsumH: map[int]int{}}, [][]float64{nil, {1}}, 0); err == nil {
 		t.Fatal("expected missing-psum-dims error")
 	}
-	g3 := chainGraph(NodeInput, NodeConv)
-	g3.Nodes[1].EncTime = 0
-	if _, err := TimingChannel(g3, &SpatialDims{PsumH: map[int]int{1: 8}}, 0); err == nil {
-		t.Fatal("expected zero-encoding-time error")
+	dims := &SpatialDims{PsumH: map[int]int{1: 8}}
+	for name, samples := range map[string][][]float64{
+		"zero encoding time":   {nil, {0}},
+		"no samples":           {nil, nil},
+		"dispersion over 0.25": {nil, {1, 2, 3}},
+	} {
+		if _, err := TimingChannelFromSamples(g2, dims, samples, 0); !errors.Is(err, faults.ErrTimingUnusable) {
+			t.Fatalf("%s: got %v, want ErrTimingUnusable", name, err)
+		}
 	}
 }
 

@@ -1,7 +1,8 @@
 // Package obs is the attack-campaign observability layer: hierarchical
-// wall-clock spans, a metrics registry (counters, gauges, log-bucketed
-// histograms), and pluggable sinks behind the Recorder interface. It has no
-// dependencies outside the standard library and is safe for concurrent use.
+// wall-clock spans and a metrics registry (counters, gauges, log-bucketed
+// histograms) behind the Recorder interface, with the in-memory Collector
+// and its exports as the one sink. It has no dependencies outside the
+// standard library and is safe for concurrent use.
 //
 // Spans travel through context.Context: obs.Start(ctx, "probe") opens a span
 // parented to the one already in ctx and returns a derived context carrying

@@ -197,6 +197,20 @@ func TestNoopRecorder(t *testing.T) {
 	sp.End()
 }
 
+func TestMetricsOnlyDropsSpans(t *testing.T) {
+	col := NewCollector()
+	ctx := WithRecorder(context.Background(), MetricsOnly(col))
+	ctx, sp := Start(ctx, "campaign")
+	Count(ctx, "x", "", 2)
+	sp.End()
+	if col.CounterValue("x", "") != 2 {
+		t.Fatal("metric did not pass through")
+	}
+	if tree := col.Tree(); tree != "" {
+		t.Fatalf("span kept:\n%s", tree)
+	}
+}
+
 // TestRecorderConcurrent exercises the Collector from concurrent goroutines;
 // it exists to run under -race (the Recorder contract requires thread
 // safety — spans and metrics may arrive from parallel probe workers).

@@ -2,10 +2,10 @@
 // live service: a campaign daemon that runs attack jobs on a supervised,
 // bounded worker pool — with the campaign store as its write-ahead log,
 // crash-resume, per-campaign retries, and real backpressure — and an HTTP
-// server exposing Prometheus metrics, live campaign progress (including
-// per-layer accelerator telemetry), a JSONL event stream, and pprof — what
-// an operator watches while campaigns run, instead of what a post-mortem
-// reads after they end.
+// server exposing Prometheus metrics, live campaign progress (each
+// campaign's convergence ledger and per-layer accelerator telemetry), and
+// pprof — what an operator watches while campaigns run, instead of what a
+// post-mortem reads after they end.
 package telemetry
 
 import (
@@ -150,10 +150,12 @@ type campaign struct {
 	// lock-protected (accel.statsMu).
 	machine *accel.Machine
 	// ledger is the campaign's convergence ledger, created at submission
-	// (or restore) and closed when the campaign reaches a terminal state —
-	// it stays open across retries, so a retried campaign's stream shows
-	// the full history. The Ledger type is internally synchronized; the
-	// pointer itself is written once before the campaign is published.
+	// (or when restore requeues it) and closed when the campaign reaches a
+	// terminal state — it stays open across retries, so a retried
+	// campaign's stream shows the full history. Nil for a campaign restored
+	// as terminal: its history died with the process that ran it. The
+	// Ledger type is internally synchronized; the pointer itself is written
+	// once before the campaign is published.
 	ledger *converge.Ledger
 	// queuedSlot marks a campaign occupying an externally-submitted queue
 	// slot (backpressure accounting); requeues and retries do not count
@@ -246,9 +248,9 @@ type DaemonConfig struct {
 	// rather than buffered without bound. Restart requeues and retries are
 	// internal and exempt.
 	QueueDepth int
-	// Recorder receives every campaign's spans and metrics — typically an
-	// obs.Fanout of the serving Collector, a FlightRecorder, and an
-	// optional JSONL file sink. Nil runs campaigns uninstrumented.
+	// Recorder receives every campaign's spans and metrics, and the
+	// daemon's own counters — in huffduffd, obs.MetricsOnly of the
+	// Collector behind /metrics. Nil runs campaigns uninstrumented.
 	Recorder obs.Recorder
 	// Store is the daemon's durable log: every submission and state
 	// transition is written to it as the campaign's latest record, and
@@ -265,14 +267,13 @@ type DaemonConfig struct {
 	// Faults, when set, injects daemon-level failures (worker panics,
 	// stalled runs, store write errors) for chaos testing.
 	Faults *chaos.DaemonFaults
-	// RetryAfter is the backoff hint returned with queue-full rejections
-	// (default 5s).
+	// RetryAfter is the backoff hint returned with queue-full and
+	// draining rejections (default 5s).
 	RetryAfter time.Duration
 }
 
 // Daemon runs campaign jobs on a supervised bounded worker pool and retains
-// every campaign record for /campaigns. It implements the server's
-// CampaignSource, Submitter, and HealthSource.
+// every campaign record for /campaigns; a Server serves it over HTTP.
 type Daemon struct {
 	cfg    DaemonConfig
 	jobs   chan *campaign
@@ -413,10 +414,6 @@ func (d *Daemon) Submit(spec JobSpec) (CampaignSnapshot, error) {
 	return snap, nil
 }
 
-// RetryAfterHint is the backoff the HTTP layer advertises on queue-full
-// and draining rejections.
-func (d *Daemon) RetryAfterHint() time.Duration { return d.cfg.RetryAfter }
-
 // dequeued releases c's backpressure slot as a worker picks it up.
 func (d *Daemon) dequeued(c *campaign) {
 	d.mu.Lock()
@@ -428,7 +425,9 @@ func (d *Daemon) dequeued(c *campaign) {
 	d.mu.Unlock()
 }
 
-// Campaigns returns a snapshot of every campaign, oldest first.
+// Campaigns returns a snapshot of every campaign in ascending ID order:
+// restore adds stored campaigns in the log's ascending-ID replay order, and
+// Submit appends each new ID above them.
 func (d *Daemon) Campaigns() []CampaignSnapshot {
 	d.mu.Lock()
 	list := append([]*campaign(nil), d.campaigns...)
@@ -452,14 +451,15 @@ func (d *Daemon) CampaignByID(id int) (CampaignSnapshot, bool) {
 }
 
 // ProgressLedger returns a campaign's convergence ledger for the progress
-// endpoints. The ledger exists from submission (empty until the attack's
-// first snapshot) and is closed — ending any streams — when the campaign
-// reaches a terminal state.
-func (d *Daemon) ProgressLedger(id int) (*converge.Ledger, bool) {
+// endpoints; ok is false for an unknown campaign. The ledger exists from
+// submission (empty until the attack's first snapshot) and is closed —
+// ending any streams — when the campaign reaches a terminal state. A
+// campaign restored as terminal has none (nil, true).
+func (d *Daemon) ProgressLedger(id int) (led *converge.Ledger, ok bool) {
 	d.mu.Lock()
 	c, ok := d.byID[id]
 	d.mu.Unlock()
-	if !ok || c.ledger == nil {
+	if !ok {
 		return nil, false
 	}
 	return c.ledger, true
@@ -772,14 +772,13 @@ func (d *Daemon) attack(ctx context.Context, c *campaign, spec JobSpec) (*attack
 	c.machine = machine
 	c.mu.Unlock()
 
-	var victim attack.Victim = machine
+	var victim ctxVictim = machine
 	if spec.Chaos {
 		ccfg := chaos.DefaultConfig()
 		ccfg.Seed = spec.ChaosSeed
 		ccfg.Obs = d.cfg.Recorder
-		victim = chaos.Wrap(victim, ccfg)
+		victim = chaos.Wrap(machine, ccfg)
 	}
-	victim = &supervisedVictim{ctx: ctx, inner: victim, faults: d.cfg.Faults}
 
 	cfg := attack.DefaultConfig()
 	if spec.Robust {
@@ -790,30 +789,42 @@ func (d *Daemon) attack(ctx context.Context, c *campaign, spec JobSpec) (*attack
 	cfg.Probe.Seed = spec.Seed
 	cfg.Obs = d.cfg.Recorder
 	cfg.Ledger = c.ledger
-	return attack.AttackContext(ctx, victim, cfg)
+	return attack.AttackContext(ctx, &supervisedVictim{inner: victim, faults: d.cfg.Faults}, cfg)
 }
 
-// supervisedVictim gates every victim run on the job context — so a
+// ctxVictim is a victim that runs under its caller's context:
+// accel.Machine and chaos.FaultyVictim.
+type ctxVictim interface {
+	RunCtx(ctx context.Context, img *tensor.Tensor) (*trace.Trace, error)
+}
+
+// supervisedVictim gates every victim run on the attack's context — so a
 // deadline or a daemon teardown stops a campaign at the next inference —
 // and injects daemon-level chaos faults (panics, stalls) when configured.
+// It hands the context on to the wrapped victim, whose simulator then
+// keeps the attack's stage= pprof label.
 type supervisedVictim struct {
-	ctx    context.Context
-	inner  attack.Victim
+	inner  ctxVictim
 	faults *chaos.DaemonFaults
 }
 
-// Run checks the job deadline, applies injected faults, and forwards to
-// the wrapped victim.
+// Run is RunCtx without a deadline. The attack calls RunCtx.
 func (v *supervisedVictim) Run(img *tensor.Tensor) (*trace.Trace, error) {
-	if err := v.ctx.Err(); err != nil {
+	return v.RunCtx(context.Background(), img)
+}
+
+// RunCtx checks the job deadline in ctx, applies injected faults, and
+// forwards to the wrapped victim.
+func (v *supervisedVictim) RunCtx(ctx context.Context, img *tensor.Tensor) (*trace.Trace, error) {
+	if err := ctx.Err(); err != nil {
 		return nil, classifyCtx(err)
 	}
 	if v.faults != nil {
-		if err := v.faults.BeforeRun(v.ctx); err != nil {
+		if err := v.faults.BeforeRun(ctx); err != nil {
 			return nil, fmt.Errorf("telemetry: injected daemon fault: %w", err)
 		}
 	}
-	tr, err := v.inner.Run(img)
+	tr, err := v.inner.RunCtx(ctx, img)
 	if err != nil {
 		return nil, fmt.Errorf("telemetry: victim run: %w", err)
 	}

@@ -8,14 +8,22 @@ import (
 	"errors"
 	"fmt"
 	"io"
+	"math/rand"
 	"net"
 	"net/http"
+	"runtime/pprof"
 	"strings"
 	"testing"
 	"time"
 
+	"github.com/huffduff/huffduff/internal/accel"
 	"github.com/huffduff/huffduff/internal/chaos"
+	attack "github.com/huffduff/huffduff/internal/huffduff"
+	"github.com/huffduff/huffduff/internal/models"
 	"github.com/huffduff/huffduff/internal/obs"
+	"github.com/huffduff/huffduff/internal/prune"
+	"github.com/huffduff/huffduff/internal/tensor"
+	"github.com/huffduff/huffduff/internal/trace"
 )
 
 // tinySpec is a smallcnn campaign small enough that two of them finish in a
@@ -40,21 +48,12 @@ func newTestDaemon(t *testing.T, cfg DaemonConfig) *Daemon {
 // daemon and HTTP server on a loopback port, submits two concurrent
 // campaigns, and watches them through the same endpoints an operator would
 // use — /metrics (Prometheus text with advancing counters), /campaigns
-// (per-layer device telemetry), /events (JSONL), and pprof — then shuts the
-// daemon down and checks that the workers drained cleanly.
+// (per-layer device telemetry), and pprof — then shuts the daemon down and
+// checks that the workers drained cleanly.
 func TestDaemonEndToEnd(t *testing.T) {
 	col := obs.NewCollector()
-	flight := obs.NewFlightRecorder(obs.DefaultFlightEvents)
-	rec := obs.Fanout(col, flight)
-
-	d := newTestDaemon(t, DaemonConfig{Workers: 2, QueueDepth: 8, Recorder: rec})
-	srv := NewServer(ServerOptions{
-		Collector: col,
-		Flight:    flight,
-		Campaigns: d,
-		Submitter: d,
-		Health:    d,
-	})
+	d := newTestDaemon(t, DaemonConfig{Workers: 2, QueueDepth: 8, Recorder: col})
+	srv := NewServer(d, col)
 	l, err := net.Listen("tcp", "127.0.0.1:0")
 	if err != nil {
 		t.Fatal(err)
@@ -198,34 +197,16 @@ func TestDaemonEndToEnd(t *testing.T) {
 		}
 	}
 
-	// /events yields the retained event tail as parseable JSONL.
-	resp, err := http.Get(base + "/events")
-	if err != nil {
-		t.Fatal(err)
-	}
-	body, _ := io.ReadAll(resp.Body)
-	resp.Body.Close()
-	if ct := resp.Header.Get("Content-Type"); ct != "application/x-ndjson" {
-		t.Errorf("/events Content-Type = %q", ct)
-	}
-	events := 0
-	sc := bufio.NewScanner(bytes.NewReader(body))
-	for sc.Scan() {
-		var ev obs.Event
-		if err := json.Unmarshal(sc.Bytes(), &ev); err != nil {
-			t.Fatalf("/events line %q: %v", sc.Text(), err)
+	// The daemon serves no raw event stream and no profile bundle: host
+	// cost is /metrics and /debug/pprof, progress the campaign ledgers.
+	for _, path := range []string{"/events", "/debug/profile?seconds=1"} {
+		if _, code := getRaw(t, base, path); code != http.StatusNotFound {
+			t.Errorf("GET %s = %d, want 404", path, code)
 		}
-		if ev.Kind == "" || ev.TS == 0 {
-			t.Fatalf("/events malformed event: %+v", ev)
-		}
-		events++
-	}
-	if events == 0 {
-		t.Fatal("/events returned no events after two campaigns")
 	}
 
 	// pprof answers on the same mux.
-	resp, err = http.Get(base + "/debug/pprof/cmdline")
+	resp, err := http.Get(base + "/debug/pprof/cmdline")
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -284,17 +265,12 @@ func TestQueueFull(t *testing.T) {
 	stall := chaos.NewDaemonFaults(chaos.DaemonFaultsConfig{StallProb: 1})
 	d := newTestDaemon(t, DaemonConfig{Workers: 1, QueueDepth: 1, Faults: stall, RetryAfter: 7 * time.Second})
 	defer d.Kill()
-	srv := NewServer(ServerOptions{Campaigns: d, Submitter: d, Health: d, DisablePprof: true})
-	l, err := net.Listen("tcp", "127.0.0.1:0")
-	if err != nil {
-		t.Fatal(err)
-	}
-	go srv.Serve(l)
-	defer srv.Shutdown(context.Background())
-	base := "http://" + l.Addr().String()
+	base, stop := startServer(t, d, obs.NewCollector())
+	defer stop()
 
 	body, _ := json.Marshal(tinySpec())
 	var resp *http.Response
+	var err error
 	deadline := time.Now().Add(30 * time.Second)
 	for {
 		resp, err = http.Post(base+"/campaigns", "application/json", bytes.NewReader(body))
@@ -331,42 +307,6 @@ func TestQueueFull(t *testing.T) {
 	// The daemon-level sentinel backs the HTTP translation.
 	if _, err := d.Submit(tinySpec()); !errors.Is(err, ErrQueueFull) {
 		t.Errorf("Submit on full queue = %v, want ErrQueueFull", err)
-	}
-}
-
-func TestServerWithoutSources(t *testing.T) {
-	srv := NewServer(ServerOptions{DisablePprof: true})
-	l, err := net.Listen("tcp", "127.0.0.1:0")
-	if err != nil {
-		t.Fatal(err)
-	}
-	go srv.Serve(l)
-	defer srv.Shutdown(context.Background())
-	base := "http://" + l.Addr().String()
-
-	for path, want := range map[string]int{
-		"/metrics":             http.StatusNotFound,
-		"/events":              http.StatusNotFound,
-		"/campaigns":           http.StatusOK, // empty list, not an error
-		"/debug/pprof/cmdline": http.StatusNotFound,
-		"/healthz":             http.StatusOK,
-	} {
-		resp, err := http.Get(base + path)
-		if err != nil {
-			t.Fatal(err)
-		}
-		resp.Body.Close()
-		if resp.StatusCode != want {
-			t.Errorf("GET %s = %d, want %d", path, resp.StatusCode, want)
-		}
-	}
-	resp, err := http.Post(base+"/campaigns", "application/json", strings.NewReader(`{"model":"smallcnn"}`))
-	if err != nil {
-		t.Fatal(err)
-	}
-	resp.Body.Close()
-	if resp.StatusCode != http.StatusMethodNotAllowed {
-		t.Errorf("POST /campaigns without submitter = %d, want 405", resp.StatusCode)
 	}
 }
 
@@ -474,4 +414,102 @@ func getCampaign(t *testing.T, base string, id int) CampaignSnapshot {
 		t.Fatal(err)
 	}
 	return out
+}
+
+// stageLabelVictim runs each inference through inner as the attack runs its
+// victim — under the attack's context when inner takes one — and counts the
+// probe-stage runs and those after which the goroutine still carries the
+// stage=probe pprof label.
+type stageLabelVictim struct {
+	t           *testing.T
+	inner       attack.Victim
+	probe, kept int
+}
+
+func (v *stageLabelVictim) Run(img *tensor.Tensor) (*trace.Trace, error) {
+	return v.RunCtx(context.Background(), img)
+}
+
+func (v *stageLabelVictim) RunCtx(ctx context.Context, img *tensor.Tensor) (*trace.Trace, error) {
+	var tr *trace.Trace
+	var err error
+	if cv, ok := v.inner.(ctxVictim); ok {
+		tr, err = cv.RunCtx(ctx, img)
+	} else {
+		tr, err = v.inner.Run(img)
+	}
+	if stage, _ := pprof.Label(ctx, "stage"); stage == "probe" {
+		v.probe++
+		if strings.Contains(v.ownLabels(), `"stage":"probe"`) {
+			v.kept++
+		}
+	}
+	return tr, err
+}
+
+// ownLabels returns the calling goroutine's pprof label set as the goroutine
+// profile prints it, found by this method's frame on its stack ("" when the
+// goroutine carries no labels).
+func (v *stageLabelVictim) ownLabels() string {
+	var buf bytes.Buffer
+	if err := pprof.Lookup("goroutine").WriteTo(&buf, 1); err != nil {
+		v.t.Fatal(err)
+	}
+	for _, rec := range strings.Split(buf.String(), "\n\n") {
+		if !strings.Contains(rec, "(*stageLabelVictim).ownLabels") {
+			continue
+		}
+		for _, line := range strings.Split(rec, "\n") {
+			if labels, ok := strings.CutPrefix(line, "# labels: "); ok {
+				return labels
+			}
+		}
+		return ""
+	}
+	v.t.Fatalf("no goroutine in ownLabels in the goroutine profile:\n%s", buf.String())
+	return ""
+}
+
+// TestStageLabelSurvivesWrappedVictims runs a T=1 Q=2 SmallCNN attack with a
+// recorder through each victim wrapper huffduffd composes. After every
+// probe-stage inference the goroutine must still carry stage=probe, or the
+// CPU samples /debug/pprof/profile takes lose their stage: the simulator
+// restores the label set of the context it runs under, which is none when a
+// wrapper calls it without the attack's.
+func TestStageLabelSurvivesWrappedVictims(t *testing.T) {
+	for _, tc := range []struct {
+		name string
+		wrap func(*accel.Machine) attack.Victim
+	}{
+		{"supervised", func(m *accel.Machine) attack.Victim { return &supervisedVictim{inner: m} }},
+		{"chaos", func(m *accel.Machine) attack.Victim { return chaos.Wrap(m, chaos.Config{}) }},
+		{"supervised_chaos", func(m *accel.Machine) attack.Victim {
+			return &supervisedVictim{inner: chaos.Wrap(m, chaos.Config{})}
+		}},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			rec := obs.NewCollector()
+			arch, err := models.ByName("smallcnn", 16)
+			if err != nil {
+				t.Fatal(err)
+			}
+			bind, err := arch.Build(rand.New(rand.NewSource(1)))
+			if err != nil {
+				t.Fatal(err)
+			}
+			prune.GlobalMagnitude(bind.Net.Params(), 0.5)
+			acfg := accel.DefaultConfig()
+			acfg.Obs = rec
+			v := &stageLabelVictim{t: t, inner: tc.wrap(accel.NewMachine(acfg, arch, bind))}
+			cfg := attack.DefaultConfig()
+			cfg.Probe.Trials, cfg.Probe.Q = 1, 2
+			cfg.Obs = rec
+			if _, err := attack.AttackContext(context.Background(), v, cfg); err != nil {
+				t.Fatal(err)
+			}
+			if v.probe != 8 || v.kept != v.probe {
+				t.Errorf("stage=probe kept after %d of %d probe-stage runs, want 8 of 8", v.kept, v.probe)
+			}
+		})
+	}
 }

@@ -40,12 +40,12 @@ func (d *Daemon) restore() ([]*campaign, error) {
 			return nil
 		}
 		snap.Resumed = true
-		c := &campaign{snap: snap, ledger: converge.NewLedger()}
-		if terminalState(snap.State) {
-			// The in-memory convergence history died with the old process;
-			// a restored terminal campaign serves an empty, closed ledger.
-			c.ledger.Close()
-		} else {
+		c := &campaign{snap: snap}
+		// A terminal campaign keeps its converge summary but no ledger: the
+		// in-memory history died with the old process, and the progress
+		// endpoints answer 410 Gone for it.
+		if !terminalState(snap.State) {
+			c.ledger = converge.NewLedger()
 			c.snap.State = StateQueued
 			c.snap.Started = nil
 			requeue = append(requeue, c)

@@ -6,8 +6,6 @@ import (
 	"fmt"
 	"io"
 	"net/http"
-	"net/http/httptest"
-	"strings"
 	"testing"
 	"time"
 
@@ -72,14 +70,13 @@ func TestStoreKillRestart(t *testing.T) {
 
 	// Phase 1: run campaigns to terminal states with everything wired.
 	col1 := obs.NewCollector()
-	rec1 := obs.Fanout(col1)
-	s1, err := store.Open(storeDir, store.Config{Obs: rec1})
+	s1, err := store.Open(storeDir, store.Config{Obs: col1})
 	if err != nil {
 		t.Fatal(err)
 	}
 	d1 := newTestDaemon(t, DaemonConfig{
 		Workers: 2, QueueDepth: 8,
-		Recorder: rec1, Store: s1,
+		Recorder: col1, Store: s1,
 		Retry: RetryPolicy{MaxAttempts: 1, BaseDelay: 5 * time.Millisecond},
 	})
 	base1, stop1 := startServer(t, d1, col1)
@@ -131,13 +128,12 @@ func TestStoreKillRestart(t *testing.T) {
 	// served from the store — filtered, paginated and aggregated —
 	// byte-identically (modulo the Resumed mark).
 	col2 := obs.NewCollector()
-	rec2 := obs.Fanout(col2)
-	s2, err := store.Open(storeDir, store.Config{Obs: rec2})
+	s2, err := store.Open(storeDir, store.Config{Obs: col2})
 	if err != nil {
 		t.Fatal(err)
 	}
 	defer s2.Close()
-	d2 := newTestDaemon(t, DaemonConfig{Workers: 1, QueueDepth: 8, Recorder: rec2, Store: s2})
+	d2 := newTestDaemon(t, DaemonConfig{Workers: 1, QueueDepth: 8, Recorder: col2, Store: s2})
 	defer d2.Kill()
 	base2, stop2 := startServer(t, d2, col2)
 	defer stop2()
@@ -336,7 +332,7 @@ func TestBackendsServeIdenticalResponses(t *testing.T) {
 	putSnapshots(t, l, snaps...)
 	d := newTestDaemon(t, DaemonConfig{Workers: 1, Store: l})
 	defer d.Kill()
-	b, stop := startServer(t, d, nil)
+	b, stop := startServer(t, d, obs.NewCollector())
 	defer stop()
 
 	since6, since3 := base.Add(6*time.Minute), base.Add(3*time.Minute)
@@ -444,85 +440,5 @@ func TestRecordFromSnapshot(t *testing.T) {
 	}
 	if a, b := foldJSON(t, live), foldJSON(t, restored); a != b {
 		t.Errorf("live and restored snapshots fold differently:\n live %s\n restored %s", a, b)
-	}
-}
-
-// TestEventsQueryParams pins the /events tail-limit and since filters: ?n=
-// keeps the newest n events, ?since= keeps events at or after the timestamp,
-// and combined they mean "the last n since T". Malformed values are 400s.
-func TestEventsQueryParams(t *testing.T) {
-	flight := obs.NewFlightRecorder(64)
-	for i := 0; i < 10; i++ {
-		flight.Count("tick", fmt.Sprintf("i=%d", i), float64(i))
-	}
-	srv := NewServer(ServerOptions{Flight: flight})
-
-	get := func(query string) ([]obs.Event, int) {
-		t.Helper()
-		w := httptest.NewRecorder()
-		srv.Handler().ServeHTTP(w, httptest.NewRequest(http.MethodGet, "/events"+query, nil))
-		if w.Code != http.StatusOK {
-			return nil, w.Code
-		}
-		var events []obs.Event
-		for _, line := range strings.Split(strings.TrimSpace(w.Body.String()), "\n") {
-			if line == "" {
-				continue
-			}
-			var ev obs.Event
-			if err := json.Unmarshal([]byte(line), &ev); err != nil {
-				t.Fatalf("bad JSONL line %q: %v", line, err)
-			}
-			events = append(events, ev)
-		}
-		return events, w.Code
-	}
-
-	all, _ := get("")
-	if len(all) != 10 {
-		t.Fatalf("unfiltered /events returned %d events, want 10", len(all))
-	}
-
-	tail, _ := get("?n=3")
-	if len(tail) != 3 {
-		t.Fatalf("/events?n=3 returned %d events", len(tail))
-	}
-	if tail[0].Label != all[7].Label || tail[2].Label != all[9].Label {
-		t.Errorf("?n=3 did not keep the newest 3: %+v", tail)
-	}
-
-	cut := all[6].TS
-	sinceEvents, _ := get(fmt.Sprintf("?since=%d", cut))
-	wantSince := 0
-	for _, ev := range all {
-		if ev.TS >= cut {
-			wantSince++
-		}
-	}
-	if len(sinceEvents) != wantSince {
-		t.Errorf("?since=%d returned %d events, want %d", cut, len(sinceEvents), wantSince)
-	}
-	for _, ev := range sinceEvents {
-		if ev.TS < cut {
-			t.Errorf("?since returned event before the cut: %+v", ev)
-		}
-	}
-
-	comb, _ := get(fmt.Sprintf("?since=%d&n=2", cut))
-	if len(comb) != 2 {
-		t.Errorf("?since&n=2 returned %d events", len(comb))
-	}
-	if len(comb) == 2 && comb[1].Label != all[9].Label {
-		t.Errorf("?since&n kept the wrong tail: %+v", comb)
-	}
-
-	if huge, _ := get("?n=1000"); len(huge) != 10 {
-		t.Errorf("?n beyond the ring returned %d events, want all 10", len(huge))
-	}
-
-	for _, q := range []string{"?n=x", "?n=-1", "?since=x", "?since=-5"} {
-		if _, code := get(q); code != http.StatusBadRequest {
-			t.Errorf("GET /events%s = %d, want 400", q, code)
-		}
 	}
 }

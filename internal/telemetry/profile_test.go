@@ -1,29 +1,22 @@
 package telemetry
 
 import (
-	"archive/zip"
-	"bytes"
-	"io"
 	"net/http"
 	"net/http/httptest"
 	"strings"
 	"testing"
 
 	"github.com/huffduff/huffduff/internal/obs"
-	"github.com/huffduff/huffduff/internal/prof"
 )
 
-// TestMetricsIncludesRuntimeGauges wires a RuntimeSampler into the server
-// and checks a /metrics scrape carries the Go runtime health gauges next to
-// the application series.
+// TestMetricsIncludesRuntimeGauges checks a /metrics scrape carries the Go
+// runtime health gauges the server samples next to the application series.
 func TestMetricsIncludesRuntimeGauges(t *testing.T) {
 	col := obs.NewCollector()
 	col.Count("daemon.jobs_submitted", "", 3)
-	srv := NewServer(ServerOptions{
-		Collector:    col,
-		Runtime:      prof.NewRuntimeSampler(),
-		DisablePprof: true,
-	})
+	d := newTestDaemon(t, DaemonConfig{Workers: 1})
+	defer d.Kill()
+	srv := NewServer(d, col)
 
 	rr := httptest.NewRecorder()
 	srv.Handler().ServeHTTP(rr, httptest.NewRequest(http.MethodGet, "/metrics", nil))
@@ -41,96 +34,4 @@ func TestMetricsIncludesRuntimeGauges(t *testing.T) {
 			t.Errorf("/metrics missing %q:\n%s", want, body)
 		}
 	}
-}
-
-// TestDebugProfileBundle captures a short on-demand profile bundle and
-// checks the zip holds the CPU profile, the capture-window flight events,
-// and a metrics snapshot — and that the capture is counted.
-func TestDebugProfileBundle(t *testing.T) {
-	col := obs.NewCollector()
-	flight := obs.NewFlightRecorder(256)
-	// One event before the capture window: it must NOT appear in the bundle.
-	flight.Count("before.capture", "", 1)
-	srv := NewServer(ServerOptions{
-		Collector:    col,
-		Flight:       flight,
-		Runtime:      prof.NewRuntimeSampler(),
-		DisablePprof: true,
-	})
-
-	done := make(chan struct{})
-	go func() {
-		// Record during the capture window so flight.jsonl has content.
-		for i := 0; i < 50; i++ {
-			flight.Count("during.capture", "", 1)
-		}
-		close(done)
-	}()
-
-	rr := httptest.NewRecorder()
-	srv.Handler().ServeHTTP(rr, httptest.NewRequest(http.MethodGet, "/debug/profile?seconds=1", nil))
-	<-done
-	if rr.Code != http.StatusOK {
-		t.Fatalf("/debug/profile: %d: %s", rr.Code, rr.Body.String())
-	}
-	if ct := rr.Header().Get("Content-Type"); ct != "application/zip" {
-		t.Fatalf("content type %q", ct)
-	}
-
-	zr, err := zip.NewReader(bytes.NewReader(rr.Body.Bytes()), int64(rr.Body.Len()))
-	if err != nil {
-		t.Fatalf("bundle is not a zip: %v", err)
-	}
-	files := map[string][]byte{}
-	for _, f := range zr.File {
-		rc, err := f.Open()
-		if err != nil {
-			t.Fatal(err)
-		}
-		data, err := io.ReadAll(rc)
-		rc.Close()
-		if err != nil {
-			t.Fatal(err)
-		}
-		files[f.Name] = data
-	}
-	if len(files["cpu.pprof"]) == 0 {
-		t.Error("bundle missing cpu.pprof")
-	}
-	fl := string(files["flight.jsonl"])
-	if !strings.Contains(fl, "during.capture") {
-		t.Errorf("flight.jsonl missing capture-window events:\n%s", fl)
-	}
-	if strings.Contains(fl, "before.capture") {
-		t.Errorf("flight.jsonl leaked pre-capture events:\n%s", fl)
-	}
-	if !strings.Contains(string(files["metrics.prom"]), "runtime_goroutines") {
-		t.Error("metrics.prom missing runtime gauges")
-	}
-	if got := col.CounterValue("daemon.profile_captures", ""); got != 1 {
-		t.Errorf("daemon.profile_captures = %v, want 1", got)
-	}
-}
-
-// TestDebugProfileRejectsBadAndConcurrent pins the guard rails: malformed
-// seconds get 400, and a second capture while one runs gets 409.
-func TestDebugProfileRejectsBadAndConcurrent(t *testing.T) {
-	srv := NewServer(ServerOptions{DisablePprof: true})
-	for _, q := range []string{"seconds=0", "seconds=-3", "seconds=soon"} {
-		rr := httptest.NewRecorder()
-		srv.Handler().ServeHTTP(rr, httptest.NewRequest(http.MethodGet, "/debug/profile?"+q, nil))
-		if rr.Code != http.StatusBadRequest {
-			t.Errorf("?%s: got %d, want 400", q, rr.Code)
-		}
-	}
-
-	// Simulate an in-flight capture; the busy guard must answer 409 without
-	// touching the profiler.
-	srv.profiling.Store(true)
-	rr := httptest.NewRecorder()
-	srv.Handler().ServeHTTP(rr, httptest.NewRequest(http.MethodGet, "/debug/profile?seconds=1", nil))
-	if rr.Code != http.StatusConflict {
-		t.Errorf("concurrent capture: got %d, want 409", rr.Code)
-	}
-	srv.profiling.Store(false)
 }

@@ -25,7 +25,7 @@ import (
 func TestProgressStream(t *testing.T) {
 	col := obs.NewCollector()
 	d := newTestDaemon(t, DaemonConfig{Workers: 1, QueueDepth: 4, Recorder: col})
-	srv := NewServer(ServerOptions{Campaigns: d, Submitter: d, Health: d, Progress: d})
+	srv := NewServer(d, col)
 	l, err := net.Listen("tcp", "127.0.0.1:0")
 	if err != nil {
 		t.Fatal(err)
@@ -180,31 +180,29 @@ func TestProgressStream(t *testing.T) {
 	<-serveDone
 }
 
-// ledgerProgress serves one live ledger as campaign 1, standing in for the
-// daemon so the disconnect test needs no real attack.
-type ledgerProgress struct{ led *converge.Ledger }
-
-func (p ledgerProgress) ProgressLedger(id int) (*converge.Ledger, bool) {
-	if id != 1 {
-		return nil, false
-	}
-	return p.led, true
-}
-
 // TestProgressStreamClientDisconnect is the goroutine-leak regression test
 // for the stream handler: a client that walks away mid-stream (campaign
 // still running, ledger still open) must tear down its subscription — the
 // handler goroutine exits via the request context and unsubscribes. Without
 // that cleanup each abandoned watcher pins a subscriber channel until the
-// campaign ends. Named to ride the CI race-instrumented TestProgressStream
-// run.
+// campaign ends. The open ledger is registered as campaign 1 of a daemon
+// with no store, so the test needs no real attack. Named to ride the CI
+// race-instrumented TestProgressStream run.
 func TestProgressStreamClientDisconnect(t *testing.T) {
 	led := converge.NewLedger()
 	defer led.Close()
 	led.Append(converge.Snapshot{Stage: "calibrate"})
 	led.Append(converge.Snapshot{Stage: "probe"})
 
-	srv := NewServer(ServerOptions{Progress: ledgerProgress{led}})
+	d := newTestDaemon(t, DaemonConfig{Workers: 1})
+	defer d.Kill()
+	c := &campaign{snap: CampaignSnapshot{ID: 1, Spec: tinySpec(), State: StateRunning}, ledger: led}
+	d.mu.Lock()
+	d.byID[1] = c
+	d.campaigns = append(d.campaigns, c)
+	d.mu.Unlock()
+
+	srv := NewServer(d, obs.NewCollector())
 	l, err := net.Listen("tcp", "127.0.0.1:0")
 	if err != nil {
 		t.Fatal(err)

@@ -5,6 +5,7 @@ import (
 	"errors"
 	"fmt"
 	"net"
+	"net/http"
 	"os"
 	"path/filepath"
 	"runtime"
@@ -23,7 +24,7 @@ import (
 // teardown func.
 func startServer(t *testing.T, d *Daemon, col *obs.Collector) (string, func()) {
 	t.Helper()
-	srv := NewServer(ServerOptions{Collector: col, Campaigns: d, Submitter: d, Health: d, DisablePprof: true})
+	srv := NewServer(d, col)
 	l, err := net.Listen("tcp", "127.0.0.1:0")
 	if err != nil {
 		t.Fatal(err)
@@ -71,7 +72,7 @@ func TestDaemonKillRestart(t *testing.T) {
 	}
 	stall := chaos.NewDaemonFaults(chaos.DaemonFaultsConfig{StallProb: 1})
 	d1 := newTestDaemon(t, DaemonConfig{Workers: 1, QueueDepth: 8, Store: s1, Faults: stall})
-	base1, stop1 := startServer(t, d1, nil)
+	base1, stop1 := startServer(t, d1, obs.NewCollector())
 	for i := 0; i < 3; i++ {
 		snap := postJob(t, base1, tinySpec())
 		if snap.ID != i+1 {
@@ -459,6 +460,26 @@ func TestRestoreFromStore(t *testing.T) {
 	}
 	if v := col.PromText(); !strings.Contains(v, "daemon_requeues 3") {
 		t.Errorf("daemon_requeues missing or not 3:\n%s", v)
+	}
+	// A campaign restored as finished kept its summary but not its
+	// convergence history: both progress endpoints answer 410 Gone and
+	// point at the summary. A requeued one that has not started keeps the
+	// not-started answer.
+	base, stop := startServer(t, d, col)
+	defer stop()
+	for _, id := range []int{1, 2} {
+		for _, path := range []string{"/progress", "/progress/stream"} {
+			url := fmt.Sprintf("/campaigns/%d%s", id, path)
+			body, code := getRaw(t, base, url)
+			if want := fmt.Sprintf("/campaigns/%d carries its converge summary", id); code != http.StatusGone ||
+				!strings.Contains(string(body), want) {
+				t.Errorf("GET %s = %d %q, want 410 naming %s", url, code, body, want)
+			}
+		}
+	}
+	if body, code := getRaw(t, base, "/campaigns/4/progress"); code != http.StatusNotFound ||
+		!strings.Contains(string(body), "no convergence snapshots yet") {
+		t.Errorf("GET /campaigns/4/progress = %d %q, want 404 not started", code, body)
 	}
 	snap, err := d.Submit(tinySpec())
 	if err != nil {

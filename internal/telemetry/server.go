@@ -1,8 +1,6 @@
 package telemetry
 
 import (
-	"archive/zip"
-	"bytes"
 	"context"
 	"encoding/json"
 	"errors"
@@ -10,11 +8,8 @@ import (
 	"net"
 	"net/http"
 	"net/http/pprof"
-	rtpprof "runtime/pprof"
-	"sort"
 	"strconv"
 	"strings"
-	"sync/atomic"
 	"time"
 
 	"github.com/huffduff/huffduff/internal/converge"
@@ -22,86 +17,30 @@ import (
 	"github.com/huffduff/huffduff/internal/prof"
 )
 
-// CampaignSource lists campaigns for /campaigns. *Daemon implements it.
-type CampaignSource interface {
-	Campaigns() []CampaignSnapshot
-	CampaignByID(id int) (CampaignSnapshot, bool)
-}
-
-// Submitter accepts campaign jobs for POST /campaigns. *Daemon implements
-// it; a nil Submitter makes the endpoint read-only.
-type Submitter interface {
-	Submit(JobSpec) (CampaignSnapshot, error)
-}
-
-// HealthSource reports daemon health for /healthz. *Daemon implements it;
-// without one the endpoint degrades to a bare 200 "ok".
-type HealthSource interface {
-	Health() Health
-}
-
-// ProgressSource resolves a campaign's convergence ledger for the
-// /campaigns/{id}/progress endpoints. *Daemon implements it.
-type ProgressSource interface {
-	ProgressLedger(id int) (*converge.Ledger, bool)
-}
-
-// ServerOptions wires the telemetry server to its data sources. Every field
-// is optional: a missing source turns the corresponding endpoint into a
-// 404/empty response rather than a crash.
-type ServerOptions struct {
-	// Collector backs /metrics (Prometheus text format).
-	Collector *obs.Collector
-	// Flight backs /events (JSONL dump of the retained event tail).
-	Flight *obs.FlightRecorder
-	// Campaigns backs GET /campaigns, /campaigns/{id} and
-	// /campaigns/aggregate.
-	Campaigns CampaignSource
-	// Submitter enables POST /campaigns.
-	Submitter Submitter
-	// Health backs /healthz: "ok" (200), "degraded" (200, the most recent
-	// durable write failed), or "draining" (503, so load-balancers stop
-	// routing to a dying node).
-	Health HealthSource
-	// Progress backs GET /campaigns/{id}/progress (latest convergence
-	// snapshot) and /campaigns/{id}/progress/stream (incremental JSONL).
-	Progress ProgressSource
-	// Runtime, when set alongside Collector, refreshes Go runtime gauges
-	// (goroutines, heap bytes, GC cycles, GC pause histogram) into the
-	// Collector on every /metrics scrape.
-	Runtime *prof.RuntimeSampler
-	// DisablePprof removes the net/http/pprof handlers (on by default:
-	// on-demand CPU/heap profiles are half the point of a live daemon).
-	DisablePprof bool
-}
-
-// Server is the live telemetry HTTP server: /metrics, /healthz, /campaigns,
-// /events, and /debug/pprof on one mux.
+// Server is the live telemetry HTTP server for one Daemon: /metrics,
+// /healthz, /campaigns and /debug/pprof on one mux.
 type Server struct {
-	opts ServerOptions
-	mux  *http.ServeMux
-	http *http.Server
-	// profiling guards /debug/profile: the runtime allows one CPU profile
-	// at a time process-wide, so concurrent captures get 409.
-	profiling atomic.Bool
+	d       *Daemon
+	col     *obs.Collector
+	runtime *prof.RuntimeSampler
+	mux     *http.ServeMux
+	http    *http.Server
 }
 
-// NewServer builds the server; call Serve or ListenAndServe to start it.
-func NewServer(opts ServerOptions) *Server {
-	s := &Server{opts: opts, mux: http.NewServeMux()}
+// NewServer builds the server for d; call Serve to start it. col backs
+// /metrics (Prometheus text format), refreshed with the Go runtime gauges
+// (goroutines, heap bytes, GC cycles, GC pause histogram) on every scrape.
+func NewServer(d *Daemon, col *obs.Collector) *Server {
+	s := &Server{d: d, col: col, runtime: prof.NewRuntimeSampler(), mux: http.NewServeMux()}
 	s.mux.HandleFunc("/healthz", s.handleHealthz)
 	s.mux.HandleFunc("/metrics", s.handleMetrics)
 	s.mux.HandleFunc("/campaigns", s.handleCampaigns)
 	s.mux.HandleFunc("/campaigns/", s.handleCampaignByID)
-	s.mux.HandleFunc("/events", s.handleEvents)
-	s.mux.HandleFunc("/debug/profile", s.handleProfile)
-	if !opts.DisablePprof {
-		s.mux.HandleFunc("/debug/pprof/", pprof.Index)
-		s.mux.HandleFunc("/debug/pprof/cmdline", pprof.Cmdline)
-		s.mux.HandleFunc("/debug/pprof/profile", pprof.Profile)
-		s.mux.HandleFunc("/debug/pprof/symbol", pprof.Symbol)
-		s.mux.HandleFunc("/debug/pprof/trace", pprof.Trace)
-	}
+	s.mux.HandleFunc("/debug/pprof/", pprof.Index)
+	s.mux.HandleFunc("/debug/pprof/cmdline", pprof.Cmdline)
+	s.mux.HandleFunc("/debug/pprof/profile", pprof.Profile)
+	s.mux.HandleFunc("/debug/pprof/symbol", pprof.Symbol)
+	s.mux.HandleFunc("/debug/pprof/trace", pprof.Trace)
 	s.http = &http.Server{Handler: s.mux, ReadHeaderTimeout: 5 * time.Second}
 	return s
 }
@@ -121,19 +60,6 @@ func (s *Server) Serve(l net.Listener) error {
 	return nil
 }
 
-// ListenAndServe binds addr and serves until Shutdown.
-func (s *Server) ListenAndServe(addr string) error {
-	s.http.Addr = addr
-	err := s.http.ListenAndServe()
-	if errors.Is(err, http.ErrServerClosed) {
-		return nil
-	}
-	if err != nil {
-		return fmt.Errorf("telemetry: listen on %s: %w", addr, err)
-	}
-	return nil
-}
-
 // Shutdown gracefully stops the HTTP server (in-flight requests finish).
 func (s *Server) Shutdown(ctx context.Context) error {
 	if err := s.http.Shutdown(ctx); err != nil {
@@ -142,13 +68,10 @@ func (s *Server) Shutdown(ctx context.Context) error {
 	return nil
 }
 
+// handleHealthz serves the daemon's health: "ok" (200), "degraded" (200,
+// the most recent durable write failed), or "draining" (503).
 func (s *Server) handleHealthz(w http.ResponseWriter, r *http.Request) {
-	if s.opts.Health == nil {
-		w.Header().Set("Content-Type", "text/plain; charset=utf-8")
-		fmt.Fprintln(w, "ok")
-		return
-	}
-	h := s.opts.Health.Health()
+	h := s.d.Health()
 	status := http.StatusOK
 	if h.Status == "draining" {
 		// A draining daemon finishes what it has but must receive no new
@@ -159,132 +82,11 @@ func (s *Server) handleHealthz(w http.ResponseWriter, r *http.Request) {
 }
 
 func (s *Server) handleMetrics(w http.ResponseWriter, r *http.Request) {
-	if s.opts.Collector == nil {
-		http.Error(w, "no collector configured", http.StatusNotFound)
-		return
-	}
-	if s.opts.Runtime != nil {
-		// Pull-driven runtime health: gauges reflect the moment of the
-		// scrape, and GC pauses land exactly once across scrapes.
-		s.opts.Runtime.Sample(s.opts.Collector)
-	}
+	// Pull-driven runtime health: gauges reflect the moment of the scrape,
+	// and GC pauses land exactly once across scrapes.
+	s.runtime.Sample(s.col)
 	w.Header().Set("Content-Type", "text/plain; version=0.0.4; charset=utf-8")
-	_ = s.opts.Collector.WriteProm(w)
-}
-
-// profileSecondsMax caps the /debug/profile capture window so a stray query
-// parameter cannot pin the profiler (and its capture slot) for minutes.
-const profileSecondsMax = 60
-
-// handleProfile captures an on-demand diagnostic bundle: a CPU profile over
-// ?seconds (default 5, max 60) zipped together with the flight-recorder
-// events that happened *during the capture window* and a metrics snapshot —
-// the three artifacts a post-mortem wants, correlated in time. One capture
-// runs at a time (409 otherwise). Captures are counted as
-// daemon.profile_captures.
-func (s *Server) handleProfile(w http.ResponseWriter, r *http.Request) {
-	secs := 5
-	if q := r.URL.Query().Get("seconds"); q != "" {
-		n, err := strconv.Atoi(q)
-		if err != nil || n < 1 {
-			http.Error(w, "seconds must be a positive integer", http.StatusBadRequest)
-			return
-		}
-		secs = n
-	}
-	if secs > profileSecondsMax {
-		secs = profileSecondsMax
-	}
-	if !s.profiling.CompareAndSwap(false, true) {
-		http.Error(w, "a profile capture is already in progress", http.StatusConflict)
-		return
-	}
-	defer s.profiling.Store(false)
-
-	var cpu bytes.Buffer
-	startNS := time.Now().UnixNano()
-	if err := rtpprof.StartCPUProfile(&cpu); err != nil {
-		// Something else (net/http/pprof, a local tool) holds the profiler.
-		http.Error(w, "cpu profiler busy: "+err.Error(), http.StatusConflict)
-		return
-	}
-	select {
-	case <-time.After(time.Duration(secs) * time.Second):
-	case <-r.Context().Done():
-		// Client gave up: stop early and discard, freeing the profiler.
-		rtpprof.StopCPUProfile()
-		return
-	}
-	rtpprof.StopCPUProfile()
-
-	var buf bytes.Buffer
-	zw := zip.NewWriter(&buf)
-	if f, err := zw.Create("cpu.pprof"); err == nil {
-		_, _ = f.Write(cpu.Bytes())
-	}
-	if s.opts.Flight != nil {
-		if f, err := zw.Create("flight.jsonl"); err == nil {
-			enc := json.NewEncoder(f)
-			for _, ev := range s.opts.Flight.Events() {
-				if ev.TS >= startNS {
-					_ = enc.Encode(ev)
-				}
-			}
-		}
-	}
-	if s.opts.Collector != nil {
-		if s.opts.Runtime != nil {
-			s.opts.Runtime.Sample(s.opts.Collector)
-		}
-		if f, err := zw.Create("metrics.prom"); err == nil {
-			_, _ = f.Write([]byte(s.opts.Collector.PromText()))
-		}
-		s.opts.Collector.Count("daemon.profile_captures", "", 1)
-	}
-	if err := zw.Close(); err != nil {
-		http.Error(w, "assembling bundle: "+err.Error(), http.StatusInternalServerError)
-		return
-	}
-	w.Header().Set("Content-Type", "application/zip")
-	w.Header().Set("Content-Disposition", `attachment; filename="profile-bundle.zip"`)
-	_, _ = w.Write(buf.Bytes())
-}
-
-// handleEvents serves the flight-recorder tail as JSONL, oldest first.
-// ?since= (unix nanos) keeps only events with TS >= since; ?n= keeps only
-// the newest n of what remains — so combined they mean "the last n events
-// since T".
-func (s *Server) handleEvents(w http.ResponseWriter, r *http.Request) {
-	if s.opts.Flight == nil {
-		http.Error(w, "no flight recorder configured", http.StatusNotFound)
-		return
-	}
-	since, okSince := parseIntParam(r, "since", 64)
-	n, okN := parseIntParam(r, "n", 0)
-	if !okSince || !okN {
-		http.Error(w, "n and since must be non-negative integers", http.StatusBadRequest)
-		return
-	}
-	events := s.opts.Flight.Events()
-	if since > 0 {
-		kept := events[:0]
-		for _, ev := range events {
-			if ev.TS >= since {
-				kept = append(kept, ev)
-			}
-		}
-		events = kept
-	}
-	if n > 0 && int64(len(events)) > n {
-		events = events[int64(len(events))-n:]
-	}
-	w.Header().Set("Content-Type", "application/x-ndjson")
-	enc := json.NewEncoder(w)
-	for _, ev := range events {
-		if err := enc.Encode(ev); err != nil {
-			return
-		}
-	}
+	_ = s.col.WriteProm(w)
 }
 
 // parseIntParam reads a non-negative integer query parameter; ok is false
@@ -360,20 +162,17 @@ func parseCampaignQuery(r *http.Request) (campaignQuery, string, bool) {
 }
 
 // queryCampaigns serves the filtered listing behind GET
-// /campaigns?state=&model=&since=&limit=&offset= from the source's listing
-// in ascending-ID windows. The daemon's table holds every stored campaign
-// once NewDaemon has restored it, so the listing needs no log read.
-func queryCampaigns(src CampaignSource, q campaignQuery) []CampaignSnapshot {
-	all := src.Campaigns()
+// /campaigns?state=&model=&since=&limit=&offset= from the daemon's table in
+// ascending-ID windows. The table holds every stored campaign once
+// NewDaemon has restored it, so the listing needs no log read.
+func queryCampaigns(d *Daemon, q campaignQuery) []CampaignSnapshot {
+	all := d.Campaigns()
 	out := make([]CampaignSnapshot, 0, len(all))
 	for _, snap := range all {
 		if q.match(snap) {
 			out = append(out, snap)
 		}
 	}
-	// The listing contract is deterministic ascending-ID order regardless of
-	// how the source enumerates.
-	sort.Slice(out, func(i, j int) bool { return out[i].ID < out[j].ID })
 	if q.Offset > 0 {
 		if q.Offset >= len(out) {
 			out = out[:0]
@@ -390,27 +189,19 @@ func queryCampaigns(src CampaignSource, q campaignQuery) []CampaignSnapshot {
 func (s *Server) handleCampaigns(w http.ResponseWriter, r *http.Request) {
 	switch r.Method {
 	case http.MethodGet:
-		if s.opts.Campaigns == nil {
-			writeJSON(w, http.StatusOK, []CampaignSnapshot{})
-			return
-		}
 		q, msg, ok := parseCampaignQuery(r)
 		if !ok {
 			http.Error(w, msg, http.StatusBadRequest)
 			return
 		}
-		writeJSON(w, http.StatusOK, queryCampaigns(s.opts.Campaigns, q))
+		writeJSON(w, http.StatusOK, queryCampaigns(s.d, q))
 	case http.MethodPost:
-		if s.opts.Submitter == nil {
-			http.Error(w, "read-only server: no submitter configured", http.StatusMethodNotAllowed)
-			return
-		}
 		var spec JobSpec
 		if err := json.NewDecoder(r.Body).Decode(&spec); err != nil {
 			http.Error(w, "bad job spec: "+err.Error(), http.StatusBadRequest)
 			return
 		}
-		snap, err := s.opts.Submitter.Submit(spec)
+		snap, err := s.d.Submit(spec)
 		switch {
 		case errors.Is(err, ErrQueueFull):
 			// Real backpressure: the bounded queue is full. 429 plus a
@@ -443,11 +234,7 @@ func (s *Server) handleCampaignByID(w http.ResponseWriter, r *http.Request) {
 	}
 	switch sub {
 	case "":
-		if s.opts.Campaigns == nil {
-			http.NotFound(w, r)
-			return
-		}
-		snap, ok := s.opts.Campaigns.CampaignByID(id)
+		snap, ok := s.d.CampaignByID(id)
 		if !ok {
 			http.NotFound(w, r)
 			return
@@ -463,7 +250,7 @@ func (s *Server) handleCampaignByID(w http.ResponseWriter, r *http.Request) {
 }
 
 // handleAggregate serves GET /campaigns/aggregate?by=model: the per-model
-// fold of the source's terminal campaigns, which for a daemon restored from
+// fold of the daemon's terminal campaigns, which for a daemon restored from
 // its log is the whole stored history.
 func (s *Server) handleAggregate(w http.ResponseWriter, r *http.Request) {
 	if r.Method != http.MethodGet {
@@ -474,24 +261,33 @@ func (s *Server) handleAggregate(w http.ResponseWriter, r *http.Request) {
 		http.Error(w, "unsupported aggregation "+strconv.Quote(by)+"; only by=model", http.StatusBadRequest)
 		return
 	}
-	var snaps []CampaignSnapshot
-	if s.opts.Campaigns != nil {
-		snaps = s.opts.Campaigns.Campaigns()
+	writeJSON(w, http.StatusOK, aggregateByModel(s.d.Campaigns()))
+}
+
+// progressLedger resolves campaign id's ledger for the progress endpoints.
+// When there is none it answers the request itself and returns false: 404
+// for an unknown campaign, 410 Gone for one restored as finished, whose
+// history died with the process that ran it.
+func (s *Server) progressLedger(w http.ResponseWriter, r *http.Request, id int) (*converge.Ledger, bool) {
+	led, ok := s.d.ProgressLedger(id)
+	if !ok {
+		http.NotFound(w, r)
+		return nil, false
 	}
-	writeJSON(w, http.StatusOK, aggregateByModel(snaps))
+	if led == nil {
+		http.Error(w, fmt.Sprintf("campaign %d finished before the daemon restarted: its convergence history "+
+			"was not kept across the restart; /campaigns/%d carries its converge summary", id, id), http.StatusGone)
+		return nil, false
+	}
+	return led, true
 }
 
 // handleProgress serves the latest convergence snapshot for one campaign.
 // A campaign whose attack has not yet produced a snapshot returns 404 with
 // a distinct message, so clients can tell "not started" from "no campaign".
 func (s *Server) handleProgress(w http.ResponseWriter, r *http.Request, id int) {
-	if s.opts.Progress == nil {
-		http.NotFound(w, r)
-		return
-	}
-	led, ok := s.opts.Progress.ProgressLedger(id)
+	led, ok := s.progressLedger(w, r, id)
 	if !ok {
-		http.NotFound(w, r)
 		return
 	}
 	snap, ok := led.Latest()
@@ -508,13 +304,8 @@ func (s *Server) handleProgress(w http.ResponseWriter, r *http.Request, id int) 
 // client disconnects. Each line is flushed immediately so a watcher sees
 // the collapse as it happens, not when a buffer fills.
 func (s *Server) handleProgressStream(w http.ResponseWriter, r *http.Request, id int) {
-	if s.opts.Progress == nil {
-		http.NotFound(w, r)
-		return
-	}
-	led, ok := s.opts.Progress.ProgressLedger(id)
+	led, ok := s.progressLedger(w, r, id)
 	if !ok {
-		http.NotFound(w, r)
 		return
 	}
 	ch, cancel := led.Subscribe()
@@ -550,15 +341,11 @@ type APIError struct {
 }
 
 // writeAPIError writes a structured error response; withRetry adds the
-// Retry-After header and body field from the submitter's hint.
+// Retry-After header and body field from DaemonConfig.RetryAfter.
 func (s *Server) writeAPIError(w http.ResponseWriter, status int, err error, withRetry bool) {
 	body := APIError{Error: err.Error()}
 	if withRetry {
-		retry := 5 * time.Second
-		if h, ok := s.opts.Submitter.(interface{ RetryAfterHint() time.Duration }); ok {
-			retry = h.RetryAfterHint()
-		}
-		secs := int(retry.Round(time.Second) / time.Second)
+		secs := int(s.d.cfg.RetryAfter.Round(time.Second) / time.Second)
 		if secs < 1 {
 			secs = 1
 		}
