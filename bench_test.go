@@ -182,20 +182,7 @@ func BenchmarkGLBBoundTable(b *testing.B) {
 			for _, mem := range dram.EvaluatedSpecs() {
 				c := cfg
 				c.Mem = mem
-				headroom := 1e18
-				for u, unit := range arch.Units {
-					if unit.Kind != models.UnitConv {
-						continue
-					}
-					psums := bind.PsumOut(u).Size()
-					out := bind.UnitTensor(u)
-					outBytes := c.ActCodec.Size(out.Data)
-					glb, dr := accel.EncodingBounds(c, psums, outBytes)
-					if h := glb / dr; h < headroom {
-						headroom = h
-					}
-				}
-				fmt.Printf(" %11.1f", headroom)
+				fmt.Printf(" %11.1f", accel.GLBHeadroom(c, arch, m.LastStats().Layers))
 			}
 			fmt.Println()
 		}

@@ -17,7 +17,6 @@ import (
 	"github.com/huffduff/huffduff/cmd/internal/cli"
 	"github.com/huffduff/huffduff/internal/accel"
 	"github.com/huffduff/huffduff/internal/dram"
-	"github.com/huffduff/huffduff/internal/models"
 	"github.com/huffduff/huffduff/internal/obs"
 	"github.com/huffduff/huffduff/internal/prune"
 	"github.com/huffduff/huffduff/internal/tensor"
@@ -39,9 +38,10 @@ func main() {
 	bind, rng, err := cli.BuildPruned(arch, *seed, *keep)
 	cli.Check(err)
 
-	// One representative inference to populate psum and output tensors.
-	// With -metrics-out the machine publishes its per-layer device
-	// telemetry (`accel.`-prefixed series) into the dumped snapshot.
+	// One representative inference: its per-layer stats carry each conv's
+	// psum count and compressed output size. With -metrics-out the machine
+	// publishes its per-layer device telemetry (`accel.`-prefixed series)
+	// into the dumped snapshot.
 	cfg := accel.DefaultConfig()
 	var col *obs.Collector
 	if *metricsOut != "" {
@@ -55,37 +55,15 @@ func main() {
 	if _, err := m.Run(img); err != nil {
 		log.Fatal(err)
 	}
+	layers := m.LastStats().Layers
 
 	fmt.Printf("victim %s, %.0f%% weights pruned\n", arch.Name, 100*prune.OverallSparsity(bind.Net.Params()))
 	fmt.Printf("%-16s %10s %14s\n", "memory", "GLB-bound", "headroom (x)")
 	for _, mem := range dram.EvaluatedSpecs() {
 		c := cfg
 		c.Mem = mem
-		headroom := 1e18
-		allGLB := true
-		// The classifier head's psum count (#classes) is below DRAM block
-		// granularity — its "interval" is a single transfer and carries no
-		// timing information, so the paper's per-layer analysis (and ours)
-		// covers the conv layers.
-		for i, u := range arch.Units {
-			if u.Kind != models.UnitConv {
-				continue
-			}
-			psums := bind.UnitTensor(i).Size()
-			if ps := bind.PsumOut(i); ps != nil {
-				psums = ps.Size()
-			}
-			out := bind.UnitTensor(i)
-			outBytes := c.ActCodec.Size(out.Data)
-			glb, dr := accel.EncodingBounds(c, psums, outBytes)
-			if dr > glb {
-				allGLB = false
-			}
-			if h := glb / dr; h < headroom {
-				headroom = h
-			}
-		}
-		fmt.Printf("%-16s %10v %14.1f\n", fmt.Sprintf("%s-%dch", mem.Name, mem.Channels), allGLB, headroom)
+		headroom := accel.GLBHeadroom(c, arch, layers)
+		fmt.Printf("%-16s %10v %14.1f\n", fmt.Sprintf("%s-%dch", mem.Name, mem.Channels), headroom >= 1, headroom)
 	}
 	fmt.Println("\nheadroom = how much faster the GLB could read psums before the")
 	fmt.Println("first layer becomes DRAM-bound (the paper's §8.2 table).")

@@ -45,11 +45,12 @@ func main() {
 		}
 		fmt.Printf("\n=== memory: %s ===\n", mem)
 		fmt.Printf("%-8s %10s %12s %14s  %s\n", "unit", "psums", "Δt (us)", "Δt/psum (ns)", "Δt scaled")
+		layers := m.LastStats().Layers
 		for i, u := range arch.Units {
 			if u.Kind != models.UnitConv {
 				continue
 			}
-			ps := bind.PsumOut(i).Size()
+			ps := layers[i].Psums
 			dt := obs[i+1].EncodingTime()
 			perPsum := dt / float64(ps) * 1e9
 			bars := int(perPsum * 8)

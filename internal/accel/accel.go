@@ -13,6 +13,7 @@ package accel
 import (
 	"context"
 	"fmt"
+	"math"
 	"math/rand"
 	"runtime/pprof"
 	"sync"
@@ -117,7 +118,30 @@ func EncodingBounds(c Config, psums, outBytes int) (glbTime, dramTime float64) {
 	return glbTime, dramTime
 }
 
-// Machine is a deployed model on the simulated accelerator.
+// GLBHeadroom returns how many times faster the GLB could read psums
+// before the first conv layer's encoding becomes DRAM-bound on cfg's memory
+// (the §8.2 table): the minimum over arch's conv units of GLB time ÷ DRAM
+// time, from a run's per-layer stats, whose OutBytes must come from cfg's
+// activation codec. Below 1, some conv layer is already DRAM-bound. The
+// classifier head is left out: its psum count (#classes) is below the DRAM
+// block size, so its "interval" is a single transfer that carries no timing.
+func GLBHeadroom(cfg Config, arch *models.Arch, layers []LayerStats) float64 {
+	h := math.Inf(1)
+	for _, l := range layers {
+		if arch.Units[l.Unit].Kind != models.UnitConv {
+			continue
+		}
+		glb, dr := EncodingBounds(cfg, l.Psums, l.OutBytes)
+		h = min(h, glb/dr)
+	}
+	return h
+}
+
+// Machine is a deployed model on the simulated accelerator. It computes
+// each inference from an inference plan (plan.go) that it builds at its
+// first run, reading Bind's weights, batch-norm statistics and biases then:
+// changes to them after the first run are not seen. Run is not concurrent:
+// one machine serves one campaign at a time.
 type Machine struct {
 	Cfg  Config
 	Arch *models.Arch
@@ -125,12 +149,13 @@ type Machine struct {
 
 	weightAddrs []addrRange // per unit
 	rng         *rand.Rand
+	plan        *plan
 	stats       Stats
 
 	// statsMu guards the published snapshots below. Run itself is not
-	// concurrent (one machine serves one campaign at a time), but live
-	// telemetry readers — the /campaigns endpoint, a scraping exporter —
-	// snapshot LastStats/Campaign while a worker is mid-campaign.
+	// concurrent, but live telemetry readers — the /campaigns endpoint, a
+	// scraping exporter — snapshot LastStats/Campaign while a worker is
+	// mid-campaign.
 	statsMu   sync.Mutex
 	published Stats
 	campaign  CampaignStats
@@ -200,10 +225,9 @@ func structuredWeightBytes(w *tensor.Tensor) int {
 // actBytes returns the compressed size of an activation tensor, applying
 // the ZeroPadProb defence if enabled: protected zeros are shipped as if
 // they were nonzero, inflating (and randomizing) the transfer.
-func (m *Machine) actBytes(t *tensor.Tensor) int {
-	values := t.Data
+func (m *Machine) actBytes(values []float64) int {
 	if m.Cfg.ZeroPadProb > 0 {
-		values = append([]float64(nil), t.Data...)
+		values = append([]float64(nil), values...)
 		for i, v := range values {
 			if v == 0 && m.rng.Float64() < m.Cfg.ZeroPadProb {
 				values[i] = 1 // any nonzero marker: only the size matters
@@ -277,11 +301,11 @@ func (m *Machine) Run(img *tensor.Tensor) (*trace.Trace, error) {
 }
 
 // RunCtx is Run with a caller-supplied context. On observed runs (Cfg.Obs
-// set) each unit's simulation executes under a goroutine pprof label
-// layer=<unit name> merged into ctx's label set, so a CPU profile captured
-// around a campaign slices by pipeline stage AND by simulated layer. The
-// context carries no cancellation semantics here — one inference is the
-// simulator's atomic unit.
+// set) each unit's computation and trace emission run under a goroutine
+// pprof label layer=<unit name> merged into ctx's label set, so a CPU
+// profile captured around a campaign slices by pipeline stage AND by
+// simulated layer. The context carries no cancellation semantics here — one
+// inference is the simulator's atomic unit.
 func (m *Machine) RunCtx(ctx context.Context, img *tensor.Tensor) (*trace.Trace, error) {
 	if img.NumDims() == 3 {
 		img = img.Reshape(1, img.Dim(0), img.Dim(1), img.Dim(2))
@@ -293,12 +317,22 @@ func (m *Machine) RunCtx(ctx context.Context, img *tensor.Tensor) (*trace.Trace,
 		return nil, fmt.Errorf("accel: image %v does not match arch input %dx%dx%d: %w", img.Shape(), m.Arch.InC, m.Arch.InH, m.Arch.InW, faults.ErrBadConfig)
 	}
 
-	// Dense numeric execution: the accelerator's zero-skipping arithmetic is
-	// value-exact, so the nn forward pass gives the same tensors.
-	m.Bind.Net.Forward(img, false)
+	if m.plan == nil {
+		p, err := newPlan(m.Arch, m.Bind)
+		if err != nil {
+			return nil, fmt.Errorf("accel: building the inference plan: %w", err)
+		}
+		m.plan = p
+	}
+	p := m.plan
+	p.begin(img.Data)
 
+	// Size the trace from the last run's: event counts move little
+	// between inputs, and growing it by appends doubles what it allocates.
+	events := m.stats.TraceReadEvents + m.stats.TraceWriteEvents
 	m.stats = Stats{}
-	e := &emitter{bw: m.Cfg.Mem.Bandwidth(), block: m.Cfg.BlockBytes, tr: &trace.Trace{}}
+	tr := &trace.Trace{Accesses: make([]trace.Access, 0, events+events/8)}
+	e := &emitter{bw: m.Cfg.Mem.Bandwidth(), block: m.Cfg.BlockBytes, tr: tr}
 
 	// Segment 0: attacker DMA of the (compressed) input image.
 	next := actBase
@@ -307,7 +341,7 @@ func (m *Machine) RunCtx(ctx context.Context, img *tensor.Tensor) (*trace.Trace,
 		next += uint64(size) + 0x100
 		return r
 	}
-	inputRange := alloc(m.actBytes(img))
+	inputRange := alloc(m.actBytes(img.Data))
 	e.burst(trace.Write, inputRange.lo, inputRange.size)
 
 	// Activation ranges per unit output.
@@ -341,19 +375,19 @@ func (m *Machine) RunCtx(ctx context.Context, img *tensor.Tensor) (*trace.Trace,
 		}
 		e.interleavedReads(inputs, m.weightAddrs[i])
 
-		// 2. Compute (zero-skipped MACs on the PE array).
-		e.t += m.computeTime(i)
-		dense, effectual := m.computeLayer(i)
+		// 2. Compute (zero-skipped MACs on the PE array). The compute-time
+		// model, effectual MACs over PE throughput, only adds realism to the
+		// timeline; the attack does not use it.
+		p.run(i)
+		dense, effectual := p.macs(i)
+		e.t += effectual / float64(m.Cfg.PEs) / m.Cfg.ClockHz
 		m.stats.DenseMACs += dense
 		m.stats.EffectualMACs += effectual
 
 		// 3. Post-process: encode psums on the fly and write back.
-		out := m.Bind.UnitTensor(i)
-		outBytes := m.actBytes(out)
-		psums := out.Size() // dense elements entering the encoder
-		if ps := m.Bind.PsumOut(i); ps != nil {
-			psums = ps.Size() // conv/linear: pre-pool dense psum count
-		}
+		out := &p.units[i].out
+		outBytes := m.actBytes(out.data)
+		psums := p.units[i].psums
 		r := alloc(outBytes)
 		outRanges[i] = r
 		encDt := m.encode(e, r, outBytes, psums)
@@ -366,10 +400,11 @@ func (m *Machine) RunCtx(ctx context.Context, img *tensor.Tensor) (*trace.Trace,
 			DenseMACs:      dense,
 			Psums:          psums,
 			OutBytes:       outBytes,
-			OutNNZ:         out.NNZ(0),
+			OutNNZ:         out.nnz,
 			EncodeTime:     encDt,
 		})
 	}
+	p.commit()
 	m.stats.DRAMReadBytes, m.stats.DRAMWriteBytes = e.tr.TotalBytes()
 	for _, a := range e.tr.Accesses {
 		if a.Op == trace.Read {
@@ -380,31 +415,6 @@ func (m *Machine) RunCtx(ctx context.Context, img *tensor.Tensor) (*trace.Trace,
 	}
 	m.finalizeStats(e.t)
 	return e.tr, nil
-}
-
-// computeTime models the zero-skipping PE array: effectual MACs divided by
-// PE throughput. It only adds realism to the timeline; the attack does not
-// use it.
-func (m *Machine) computeTime(i int) float64 {
-	u := m.Arch.Units[i]
-	if u.Kind != models.UnitConv {
-		return 0
-	}
-	c := m.Bind.Conv[i]
-	ps := m.Bind.PsumOut(i)
-	in := m.Bind.InputTensorOf(m.Arch, i, 0)
-	macs := float64(ps.Size()) * float64(c.InC/maxInt(1, c.Groups)) * float64(c.Kernel*c.Kernel)
-	wDensity := 1 - c.Weight.W.Sparsity(0)
-	aDensity := 1 - in.Sparsity(0)
-	cycles := macs * wDensity * aDensity / float64(m.Cfg.PEs)
-	return cycles / m.Cfg.ClockHz
-}
-
-func maxInt(a, b int) int {
-	if a > b {
-		return a
-	}
-	return b
 }
 
 // encode simulates the on-the-fly encoding pipeline of §7.2. The encoder

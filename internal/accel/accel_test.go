@@ -1,6 +1,7 @@
 package accel
 
 import (
+	"fmt"
 	"math"
 	"math/rand"
 	"testing"
@@ -79,6 +80,8 @@ func TestTraceFootprintsMatchGroundTruth(t *testing.T) {
 	if obs[0].OutputBytes != wantIn {
 		t.Fatalf("input DMA bytes = %d, want %d", obs[0].OutputBytes, wantIn)
 	}
+	// nn's forward pass is an implementation independent of the machine's.
+	m.Bind.Net.Forward(img, false)
 	for i := range arch.Units {
 		seg := obs[i+1]
 		if got, want := seg.WeightBytes, m.weightBytes(i); got != want {
@@ -142,7 +145,9 @@ func TestEncodingGLBBoundTimesScaleWithPsums(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	// Compare conv units 0 and 1 (psum counts 8*32*32 vs 16*32*32).
+	// Compare conv units 0 and 1 (psum counts 8*32*32 vs 16*32*32), as
+	// nn's forward pass computes them.
+	m.Bind.Net.Forward(randImage(arch, 4), false)
 	p0 := m.Bind.PsumOut(0).Size()
 	p1 := m.Bind.PsumOut(1).Size()
 	dt0 := obs[1].EncodingTime()
@@ -381,5 +386,45 @@ func TestStructuredWeightBytesFormula(t *testing.T) {
 	// 2 alive channels x 6 bytes + 1 bitmap byte
 	if got := structuredWeightBytes(w); got != 13 {
 		t.Fatalf("structured bytes = %d, want 13", got)
+	}
+}
+
+// The §8.2 table's shape: GLB headroom grows with each LPDDR generation at
+// either channel count, and a second channel exactly doubles it.
+func TestGLBHeadroomTable(t *testing.T) {
+	for _, arch := range []*models.Arch{models.VGGS(8), models.ResNet18(8)} {
+		rng := rand.New(rand.NewSource(2))
+		bind, err := arch.Build(rng)
+		if err != nil {
+			t.Fatal(err)
+		}
+		prune.GlobalMagnitude(bind.Net.Params(), 0.1)
+		cfg := DefaultConfig()
+		m := NewMachine(cfg, arch, bind)
+		if _, err := m.Run(randImage(arch, 12)); err != nil {
+			t.Fatal(err)
+		}
+		layers := m.LastStats().Layers
+		headroom := map[string]float64{}
+		for _, mem := range dram.EvaluatedSpecs() {
+			c := cfg
+			c.Mem = mem
+			headroom[fmt.Sprintf("%s/%d", mem.Name, mem.Channels)] = GLBHeadroom(c, arch, layers)
+		}
+		for _, ch := range []int{1, 2} {
+			h3 := headroom[fmt.Sprintf("%s/%d", dram.LPDDR3(ch).Name, ch)]
+			h4 := headroom[fmt.Sprintf("%s/%d", dram.LPDDR4(ch).Name, ch)]
+			h4x := headroom[fmt.Sprintf("%s/%d", dram.LPDDR4X(ch).Name, ch)]
+			if !(h3 < h4 && h4 < h4x) {
+				t.Errorf("%s, %d channel(s): headroom LPDDR3 %g, LPDDR4 %g, LPDDR4X %g not increasing", arch.Name, ch, h3, h4, h4x)
+			}
+		}
+		for _, mk := range []func(int) dram.Spec{dram.LPDDR3, dram.LPDDR4, dram.LPDDR4X} {
+			one := headroom[fmt.Sprintf("%s/1", mk(1).Name)]
+			two := headroom[fmt.Sprintf("%s/2", mk(2).Name)]
+			if math.Abs(two-2*one) > 1e-12*two {
+				t.Errorf("%s, %s: dual-channel headroom %g, single %g: not 2x", arch.Name, mk(1).Name, two, one)
+			}
+		}
 	}
 }

@@ -1,0 +1,500 @@
+package accel
+
+import (
+	"math"
+	"slices"
+
+	"github.com/huffduff/huffduff/internal/models"
+	"github.com/huffduff/huffduff/internal/nn"
+)
+
+// The simulator computes every inference itself, from an inference plan it
+// builds at a Machine's first run; nn.Network.Forward is the training path
+// and the tests' oracle. The plan owns one activation buffer per unit and
+// recomputes only what its input changed.
+//
+// Consecutive probe images differ only where the feature patch moved, so
+// each run compares its input with the last one bit for bit and, unit by
+// unit, recomputes only the output cells whose receptive field touches a
+// changed cell: Krypton's incremental inference (Nakandala, Kumar and
+// Papakonstantinou, SIGMOD 2019). Each unit carries one bounding rectangle
+// of changed cells, shared by all its channels, through its kernel, stride,
+// padding and pool; an add takes the union of its inputs' rectangles and a
+// linear layer recomputes every output if any input changed. A fully changed
+// input runs the same code with the whole map as its rectangle. Cells outside
+// the rectangle keep the last run's values, which is exact because
+// everything they read is bitwise unchanged.
+//
+// The arithmetic is nn's eval-mode forward pass, equal bit for bit up to
+// the sign of a zero, which ReLU, nnz counts, every codec and the zero-pad
+// defence ignore:
+//   - a conv output sums its filter's nonzero weights times their inputs in
+//     (c, ky, kx) order, as tensor.MatMul does when it skips zero weights,
+//     then adds the bias. Padded taps are skipped: MatMul adds w·0 for
+//     them, which can change only the sign of a zero sum;
+//   - batch norm is g*((x-m)*is)+b with is = 1/√(var+eps), exactly as
+//     nn.BatchNorm2D computes it in eval mode. A folded scale and shift
+//     rounds differently;
+//   - ReLU, max pool, add, average pool and linear use nn's operations in
+//     nn's order; a linear output sums x·w over the nonzero inputs in input
+//     order, then adds the bias.
+
+// rect is the half-open rectangle of cells [y0, y1) × [x0, x1) of a feature
+// map, in every channel.
+type rect struct{ y0, y1, x0, x1 int }
+
+func (r rect) empty() bool { return r.y0 >= r.y1 || r.x0 >= r.x1 }
+
+// union returns the bounding rectangle of r and o.
+func (r rect) union(o rect) rect {
+	if r.empty() {
+		return o
+	}
+	if o.empty() {
+		return r
+	}
+	return rect{min(r.y0, o.y0), max(r.y1, o.y1), min(r.x0, o.x0), max(r.x1, o.x1)}
+}
+
+// cone returns the cells of an h×w output map whose window (size kernel, at
+// stride, with pad cells of padding) reads a cell of r.
+func (r rect) cone(kernel, stride, pad, h, w int) rect {
+	if r.empty() {
+		return rect{}
+	}
+	y0, y1 := nn.ConeSpan(r.y0, r.y1, kernel, stride, pad, h)
+	x0, x1 := nn.ConeSpan(r.x0, r.x1, kernel, stride, pad, w)
+	return rect{y0, y1, x0, x1}
+}
+
+// fmap is a C×H×W activation buffer, with the cells the current run
+// recomputed and its nonzero count.
+type fmap struct {
+	data    []float64
+	c, h, w int
+	dirty   rect
+	nnz     int
+}
+
+func newFmap(c, h, w int) fmap {
+	return fmap{data: make([]float64, c*h*w), c: c, h: h, w: w}
+}
+
+func (f *fmap) countNNZ() {
+	n := 0
+	for _, v := range f.data {
+		if v != 0 {
+			n++
+		}
+	}
+	f.nnz = n
+}
+
+// density is 1 - tensor.Sparsity(0), evaluated the same way.
+func (f *fmap) density() float64 {
+	return 1 - (1 - float64(f.nnz)/float64(len(f.data)))
+}
+
+// op computes a unit's output cells that its inputs' changes reach and sets
+// out.dirty to them.
+type op interface {
+	run(in []*fmap, out *fmap)
+}
+
+// plan is a deployed network's inference plan.
+type plan struct {
+	units []planUnit
+	// input is the current run's image; its data aliases the caller's
+	// tensor during a run.
+	input fmap
+	// last is the input of the last complete run, and valid says that it
+	// and every unit buffer belong to that run.
+	last  []float64
+	valid bool
+}
+
+type planUnit struct {
+	op  op
+	in  []*fmap
+	out fmap
+	// psums is the dense psum count entering the encoder.
+	psums int
+	// denseMACs and wDensity are a conv's dense MAC count and nonzero
+	// weight fraction (0 for other units).
+	denseMACs, wDensity float64
+}
+
+// newPlan builds the inference plan of a deployed network, reading its
+// weights once.
+func newPlan(arch *models.Arch, bind *models.Binding) (*plan, error) {
+	shapes, err := arch.Shapes()
+	if err != nil {
+		return nil, err
+	}
+	p := &plan{
+		units: make([]planUnit, len(arch.Units)),
+		input: newFmap(arch.InC, arch.InH, arch.InW),
+		last:  make([]float64, arch.InC*arch.InH*arch.InW),
+	}
+	for i, u := range arch.Units {
+		pu := &p.units[i]
+		for _, id := range u.In {
+			if id == models.InputID {
+				pu.in = append(pu.in, &p.input)
+			} else {
+				pu.in = append(pu.in, &p.units[id].out)
+			}
+		}
+		s := shapes[i]
+		pu.out = newFmap(s.C, s.H, s.W)
+		pu.psums = len(pu.out.data)
+		switch u.Kind {
+		case models.UnitConv:
+			c := newConvOp(bind.Conv[i], bind.BN[i], u, pu.in[0])
+			pu.op = c
+			pu.psums = c.outC * c.h * c.w
+			if c.pool == 1 {
+				c.pre = &pu.out
+			}
+			conv := bind.Conv[i]
+			pu.denseMACs = float64(pu.psums) * float64(conv.InC/max(1, conv.Groups)) * float64(conv.Kernel*conv.Kernel)
+			pu.wDensity = 1 - (1 - float64(len(c.taps))/float64(conv.Weight.W.Size()))
+		case models.UnitAdd:
+			pu.op = addOp{relu: u.ReLU}
+		case models.UnitAvgPool:
+			pu.op = avgPoolOp{pool: u.Pool}
+		case models.UnitLinear:
+			fc := bind.FC[i]
+			pu.op = &linearOp{
+				in:   fc.In,
+				w:    slices.Clone(fc.Weight.W.Data),
+				bias: slices.Clone(fc.Bias.W.Data),
+				relu: u.ReLU,
+			}
+			pu.psums = fc.Out
+		}
+	}
+	return p, nil
+}
+
+// begin starts a run on img: the input's changed cells are those that
+// differ from the last complete run's input, or all of them. Until commit,
+// the plan's buffers belong to no complete run.
+func (p *plan) begin(img []float64) {
+	in := &p.input
+	in.data = img
+	in.dirty = rect{0, in.h, 0, in.w}
+	if p.valid {
+		in.dirty = p.changed(img)
+	}
+	p.valid = false
+	in.countNNZ()
+}
+
+// changed returns the bounding rectangle of the cells, in any channel, whose
+// bits differ between img and the last input.
+func (p *plan) changed(img []float64) rect {
+	in := &p.input
+	r := rect{}
+	for c := 0; c < in.c; c++ {
+		for y := 0; y < in.h; y++ {
+			row := (c*in.h + y) * in.w
+			x0, x1 := -1, -1
+			for x := 0; x < in.w; x++ {
+				if math.Float64bits(img[row+x]) != math.Float64bits(p.last[row+x]) {
+					if x0 < 0 {
+						x0 = x
+					}
+					x1 = x + 1
+				}
+			}
+			if x0 >= 0 {
+				r = r.union(rect{y, y + 1, x0, x1})
+			}
+		}
+	}
+	return r
+}
+
+// run computes unit i and counts its output's nonzeros.
+func (p *plan) run(i int) {
+	u := &p.units[i]
+	u.op.run(u.in, &u.out)
+	u.out.countNNZ()
+}
+
+// commit ends a run in which every unit was computed: the input becomes the
+// one the next run compares with.
+func (p *plan) commit() {
+	copy(p.last, p.input.data)
+	p.input.data = p.last
+	p.valid = true
+}
+
+// macs returns unit i's dense and effectual MAC counts for this run (0, 0
+// for units without MACs): a zero-skipping PE array performs the dense
+// count scaled by the weight and input activation densities.
+func (p *plan) macs(i int) (dense, effectual float64) {
+	u := &p.units[i]
+	if u.denseMACs == 0 {
+		return 0, 0
+	}
+	return u.denseMACs, u.denseMACs * u.wDensity * u.in[0].density()
+}
+
+// tap is one nonzero conv weight and where it reads: input plane offset off
+// and kernel offsets (ky, kx).
+type tap struct {
+	off    int
+	ky, kx int
+	w      float64
+}
+
+// convOp is conv, then bias, batch norm and ReLU, then max pool.
+type convOp struct {
+	outC, kernel, stride, pad, pool int
+	// taps holds the nonzero weights filter by filter, each filter's in
+	// (c, ky, kx) order; filter k's are taps[start[k]:start[k+1]].
+	taps  []tap
+	start []int
+	bias  []float64 // nil without a bias
+	// Batch norm's parameters and 1/√(var+eps); gamma is nil without one.
+	gamma, beta, mean, invSD []float64
+	relu                     bool
+	// pre holds the h×w conv outputs before pooling; it is the unit's
+	// output when pool is 1.
+	pre  *fmap
+	h, w int
+	// ys[ky] and xs[kx] are the output rows and columns of a run's
+	// rectangle whose tap (ky, kx) lands inside the input.
+	ys, xs []span
+}
+
+// span is the half-open range [lo, hi).
+type span struct{ lo, hi int }
+
+func newConvOp(conv *nn.Conv2D, bn *nn.BatchNorm2D, u models.Unit, in *fmap) *convOp {
+	c := &convOp{
+		outC: conv.OutC, kernel: conv.Kernel, stride: conv.Stride, pad: conv.Pad, pool: u.Pool,
+		start: make([]int, conv.OutC+1),
+		relu:  u.ReLU,
+		ys:    make([]span, conv.Kernel),
+		xs:    make([]span, conv.Kernel),
+	}
+	c.h, c.w = conv.OutSize(in.h, in.w)
+	if c.pool > 1 {
+		pre := newFmap(c.outC, c.h, c.w)
+		c.pre = &pre
+	}
+	k, cg := conv.Kernel, conv.InC/conv.Groups
+	outCg := conv.OutC / conv.Groups
+	w := conv.Weight.W.Data
+	nnz := 0
+	for _, v := range w {
+		if v != 0 {
+			nnz++
+		}
+	}
+	c.taps = make([]tap, 0, nnz)
+	for oc := 0; oc < conv.OutC; oc++ {
+		first := oc / outCg * cg // the filter's first input channel
+		for cc := 0; cc < cg; cc++ {
+			for ky := 0; ky < k; ky++ {
+				for kx := 0; kx < k; kx++ {
+					if v := w[((oc*cg+cc)*k+ky)*k+kx]; v != 0 {
+						c.taps = append(c.taps, tap{off: (first + cc) * in.h * in.w, ky: ky, kx: kx, w: v})
+					}
+				}
+			}
+		}
+		c.start[oc+1] = len(c.taps)
+	}
+	if conv.Bias != nil {
+		c.bias = slices.Clone(conv.Bias.W.Data)
+	}
+	if bn != nil {
+		c.gamma = slices.Clone(bn.Gamma.W.Data)
+		c.beta = slices.Clone(bn.Beta.W.Data)
+		c.mean = slices.Clone(bn.RunningMean.Data)
+		c.invSD = make([]float64, bn.C)
+		for i, v := range bn.RunningVar.Data {
+			c.invSD[i] = 1 / math.Sqrt(v+bn.Eps)
+		}
+	}
+	return c
+}
+
+func (c *convOp) run(in []*fmap, out *fmap) {
+	pre := c.pre
+	pre.dirty = in[0].dirty.cone(c.kernel, c.stride, c.pad, c.h, c.w)
+	if !pre.dirty.empty() {
+		c.conv(in[0], pre.dirty)
+	}
+	if c.pool > 1 {
+		out.dirty = pre.dirty.cone(c.pool, c.pool, 0, out.h, out.w)
+		maxPool(pre, out, c.pool)
+	}
+}
+
+// conv computes the cells r of every channel of c.pre from in.
+func (c *convOp) conv(in *fmap, r rect) {
+	out := c.pre
+	plane := out.h * out.w
+	s := c.stride
+	for d := range c.ys {
+		c.ys[d] = tapSpan(r.y0, r.y1, d-c.pad, s, in.h)
+		c.xs[d] = tapSpan(r.x0, r.x1, d-c.pad, s, in.w)
+	}
+	for k := 0; k < c.outC; k++ {
+		dst := out.data[k*plane : (k+1)*plane]
+		for y := r.y0; y < r.y1; y++ {
+			clear(dst[y*out.w+r.x0 : y*out.w+r.x1])
+		}
+		for _, t := range c.taps[c.start[k]:c.start[k+1]] {
+			dy, dx := t.ky-c.pad, t.kx-c.pad
+			ys, xs := c.ys[t.ky], c.xs[t.kx]
+			if xs.lo >= xs.hi {
+				continue
+			}
+			for y := ys.lo; y < ys.hi; y++ {
+				src := in.data[t.off+(y*s+dy)*in.w:]
+				d := dst[y*out.w+xs.lo : y*out.w+xs.hi]
+				ix := xs.lo*s + dx
+				if s == 1 {
+					for j, v := range src[ix : ix+len(d)] {
+						d[j] += t.w * v
+					}
+					continue
+				}
+				for j := range d {
+					d[j] += t.w * src[ix+j*s]
+				}
+			}
+		}
+		for y := r.y0; y < r.y1; y++ {
+			row := dst[y*out.w+r.x0 : y*out.w+r.x1]
+			for j, v := range row {
+				if c.bias != nil {
+					v += c.bias[k]
+				}
+				if c.gamma != nil {
+					v = c.gamma[k]*((v-c.mean[k])*c.invSD[k]) + c.beta[k]
+				}
+				if c.relu && !(v > 0) {
+					v = 0
+				}
+				row[j] = v
+			}
+		}
+	}
+}
+
+// tapSpan returns the outputs o in [lo, hi) whose input o*s+d lies in
+// [0, n).
+func tapSpan(lo, hi, d, s, n int) span {
+	if d < 0 {
+		lo = max(lo, (-d+s-1)/s)
+	}
+	if n-1-d < 0 {
+		return span{}
+	}
+	return span{lo, min(hi, (n-1-d)/s+1)}
+}
+
+// maxPool computes out's dirty cells as the maxima of their p×p windows
+// of in.
+func maxPool(in, out *fmap, p int) {
+	r := out.dirty
+	for k := 0; k < out.c; k++ {
+		src := in.data[k*in.h*in.w : (k+1)*in.h*in.w]
+		dst := out.data[k*out.h*out.w : (k+1)*out.h*out.w]
+		for y := r.y0; y < r.y1; y++ {
+			for x := r.x0; x < r.x1; x++ {
+				best := math.Inf(-1)
+				for dy := 0; dy < p; dy++ {
+					for _, v := range src[(y*p+dy)*in.w+x*p : (y*p+dy)*in.w+x*p+p] {
+						if v > best {
+							best = v
+						}
+					}
+				}
+				dst[y*out.w+x] = best
+			}
+		}
+	}
+}
+
+// addOp is an elementwise residual sum, then ReLU.
+type addOp struct{ relu bool }
+
+func (a addOp) run(in []*fmap, out *fmap) {
+	r := in[0].dirty.union(in[1].dirty)
+	out.dirty = r
+	for k := 0; k < out.c; k++ {
+		for y := r.y0; y < r.y1; y++ {
+			lo, hi := (k*out.h+y)*out.w+r.x0, (k*out.h+y)*out.w+r.x1
+			b := in[1].data[lo:hi]
+			for j, v := range in[0].data[lo:hi] {
+				v += b[j]
+				if a.relu && !(v > 0) {
+					v = 0
+				}
+				out.data[lo+j] = v
+			}
+		}
+	}
+}
+
+// avgPoolOp averages pool×pool windows.
+type avgPoolOp struct{ pool int }
+
+func (a avgPoolOp) run(in []*fmap, out *fmap) {
+	src, p := in[0], a.pool
+	r := src.dirty.cone(p, p, 0, out.h, out.w)
+	out.dirty = r
+	norm := 1.0 / float64(p*p)
+	for k := 0; k < out.c; k++ {
+		plane := src.data[k*src.h*src.w : (k+1)*src.h*src.w]
+		for y := r.y0; y < r.y1; y++ {
+			for x := r.x0; x < r.x1; x++ {
+				s := 0.0
+				for dy := 0; dy < p; dy++ {
+					for _, v := range plane[(y*p+dy)*src.w+x*p : (y*p+dy)*src.w+x*p+p] {
+						s += v
+					}
+				}
+				out.data[(k*out.h+y)*out.w+x] = s * norm
+			}
+		}
+	}
+}
+
+// linearOp is a fully connected layer over the flattened input, then ReLU.
+type linearOp struct {
+	in      int
+	w, bias []float64 // w is [out, in]
+	relu    bool
+}
+
+func (l *linearOp) run(in []*fmap, out *fmap) {
+	x := in[0]
+	if x.dirty.empty() {
+		out.dirty = rect{}
+		return
+	}
+	out.dirty = rect{0, out.h, 0, out.w}
+	for j := range out.data {
+		row := l.w[j*l.in : (j+1)*l.in]
+		s := 0.0
+		for i, v := range x.data {
+			if v != 0 {
+				s += v * row[i]
+			}
+		}
+		v := s + l.bias[j]
+		if l.relu && !(v > 0) {
+			v = 0
+		}
+		out.data[j] = v
+	}
+}

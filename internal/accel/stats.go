@@ -195,25 +195,6 @@ func (m *Machine) accumulateCampaign() {
 	}
 }
 
-// computeLayer returns a conv unit's dense and effectual MAC counts (0, 0
-// for units without MACs).
-func (m *Machine) computeLayer(i int) (dense, effectual float64) {
-	c := m.Bind.Conv[i]
-	if c == nil {
-		return 0, 0
-	}
-	ps := m.Bind.PsumOut(i)
-	in := m.Bind.InputTensorOf(m.Arch, i, 0)
-	groups := c.Groups
-	if groups < 1 {
-		groups = 1
-	}
-	dense = float64(ps.Size()) * float64(c.InC/groups) * float64(c.Kernel*c.Kernel)
-	wDensity := 1 - c.Weight.W.Sparsity(0)
-	aDensity := 1 - in.Sparsity(0)
-	return dense, dense * wDensity * aDensity
-}
-
 // finalizeStats computes derived quantities once a run completes.
 func (m *Machine) finalizeStats(latency float64) {
 	m.stats.Latency = latency

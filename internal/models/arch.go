@@ -158,8 +158,9 @@ func (u Unit) groups() int {
 	return u.Groups
 }
 
-// Binding maps Arch units to nodes of the built nn.Network so the
-// accelerator simulator can fetch per-unit tensors.
+// Binding maps Arch units to the layers and nodes of the built nn.Network:
+// the accelerator simulator reads each unit's parameters, and UnitTensor and
+// PsumOut read a forward pass's per-unit tensors.
 type Binding struct {
 	Net *nn.Network
 	// UnitOut[i] is the network node whose Out() is unit i's tensor as
@@ -169,9 +170,11 @@ type Binding struct {
 	// (the raw conv / linear output before post-processing); -1 for units
 	// without psums (add, avgpool).
 	PsumNode []int
-	// Conv[i] is the conv layer of unit i (nil for non-conv units) and
-	// FC[i] the linear layer (nil otherwise), for weight access.
+	// Conv[i] is the conv layer of unit i (nil for non-conv units), BN[i]
+	// its batch norm (nil without one) and FC[i] the linear layer (nil
+	// otherwise), for parameter access.
 	Conv []*nn.Conv2D
+	BN   []*nn.BatchNorm2D
 	FC   []*nn.Linear
 }
 
@@ -187,6 +190,7 @@ func (a *Arch) Build(rng *rand.Rand) (*Binding, error) {
 		UnitOut:  make([]int, len(a.Units)),
 		PsumNode: make([]int, len(a.Units)),
 		Conv:     make([]*nn.Conv2D, len(a.Units)),
+		BN:       make([]*nn.BatchNorm2D, len(a.Units)),
 		FC:       make([]*nn.Linear, len(a.Units)),
 	}
 	node := func(id int) int {
@@ -210,7 +214,8 @@ func (a *Arch) Build(rng *rand.Rand) (*Binding, error) {
 			id := b.Layer(node(u.In[0]), conv)
 			bind.PsumNode[i] = id
 			if u.BN {
-				id = b.Layer(id, nn.NewBatchNorm2D(u.OutC))
+				bind.BN[i] = nn.NewBatchNorm2D(u.OutC)
+				id = b.Layer(id, bind.BN[i])
 			}
 			if u.ReLU {
 				id = b.Layer(id, nn.NewReLU())
@@ -263,15 +268,6 @@ func (bd *Binding) PsumOut(i int) *tensor.Tensor {
 // forward pass.
 func (bd *Binding) UnitTensor(i int) *tensor.Tensor {
 	return bd.Net.Nodes[bd.UnitOut[i]].Out()
-}
-
-// InputTensorOf returns the tensor read by unit i's j-th input edge.
-func (bd *Binding) InputTensorOf(a *Arch, i, j int) *tensor.Tensor {
-	src := a.Units[i].In[j]
-	if src == InputID {
-		return bd.Net.Nodes[0].Out()
-	}
-	return bd.UnitTensor(src)
 }
 
 // ConvUnits returns the indices of conv units in execution order.

@@ -108,31 +108,6 @@ func TestPsumShapeIsPrePool(t *testing.T) {
 	}
 }
 
-func TestInputTensorOfFollowsEdges(t *testing.T) {
-	rng := rand.New(rand.NewSource(33))
-	a := ResNet18(16)
-	bind, err := a.Build(rng)
-	if err != nil {
-		t.Fatal(err)
-	}
-	x := tensor.New(1, 3, 32, 32)
-	x.Randn(rng, 1)
-	bind.Net.Forward(x, false)
-	// Find the first add unit and check both inputs resolve to tensors of
-	// the same shape.
-	for i, u := range a.Units {
-		if u.Kind == UnitAdd {
-			t0 := bind.InputTensorOf(a, i, 0)
-			t1 := bind.InputTensorOf(a, i, 1)
-			if t0 == nil || t1 == nil || !tensor.SameShape(t0, t1) {
-				t.Fatalf("add unit %d: input tensors mismatch", i)
-			}
-			return
-		}
-	}
-	t.Fatal("no add unit found")
-}
-
 func TestWeightCountMatchesBuiltNetwork(t *testing.T) {
 	rng := rand.New(rand.NewSource(34))
 	for _, a := range allArchs(16) {

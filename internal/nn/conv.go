@@ -21,9 +21,8 @@ type Conv2D struct {
 	Bias   *Param // shape [OutC], nil when the layer has no bias
 
 	lastX *tensor.Tensor
-	// cols is im2col's column matrix, kept between calls: a victim
-	// inference would otherwise allocate one per conv layer, most of the
-	// simulator's garbage.
+	// cols is im2col's column matrix, kept between calls: a forward pass
+	// would otherwise allocate one per conv layer.
 	cols []float64
 }
 

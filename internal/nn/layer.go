@@ -1,8 +1,9 @@
 // Package nn is a from-scratch convolutional neural network library with
 // full forward and backward passes. It provides everything the HuffDuff
-// reproduction needs: inference for the accelerator simulator, training for
-// victim/candidate models, and input gradients for adversarial-example
-// generation. Only the standard library is used.
+// reproduction needs: training for victim/candidate models, input gradients
+// for adversarial-example generation, and the forward pass the accelerator
+// simulator's own inference is tested against. Only the standard library is
+// used.
 package nn
 
 import (
@@ -81,3 +82,24 @@ func convOut(in, kernel, stride, pad int) int {
 // SamePad returns the padding that keeps spatial size fixed for stride 1
 // ("same" padding, the TorchVision default the paper assumes).
 func SamePad(kernel int) int { return (kernel - 1) / 2 }
+
+// ConeSpan maps a span [lo, hi) of input positions along one axis to the
+// span of output positions whose window reads any of them: the receptive
+// field cone of a window of size kernel at the given stride and padding, on
+// an axis of out outputs. A pool is a window whose kernel and stride are its
+// size, with no padding. An empty span maps to the empty span (0, 0).
+func ConeSpan(lo, hi, kernel, stride, pad, out int) (int, int) {
+	if lo >= hi {
+		return 0, 0
+	}
+	// Output o reads inputs [o*stride-pad, o*stride-pad+kernel).
+	first := 0
+	if a := lo + pad - kernel + 1; a > 0 {
+		first = (a + stride - 1) / stride
+	}
+	last := min((hi-1+pad)/stride+1, out)
+	if first >= last {
+		return 0, 0
+	}
+	return first, last
+}

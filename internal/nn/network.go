@@ -33,7 +33,6 @@ type Node struct {
 }
 
 // Out returns the node's most recent forward output (nil before Forward).
-// The accelerator simulator uses this to compute transfer volumes.
 func (n *Node) Out() *tensor.Tensor { return n.out }
 
 // Network is a DAG of layers built with Builder. Node IDs are topologically

@@ -220,31 +220,6 @@ func TestBatchNormEvalUsesRunningStats(t *testing.T) {
 	}
 }
 
-func TestBatchNormFoldedAffineMatchesEval(t *testing.T) {
-	rng := rand.New(rand.NewSource(16))
-	bn := NewBatchNorm2D(3)
-	bn.RunningMean.Randn(rng, 1)
-	bn.RunningVar.Uniform(rng, 0.5, 2)
-	bn.Gamma.W.Uniform(rng, 0.5, 1.5)
-	bn.Beta.W.Randn(rng, 1)
-	x := tensor.New(2, 3, 4, 4)
-	x.Randn(rng, 1)
-	want := bn.Forward(x, false)
-	scale, shift := bn.FoldedAffine()
-	got := tensor.New(x.Shape()...)
-	for n := 0; n < 2; n++ {
-		for c := 0; c < 3; c++ {
-			base := (n*3 + c) * 16
-			for i := base; i < base+16; i++ {
-				got.Data[i] = scale[c]*x.Data[i] + shift[c]
-			}
-		}
-	}
-	if !tensor.ApproxEqual(got, want, 1e-9) {
-		t.Fatal("FoldedAffine disagrees with eval-mode forward")
-	}
-}
-
 func TestReLUForwardBackward(t *testing.T) {
 	r := NewReLU()
 	x := tensor.FromSlice([]float64{-1, 0, 2, -3}, 1, 4)

@@ -159,17 +159,3 @@ func (bn *BatchNorm2D) Backward(grad *tensor.Tensor) *tensor.Tensor {
 	}
 	return gradX
 }
-
-// FoldedAffine returns the per-channel scale and shift the deployed
-// (eval-mode) batch norm applies: y = scale*x + shift. The accelerator
-// simulator's post-processing unit uses this folded form.
-func (bn *BatchNorm2D) FoldedAffine() (scale, shift []float64) {
-	scale = make([]float64, bn.C)
-	shift = make([]float64, bn.C)
-	for c := 0; c < bn.C; c++ {
-		is := 1 / math.Sqrt(bn.RunningVar.Data[c]+bn.Eps)
-		scale[c] = bn.Gamma.W.Data[c] * is
-		shift[c] = bn.Beta.W.Data[c] - bn.Gamma.W.Data[c]*bn.RunningMean.Data[c]*is
-	}
-	return scale, shift
-}
