@@ -484,37 +484,63 @@ func BenchmarkAblationSymbolicVsNumeric(b *testing.B) {
 // correction, across DRAM block sizes.
 // ---------------------------------------------------------------------------
 
+// timingBlocks are the DRAM block sizes the ablation sweeps.
+var timingBlocks = []int{32, 64, 128, 256}
+
 func BenchmarkAblationTimingCorrection(b *testing.B) {
 	for i := 0; i < b.N; i++ {
-		arch := models.SmallCNN() // true k-ratios 1 : 2 : 2
-		rng := rand.New(rand.NewSource(12))
-		bind, err := arch.Build(rng)
-		if err != nil {
-			b.Fatal(err)
-		}
 		fmt.Printf("\n[ablation] timing k-ratio relative error vs DRAM block size\n")
 		fmt.Printf("%8s %14s %14s\n", "block", "uncorrected", "corrected")
-		for _, block := range []int{32, 64, 128, 256} {
-			cfg := accel.DefaultConfig()
-			cfg.BlockBytes = block
-			m := accel.NewMachine(cfg, arch, bind)
-			errU, errC := timingErrors(b, m, arch, block)
+		for _, block := range timingBlocks {
+			errU, errC := timingErrors(b, block)
 			fmt.Printf("%8d %13.1f%% %13.1f%%\n", block, 100*errU, 100*errC)
 		}
 	}
 }
 
-func timingErrors(b *testing.B, m *accel.Machine, arch *models.Arch, block int) (uncorrected, corrected float64) {
+// TestTimingHeadCorrection asserts the ablation's shape at every block
+// size: the head-corrected k-ratio error stays within 0.3%, while the
+// uncorrected error exceeds it and grows with the block, since the
+// truncated head is one block of each layer's output.
+func TestTimingHeadCorrection(t *testing.T) {
+	prevU := 0.0
+	for _, block := range timingBlocks {
+		errU, errC := timingErrors(t, block)
+		if errC > 0.003 {
+			t.Errorf("block %d: corrected k-ratio error %.3f%%, want <= 0.3%%", block, 100*errC)
+		}
+		if errU <= errC {
+			t.Errorf("block %d: uncorrected error %.3f%% not above corrected %.3f%%", block, 100*errU, 100*errC)
+		}
+		if errU <= prevU {
+			t.Errorf("block %d: uncorrected error %.3f%% does not rise from %.3f%% at the smaller block", block, 100*errU, 100*prevU)
+		}
+		prevU = errU
+	}
+}
+
+// timingErrors runs one SmallCNN inference (true k-ratios 1 : 2 : 2) on a
+// device with the given DRAM block size and returns the worst relative
+// k-ratio error from its raw and its head-corrected encoding intervals.
+func timingErrors(tb testing.TB, block int) (uncorrected, corrected float64) {
+	arch := models.SmallCNN()
+	bind, err := arch.Build(rand.New(rand.NewSource(12)))
+	if err != nil {
+		tb.Fatal(err)
+	}
+	cfg := accel.DefaultConfig()
+	cfg.BlockBytes = block
+	m := accel.NewMachine(cfg, arch, bind)
 	rng := rand.New(rand.NewSource(13))
 	img := tensor.New(arch.InC, arch.InH, arch.InW)
 	img.Uniform(rng, 0.05, 0.95)
 	tr, err := m.Run(img)
 	if err != nil {
-		b.Fatal(err)
+		tb.Fatal(err)
 	}
 	segs, err := traceAnalyze(tr)
 	if err != nil {
-		b.Fatal(err)
+		tb.Fatal(err)
 	}
 	trueRatio := map[int]float64{1: 1, 2: 2, 3: 2}
 	// Pre-pool psum spatial sizes: c1 32², c2 32² (pool follows), c3 8²

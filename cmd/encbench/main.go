@@ -17,7 +17,6 @@ import (
 	"github.com/huffduff/huffduff/cmd/internal/cli"
 	"github.com/huffduff/huffduff/internal/accel"
 	"github.com/huffduff/huffduff/internal/dram"
-	"github.com/huffduff/huffduff/internal/obs"
 	"github.com/huffduff/huffduff/internal/prune"
 	"github.com/huffduff/huffduff/internal/tensor"
 )
@@ -25,11 +24,10 @@ import (
 func main() {
 	cli.Setup()
 	var (
-		model      = flag.String("model", "vggs", "architecture ("+cli.ModelNames+")")
-		scale      = flag.Int("scale", 8, "channel-width divisor")
-		keep       = flag.Float64("keep", 0.1, "fraction of weights kept (paper: 10x pruning)")
-		seed       = flag.Int64("seed", 1, "seed")
-		metricsOut = cli.MetricsOutFlag()
+		model = flag.String("model", "vggs", "architecture ("+cli.ModelNames+")")
+		scale = flag.Int("scale", 8, "channel-width divisor")
+		keep  = flag.Float64("keep", 0.1, "fraction of weights kept (paper: 10x pruning)")
+		seed  = flag.Int64("seed", 1, "seed")
 	)
 	flag.Parse()
 
@@ -39,16 +37,8 @@ func main() {
 	cli.Check(err)
 
 	// One representative inference: its per-layer stats carry each conv's
-	// psum count and compressed output size. With -metrics-out the machine
-	// publishes its per-layer device telemetry (`accel.`-prefixed series)
-	// into the dumped snapshot.
+	// psum count and compressed output size.
 	cfg := accel.DefaultConfig()
-	var col *obs.Collector
-	if *metricsOut != "" {
-		col = obs.NewCollector()
-		cfg.Obs = col
-	}
-	defer cli.WriteMetrics(col, *metricsOut)
 	m := accel.NewMachine(cfg, arch, bind)
 	img := tensor.New(arch.InC, arch.InH, arch.InW)
 	img.Uniform(rng, 0, 1)

@@ -10,17 +10,16 @@
 // -robust to enable retries, min-over-repeats aggregation, the §8.2
 // convergence loop, and graceful degradation.
 //
-// The observability flags capture the campaign: -trace-out writes a
-// Chrome-trace/Perfetto JSON timeline of every pipeline stage down to
-// individual probe positions, -metrics-out writes the counters, gauges, and
-// histograms, and -v prints the span tree and per-layer device telemetry
-// after the attack.
+// The observability flags capture the campaign: -metrics-out writes the
+// attacker's host-cost counters, gauges, and histograms, -ledger-out what
+// the attack learned step by step, and -v prints each stage's wall time,
+// the counters, and per-layer device telemetry after the attack.
 //
 // Usage:
 //
 //	huffduff -model resnet18 -scale 16 -keep 0.5 -trials 32
 //	huffduff -model smallcnn -chaos -robust
-//	huffduff -model smallcnn -trace-out trace.json -metrics-out metrics.json -v
+//	huffduff -model smallcnn -metrics-out metrics.json -ledger-out ledger.jsonl -v
 package main
 
 import (
@@ -29,6 +28,8 @@ import (
 	"log"
 	"os"
 	"sort"
+	"strings"
+	"time"
 
 	"github.com/huffduff/huffduff/cmd/internal/cli"
 	"github.com/huffduff/huffduff/internal/accel"
@@ -67,9 +68,8 @@ func main() {
 		truncP    = flag.Float64("chaos-truncate", -1, "per-trace truncation probability")
 		pad       = flag.Float64("chaos-pad", -1, "per-write padding-inflation probability")
 
-		traceOut   = flag.String("trace-out", "", "write a Chrome-trace/Perfetto JSON span timeline to this file")
-		metricsOut = cli.MetricsOutFlag()
-		verbose    = flag.Bool("v", false, "print the span tree, metric counters, and per-layer device telemetry")
+		metricsOut = flag.String("metrics-out", "", "write the run's metrics JSON (counters, gauges, histograms) to this file")
+		verbose    = flag.Bool("v", false, "print per-stage wall time, metric counters, and per-layer device telemetry")
 
 		progress  = flag.Bool("progress", false, "stream convergence-ledger snapshots to stderr as the attack runs")
 		ledgerOut = flag.String("ledger-out", "", "write the convergence ledger as JSONL to this file")
@@ -82,16 +82,13 @@ func main() {
 	cli.Check(err)
 
 	var col *obs.Collector
-	if *traceOut != "" || *metricsOut != "" || *verbose {
+	if *metricsOut != "" || *verbose {
 		col = obs.NewCollector()
 	}
 
 	acfg := accel.DefaultConfig()
 	acfg.ZeroPadProb = *defence
 	acfg.Seed = *seed
-	if col != nil {
-		acfg.Obs = col
-	}
 	machine := accel.NewMachine(acfg, arch, bind)
 	var victim attack.Victim = machine
 
@@ -170,8 +167,8 @@ func main() {
 	fmt.Printf("probing: T=%d trials x 4 families x Q=%d positions\n\n", *trials, *q)
 
 	res, err := attack.Attack(victim, cfg)
-	// Flush the trace, metrics, and ledger even when the attack died — a
-	// failed campaign's timeline is exactly what the post-mortem needs.
+	// Flush the metrics and ledger even when the attack died — a failed
+	// campaign's costs and progress are exactly what the post-mortem needs.
 	if led != nil {
 		led.Close()
 		if progressDone != nil {
@@ -181,7 +178,7 @@ func main() {
 			writeLedger(led, *ledgerOut)
 		}
 	}
-	flushObservability(col, *traceOut, *metricsOut)
+	writeMetrics(col, *metricsOut)
 	if err != nil {
 		if stage, ok := faults.StageOf(err); ok {
 			fmt.Fprintf(os.Stderr, "attack failed in %s stage: %v\n", stage, err)
@@ -252,9 +249,20 @@ func main() {
 	}
 
 	if *verbose && col != nil {
-		fmt.Println("\nspan tree (host wall-clock):")
-		fmt.Print(col.Tree())
 		snap := col.Metrics()
+		fmt.Println("\nstage wall time (host, stage.seconds):")
+		hists := make([]string, 0, len(snap.Histograms))
+		for k := range snap.Histograms {
+			hists = append(hists, k)
+		}
+		sort.Strings(hists)
+		for _, k := range hists {
+			if stage, ok := strings.CutPrefix(k, "stage.seconds{stage="); ok {
+				h := snap.Histograms[k]
+				wall := time.Duration(h.Sum * float64(time.Second)).Round(10 * time.Microsecond)
+				fmt.Printf("  %-12s %-12v x%d\n", strings.TrimSuffix(stage, "}"), wall, h.Count)
+			}
+		}
 		fmt.Println("counters:")
 		for _, k := range col.SortedCounterKeys() {
 			fmt.Printf("  %-44s %g\n", k, snap.Counters[k])
@@ -283,20 +291,20 @@ func writeLedger(led *converge.Ledger, path string) {
 	}
 }
 
-// flushObservability writes the trace and metrics files that were requested
-// on the command line.
-func flushObservability(col *obs.Collector, traceOut, metricsOut string) {
-	cli.WriteMetrics(col, metricsOut)
-	if col == nil || traceOut == "" {
+// writeMetrics writes col's metrics JSON to path. It is a no-op when path
+// is empty or col is nil, and logs (rather than aborts) on I/O errors — a
+// failed metrics dump must not turn a finished run into a failure.
+func writeMetrics(col *obs.Collector, path string) {
+	if col == nil || path == "" {
 		return
 	}
-	f, err := os.Create(traceOut)
+	f, err := os.Create(path)
 	if err != nil {
 		log.Printf("observability: %v", err)
 		return
 	}
 	defer f.Close()
-	if err := col.WriteTrace(f); err != nil {
-		log.Printf("observability: write %s: %v", traceOut, err)
+	if err := col.WriteMetrics(f); err != nil {
+		log.Printf("observability: write %s: %v", path, err)
 	}
 }

@@ -1,11 +1,14 @@
 // Command huffduffd is the live campaign daemon: it accepts attack jobs
 // over HTTP, runs them on a supervised bounded worker pool against freshly
 // deployed simulated victims, and exposes the operator surface of a
-// long-running service, serving each fact once: host cost on /metrics and,
-// sliced by stage= and layer= pprof labels, on /debug/pprof; what each
-// attack has learned on its campaign's convergence ledger
-// (/campaigns/{id}/progress[/stream]), beside its device telemetry on
-// /campaigns/{id}.
+// long-running service, serving each fact once: host cost on /metrics (the
+// attacks' stage costs and victim-query counters beside the daemon's and
+// store's own series) and, sliced by stage= and layer= pprof labels, on
+// /debug/pprof; what each attack has learned on its campaign's convergence
+// ledger (/campaigns/{id}/progress[/stream]); its device telemetry on
+// /campaigns/{id}. /metrics carries no device quantity and no campaign's
+// knowledge: a gauge shared by concurrent campaigns would hold whichever
+// wrote last.
 //
 // With -data-dir the daemon is crash-safe: every submission and state
 // transition is written, fsync'd, to an embedded segment log under
@@ -87,10 +90,9 @@ func main() {
 		debug.SetGCPercent(400)
 	}
 
-	// col backs /metrics and gets metrics only: nothing reads a span back
-	// from it, and it would keep every span of every campaign.
+	// col backs /metrics: every campaign's host cost and the daemon's and
+	// store's own series.
 	col := obs.NewCollector()
-	rec := obs.MetricsOnly(col)
 
 	// A log that cannot be read back is fatal: serving on would reuse
 	// stored campaign IDs.
@@ -98,13 +100,13 @@ func main() {
 	storeDir := filepath.Join(*dataDir, "store")
 	if *dataDir != "" {
 		var err error
-		hist, err = store.Open(storeDir, store.Config{Obs: rec})
+		hist, err = store.Open(storeDir, store.Config{Obs: col})
 		cli.Check(err)
 	}
 	d, err := telemetry.NewDaemon(telemetry.DaemonConfig{
 		Workers:    *workers,
 		QueueDepth: *queue,
-		Recorder:   rec,
+		Recorder:   col,
 		Store:      hist,
 		JobTimeout: *jobTO,
 		Retry:      telemetry.RetryPolicy{MaxAttempts: *retryMax, BaseDelay: *retryBase},

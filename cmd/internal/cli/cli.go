@@ -1,17 +1,13 @@
 // Package cli holds the plumbing shared by every huffduff command-line
-// tool: logger setup, the model-name registry, victim construction, and the
-// shared observability flags.
+// tool: logger setup, the model-name registry, and victim construction.
 package cli
 
 import (
-	"flag"
 	"log"
 	"math/rand"
-	"os"
 	"strings"
 
 	"github.com/huffduff/huffduff/internal/models"
-	"github.com/huffduff/huffduff/internal/obs"
 	"github.com/huffduff/huffduff/internal/prune"
 )
 
@@ -51,28 +47,4 @@ func BuildPruned(arch *models.Arch, seed int64, keep float64) (*models.Binding, 
 		prune.GlobalMagnitude(bind.Net.Params(), keep)
 	}
 	return bind, rng, nil
-}
-
-// MetricsOutFlag registers the shared -metrics-out flag every instrumented
-// tool accepts and returns its value pointer. Call before flag.Parse.
-func MetricsOutFlag() *string {
-	return flag.String("metrics-out", "", "write the run's metrics JSON (counters, gauges, histograms) to this file")
-}
-
-// WriteMetrics writes col's metrics JSON to path. It is a no-op when path
-// is empty or col is nil, and logs (rather than aborts) on I/O errors — a
-// failed metrics dump must not turn a finished run into a failure.
-func WriteMetrics(col *obs.Collector, path string) {
-	if col == nil || path == "" {
-		return
-	}
-	f, err := os.Create(path)
-	if err != nil {
-		log.Printf("observability: %v", err)
-		return
-	}
-	defer f.Close()
-	if err := col.WriteMetrics(f); err != nil {
-		log.Printf("observability: write %s: %v", path, err)
-	}
 }

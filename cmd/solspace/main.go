@@ -8,38 +8,24 @@
 package main
 
 import (
-	"context"
 	"flag"
 	"fmt"
-	"time"
 
 	"github.com/huffduff/huffduff/cmd/internal/cli"
 	"github.com/huffduff/huffduff/internal/models"
-	"github.com/huffduff/huffduff/internal/obs"
 	"github.com/huffduff/huffduff/internal/reversecnn"
 )
 
 func main() {
 	cli.Setup()
 	var (
-		alpha      = flag.Float64("alpha", 0.999, "assumed upper bound on weight sparsity (Eq. 11)")
-		act        = flag.Float64("act", 0.5, "assumed post-ReLU activation density for the pruned victim")
-		metricsOut = cli.MetricsOutFlag()
+		alpha = flag.Float64("alpha", 0.999, "assumed upper bound on weight sparsity (Eq. 11)")
+		act   = flag.Float64("act", 0.5, "assumed post-ReLU activation density for the pruned victim")
 	)
 	flag.Parse()
 
-	var col *obs.Collector
-	ctx := context.Background()
-	if *metricsOut != "" {
-		col = obs.NewCollector()
-		ctx = obs.WithRecorder(ctx, col)
-	}
-	defer cli.WriteMetrics(col, *metricsOut)
-
 	fmt.Printf("%-12s %16s %22s %8s\n", "network", "dense solutions", "naive sparse space", "log10")
 	for _, arch := range []*models.Arch{models.ResNet18(1), models.VGGS(1)} {
-		nctx, sp := obs.Startf(ctx, "solspace.%s", arch.Name)
-		start := time.Now()
 		denseObs, err := reversecnn.FromArch(arch, reversecnn.DenseProfile, 1)
 		cli.Check(err)
 		chain, _, _ := denseObs.ChainObs()
@@ -50,11 +36,6 @@ func main() {
 		cli.Check(err)
 		count, err := reversecnn.SparseCount(sparseObs.Obs, sparseObs.Xs, sparseObs.Cs, *alpha, reversecnn.DefaultSpace())
 		cli.Check(err)
-		label := "network=" + arch.Name
-		obs.Gauge(nctx, "solspace.dense_solutions", label, float64(len(sols)))
-		obs.Gauge(nctx, "solspace.sparse_log10", label, float64(reversecnn.OrdersOfMagnitude(count)))
-		obs.Observe(nctx, "stage.seconds", "stage=solspace."+arch.Name, time.Since(start).Seconds())
-		sp.End()
 		fmt.Printf("%-12s %16d %22s %8d\n", arch.Name, len(sols), shorten(count.String()), reversecnn.OrdersOfMagnitude(count))
 	}
 	fmt.Println("\npaper (Table 1 / §4.2): dense ResNet-18 -> 8 solutions;")

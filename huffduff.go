@@ -105,7 +105,7 @@ func NewMachine(cfg AccelConfig, arch *Arch, bind *Binding) *Machine {
 	return accel.NewMachine(cfg, arch, bind)
 }
 
-// DefaultAccelConfig returns an Eyeriss-v2-like device with single-channel
+// DefaultAccelConfig returns an Eyeriss-v2-like device with dual-channel
 // LPDDR4.
 func DefaultAccelConfig() AccelConfig { return accel.DefaultConfig() }
 
@@ -148,35 +148,28 @@ func Attack(victim Victim, cfg AttackConfig) (*AttackResult, error) {
 
 // AttackWithContext is Attack with a caller-supplied context; an
 // ObsRecorder attached to the context (or set on cfg.Obs) receives the
-// campaign's spans and metrics.
+// campaign's host-cost metrics.
 func AttackWithContext(ctx context.Context, victim Victim, cfg AttackConfig) (*AttackResult, error) {
 	return attack.AttackContext(ctx, victim, cfg)
 }
 
-// Observability: spans, metrics, and export.
+// Observability: host-cost metrics and their export.
 type (
-	// ObsRecorder receives spans and metrics from an instrumented campaign.
-	// AttackConfig.Obs, AccelConfig.Obs, and ChaosConfig.Obs all accept one;
-	// nil disables instrumentation at the cost of a nil-check per site.
+	// ObsRecorder receives host-cost metrics from an instrumented campaign.
+	// AttackConfig.Obs and ChaosConfig.Obs accept one; nil disables
+	// instrumentation at the cost of a nil-check per site.
 	ObsRecorder = obs.Recorder
-	// ObsCollector is the in-memory Recorder with Chrome-trace/Perfetto and
-	// metrics-JSON export (WriteTrace, WriteMetrics, Tree, Metrics).
+	// ObsCollector is the in-memory Recorder with metrics-JSON and
+	// Prometheus export (WriteMetrics, Metrics, WriteProm).
 	ObsCollector = obs.Collector
-	// ObsSpan is one recorded wall-clock interval; End closes it.
-	ObsSpan = obs.Span
 )
 
-// NewObsCollector builds an empty in-memory span and metrics collector.
+// NewObsCollector builds an empty in-memory metrics collector.
 func NewObsCollector() *ObsCollector { return obs.NewCollector() }
 
 // WithObsRecorder attaches a recorder to a context for AttackWithContext.
 func WithObsRecorder(ctx context.Context, rec ObsRecorder) context.Context {
 	return obs.WithRecorder(ctx, rec)
-}
-
-// StartSpan opens a child span on the context's recorder (no-op without one).
-func StartSpan(ctx context.Context, name string) (context.Context, *ObsSpan) {
-	return obs.Start(ctx, name)
 }
 
 // Fault injection and error taxonomy.

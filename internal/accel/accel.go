@@ -21,7 +21,6 @@ import (
 	"github.com/huffduff/huffduff/internal/dram"
 	"github.com/huffduff/huffduff/internal/faults"
 	"github.com/huffduff/huffduff/internal/models"
-	"github.com/huffduff/huffduff/internal/obs"
 	"github.com/huffduff/huffduff/internal/sparse"
 	"github.com/huffduff/huffduff/internal/tensor"
 	"github.com/huffduff/huffduff/internal/trace"
@@ -59,11 +58,6 @@ type Config struct {
 	ZeroPadProb float64
 	// Seed drives the defence randomness.
 	Seed int64
-	// Obs, when set, receives per-run and per-layer device telemetry under
-	// `accel.`-prefixed metric names. All times published there are
-	// *simulated* device seconds, never host wall-clock. Nil disables
-	// emission (per-run Stats and Campaign accumulation still happen).
-	Obs obs.Recorder
 }
 
 // DefaultConfig returns an Eyeriss-v2-like accelerator with dual-channel
@@ -300,12 +294,13 @@ func (m *Machine) Run(img *tensor.Tensor) (*trace.Trace, error) {
 	return m.RunCtx(context.Background(), img)
 }
 
-// RunCtx is Run with a caller-supplied context. On observed runs (Cfg.Obs
-// set) each unit's computation and trace emission run under a goroutine
-// pprof label layer=<unit name> merged into ctx's label set, so a CPU
-// profile captured around a campaign slices by pipeline stage AND by
-// simulated layer. The context carries no cancellation semantics here — one
-// inference is the simulator's atomic unit.
+// RunCtx is Run with a caller-supplied context. When ctx carries pprof
+// labels (a profiled attack's stage=), each unit's computation and trace
+// emission run under a goroutine pprof label layer=<unit name> merged into
+// ctx's label set, so a CPU profile captured around a campaign slices by
+// pipeline stage AND by simulated layer. The context carries no
+// cancellation semantics here — one inference is the simulator's atomic
+// unit.
 func (m *Machine) RunCtx(ctx context.Context, img *tensor.Tensor) (*trace.Trace, error) {
 	if img.NumDims() == 3 {
 		img = img.Reshape(1, img.Dim(0), img.Dim(1), img.Dim(2))
@@ -353,16 +348,20 @@ func (m *Machine) RunCtx(ctx context.Context, img *tensor.Tensor) (*trace.Trace,
 		return outRanges[id]
 	}
 
-	// Per-layer CPU attribution: only observed runs pay for the label swap
+	// Per-layer CPU attribution: only labelled runs pay for the label swap
 	// (two small allocations per unit), and the parent label set is restored
 	// before returning so the caller's stage= label survives.
-	observed := m.Cfg.Obs != nil
-	if observed {
+	labelled := false
+	pprof.ForLabels(ctx, func(string, string) bool {
+		labelled = true
+		return false
+	})
+	if labelled {
 		defer pprof.SetGoroutineLabels(ctx)
 	}
 
 	for i, u := range m.Arch.Units {
-		if observed {
+		if labelled {
 			pprof.SetGoroutineLabels(pprof.WithLabels(ctx, pprof.Labels("layer", u.Name)))
 		}
 		// 1. Fetch inputs (and weights, interleaved).

@@ -220,32 +220,4 @@ func (m *Machine) finalizeStats(latency float64) {
 	m.published.Layers = append([]LayerStats(nil), m.stats.Layers...)
 	m.accumulateCampaign()
 	m.statsMu.Unlock()
-	m.emitTelemetry()
-}
-
-// emitTelemetry publishes the finished run's per-layer counters to the
-// configured Recorder under `accel.`-prefixed names. These series carry
-// *simulated* device quantities; host wall-clock lives in the attack-side
-// spans and `stage.seconds` metrics.
-func (m *Machine) emitTelemetry() {
-	rec := m.Cfg.Obs
-	if rec == nil {
-		return
-	}
-	rec.Count("accel.runs", "", 1)
-	rec.Count("accel.simulated_seconds", "", m.stats.Latency)
-	rec.Count("accel.trace_events", "op=read", float64(m.stats.TraceReadEvents))
-	rec.Count("accel.trace_events", "op=write", float64(m.stats.TraceWriteEvents))
-	rec.Count("accel.energy_pj", "component=dram", m.stats.EnergyPJ.DRAM)
-	rec.Count("accel.energy_pj", "component=glb", m.stats.EnergyPJ.GLB)
-	rec.Count("accel.energy_pj", "component=mac", m.stats.EnergyPJ.MAC)
-	for _, l := range m.stats.Layers {
-		label := "layer=" + l.Name
-		rec.Count("accel.layer.dram_read_bytes", label, float64(l.DRAMReadBytes))
-		rec.Count("accel.layer.dram_write_bytes", label, float64(l.DRAMWriteBytes))
-		rec.Count("accel.layer.effectual_macs", label, l.EffectualMACs)
-		rec.Count("accel.layer.dense_macs", label, l.DenseMACs)
-		rec.Count("accel.layer.out_nnz", label, float64(l.OutNNZ))
-		rec.Count("accel.layer.encode_seconds", label, l.EncodeTime)
-	}
 }

@@ -6,7 +6,6 @@ import (
 	"testing"
 
 	"github.com/huffduff/huffduff/internal/models"
-	"github.com/huffduff/huffduff/internal/obs"
 )
 
 func TestSpeedupZeroGuard(t *testing.T) {
@@ -143,40 +142,5 @@ func TestGLBEnergyFromDensePsums(t *testing.T) {
 	if s.EnergyPJ.GLB <= dramBytes*EnergyPerGLBByte {
 		t.Fatalf("GLB energy %v not above streaming-only %v — dense-psum term missing",
 			s.EnergyPJ.GLB, dramBytes*EnergyPerGLBByte)
-	}
-}
-
-// TestAccelTelemetryEmission checks the per-layer counters a Run publishes
-// to a configured Recorder, and that simulated seconds stay separate from
-// any host-clock series.
-func TestAccelTelemetryEmission(t *testing.T) {
-	arch := models.SmallCNN()
-	cfg := DefaultConfig()
-	col := obs.NewCollector()
-	cfg.Obs = col
-	m := deploy(t, arch, cfg)
-	if _, err := m.Run(randImage(arch, 4)); err != nil {
-		t.Fatal(err)
-	}
-	if got := col.CounterValue("accel.runs", ""); got != 1 {
-		t.Fatalf("accel.runs = %v, want 1", got)
-	}
-	if got := col.CounterValue("accel.simulated_seconds", ""); got != m.LastStats().Latency {
-		t.Fatalf("accel.simulated_seconds = %v, want %v", got, m.LastStats().Latency)
-	}
-	s := m.LastStats()
-	for _, l := range s.Layers {
-		label := "layer=" + l.Name
-		if got := col.CounterValue("accel.layer.effectual_macs", label); got != l.EffectualMACs {
-			t.Fatalf("accel.layer.effectual_macs{%s} = %v, want %v", label, got, l.EffectualMACs)
-		}
-		if got := col.CounterValue("accel.layer.out_nnz", label); got != float64(l.OutNNZ) {
-			t.Fatalf("accel.layer.out_nnz{%s} = %v, want %v", label, got, l.OutNNZ)
-		}
-	}
-	for _, comp := range []string{"dram", "glb", "mac"} {
-		if col.CounterValue("accel.energy_pj", "component="+comp) <= 0 {
-			t.Fatalf("accel.energy_pj{component=%s} not published", comp)
-		}
 	}
 }

@@ -7,7 +7,6 @@ import (
 	"sync"
 
 	"github.com/huffduff/huffduff/internal/faults"
-	"github.com/huffduff/huffduff/internal/obs"
 )
 
 // DaemonFaultsConfig sets daemon-level fault intensities. Where the trace
@@ -28,8 +27,6 @@ type DaemonFaultsConfig struct {
 	// WriteErrProb is the per-write probability of failing a durable
 	// write, exercising the degraded-but-running path.
 	WriteErrProb float64
-	// Obs, when set, receives per-class `chaos.daemon_faults` counters.
-	Obs obs.Recorder
 }
 
 // DaemonStats counts injected daemon-level faults.
@@ -62,14 +59,6 @@ func (f *DaemonFaults) Stats() DaemonStats {
 	return f.stats
 }
 
-// countFault mirrors one injected fault to the configured recorder.
-// Callers hold f.mu.
-func (f *DaemonFaults) countFault(class string) {
-	if f.cfg.Obs != nil {
-		f.cfg.Obs.Count("chaos.daemon_faults", "class="+class, 1)
-	}
-}
-
 // BeforeRun injects worker-level faults ahead of one victim inference: it
 // may panic (a worker bug the daemon's supervisor must recover) or block
 // until ctx is done (a stalled run that only the per-job deadline or a
@@ -82,11 +71,9 @@ func (f *DaemonFaults) BeforeRun(ctx context.Context) error {
 	doStall := !doPanic && f.cfg.StallProb > 0 && f.rng.Float64() < f.cfg.StallProb
 	if doPanic {
 		f.stats.Panics++
-		f.countFault("panic")
 	}
 	if doStall {
 		f.stats.Stalls++
-		f.countFault("stall")
 	}
 	f.mu.Unlock()
 	if doPanic {
@@ -107,7 +94,6 @@ func (f *DaemonFaults) WriteFault() error {
 	f.stats.WriteCalls++
 	if f.cfg.WriteErrProb > 0 && f.rng.Float64() < f.cfg.WriteErrProb {
 		f.stats.WriteErrs++
-		f.countFault("write")
 		return fmt.Errorf("chaos: injected durable write failure: %w", faults.ErrTransient)
 	}
 	return nil

@@ -1,8 +1,8 @@
 // Package converge makes the attack's solution-space collapse a first-class
 // observable. HuffDuff's headline result (§8.2) is the narrowing of the
 // architecture search space from ~10⁹⁶ candidate networks to fewer than a
-// hundred; spans and metrics can say where the attacker's *time* went, but
-// not what the attack has *learned* so far. The Ledger closes that gap: the
+// hundred; metrics can say where the attacker's *time* went, but not what
+// the attack has *learned* so far. The Ledger closes that gap: the
 // pipeline appends a Snapshot after every knowledge-changing step
 // (calibration, probe progress, each convergence-loop solve, timing,
 // finalization), and each snapshot carries the per-layer candidate state,
@@ -10,8 +10,8 @@
 // eliminated since the previous snapshot.
 //
 // The ledger is the attack's one record of knowledge and progress; host
-// cost (spans, metrics, pprof stage labels) travels separately, through the
-// obs.Recorder and prof.Stage, and the ledger copies nothing into it.
+// cost (metrics, pprof stage labels) travels separately, through the
+// obs.Recorder and prof.Stage, and neither copies anything into the other.
 //
 // Ledgers are safe for concurrent use: the attack appends from its worker
 // goroutine while HTTP handlers read Latest/Snapshots and streaming clients

@@ -47,11 +47,11 @@ type Config struct {
 	// mode when the pattern solve finds no consistent geometry, before
 	// giving up.
 	EscalateNoiseTolerant bool
-	// Obs, when set, receives the campaign's spans and metrics: hierarchical
-	// wall-clock spans for every pipeline stage down to individual probe
-	// positions, victim-query and retry counters, per-stage wall time, and
-	// convergence diagnostics. Nil (the default) disables instrumentation at
-	// the cost of one nil-check per site.
+	// Obs, when set, receives the campaign's host cost: per-stage wall
+	// time, allocation and GC work (prof.Stage, which also sets the
+	// stage= pprof label), victim-query, retry and probe-position counters,
+	// and per-query run and analysis seconds. Nil (the default) disables
+	// instrumentation at the cost of one nil-check per site.
 	Obs obs.Recorder
 	// Ledger, when set, receives a convergence Snapshot after every
 	// knowledge-changing step: calibration, throttled probe progress, each
@@ -164,10 +164,10 @@ func Attack(victim Victim, cfg Config) (*Result, error) {
 }
 
 // AttackContext is Attack with a caller-supplied context. Config.Obs (when
-// set) is attached to the context, so spans and metrics flow to it; a
-// recorder already present in ctx is used otherwise. Each pipeline stage is
-// a prof.Stage region: an obs span, a `stage=` pprof label, and the
-// `stage.seconds` and `prof.stage.*` costs.
+// set) is attached to the context, so metrics flow to it; a recorder
+// already present in ctx is used otherwise. Each pipeline stage is a
+// prof.Stage region: a `stage=` pprof label, and the `stage.seconds` and
+// `prof.stage.*` costs.
 func AttackContext(ctx context.Context, victim Victim, cfg Config) (*Result, error) {
 	if err := cfg.Validate(); err != nil {
 		return nil, faults.Stage("config", err)
@@ -176,8 +176,6 @@ func AttackContext(ctx context.Context, victim Victim, cfg Config) (*Result, err
 		ctx = obs.WithRecorder(ctx, cfg.Obs)
 	}
 	ctx = converge.WithLedger(ctx, cfg.Ledger)
-	ctx, root := obs.Start(ctx, "attack")
-	defer root.End()
 	hook := ledgerHook{led: cfg.Ledger, probe: cfg.Probe}
 
 	fin := cfg.Finalize
@@ -254,7 +252,6 @@ func AttackContext(ctx context.Context, victim Victim, cfg Config) (*Result, err
 	_, endTiming := prof.Stage(ctx, "timing")
 	var terr error
 	res.Timing, terr = TimingChannelFromSamples(g, dims, data.Enc, cfg.TimingTolerance)
-	res.Timing.Record(obs.RecorderFrom(ctx))
 	if terr == nil {
 		hook.snap("timing", pr, res.Timing, nil, conv.confidence, nil)
 	}
@@ -262,13 +259,12 @@ func AttackContext(ctx context.Context, victim Victim, cfg Config) (*Result, err
 
 	// 6. Solution space, with graceful degradation when the timing channel
 	// cannot be trusted.
-	fctx, endFinalize := prof.Stage(ctx, "finalize")
+	_, endFinalize := prof.Stage(ctx, "finalize")
 	defer endFinalize()
 	if terr == nil {
 		space, ferr := Finalize(g, pr, dims, res.Timing, fin)
 		if ferr == nil {
 			res.Space = space
-			res.recordSpace(fctx)
 			hook.snap("finalize", pr, res.Timing, space, conv.confidence, func(s *converge.Snapshot) {
 				s.Done = true
 			})
@@ -290,7 +286,6 @@ func AttackContext(ctx context.Context, victim Victim, cfg Config) (*Result, err
 	res.Space = space
 	res.Degraded = true
 	res.DegradedReason = terr.Error()
-	res.recordSpace(fctx)
 	note := terr.Error()
 	hook.snap("finalize_degraded", pr, nil, space, conv.confidence, func(s *converge.Snapshot) {
 		s.Done = true
@@ -298,22 +293,6 @@ func AttackContext(ctx context.Context, victim Victim, cfg Config) (*Result, err
 		s.Note = note
 	})
 	return res, nil
-}
-
-// recordSpace publishes the finalized solution space's headline numbers.
-func (res *Result) recordSpace(ctx context.Context) {
-	if res.Space == nil {
-		return
-	}
-	obs.Gauge(ctx, "solution.space.count", "", float64(res.Space.Count()))
-	obs.Gauge(ctx, "solution.space.k1min", "", float64(res.Space.K1Min))
-	obs.Gauge(ctx, "solution.space.k1max", "", float64(res.Space.K1Max))
-	obs.Gauge(ctx, "solution.space.geom_ambiguity", "", float64(res.Space.GeomAmbiguity))
-	degraded := 0.0
-	if res.Degraded {
-		degraded = 1
-	}
-	obs.Gauge(ctx, "attack.degraded", "", degraded)
 }
 
 // calibrationReplicas is how many independent calibration inferences are
@@ -329,9 +308,7 @@ func calibrate(ctx context.Context, victim Victim, cfg Config, res *Result) (*Ob
 	img := tensor.New(fin.InC, fin.InH, fin.InW)
 	img.Uniform(rng, 0.05, 0.95)
 	run := func() ([]trace.SegmentObs, error) {
-		rctx, sp := obs.Start(ctx, "calibrate.replica")
-		segs, retries, err := runObserved(rctx, victim, img, cfg.Probe, nil)
-		sp.End()
+		segs, retries, err := runObserved(ctx, victim, img, cfg.Probe, nil)
 		res.VictimRetries += retries
 		return segs, err
 	}
@@ -441,19 +418,15 @@ func solveConverged(ctx context.Context, data *ProbeData, cfg Config) (*ProbeRes
 	results := make([]*ProbeResult, len(schedule))
 	var lastErr error
 	for i, t := range schedule {
-		ictx, sp := obs.Startf(ctx, "solve.trials=%d", t)
-		obs.Count(ictx, "solve.iterations", "", 1)
+		obs.Count(ctx, "solve.iterations", "", 1)
 		pr, err := data.Solve(t)
 		if err != nil {
 			lastErr = err
-			sp.End()
 			continue
 		}
 		note := fmt.Sprintf("trials=%d", t)
 		hook.snap("solve", pr, nil, nil, nil, func(s *converge.Snapshot) { s.Note = note })
-		obs.Gauge(ictx, "solve.ambiguity", fmt.Sprintf("trials=%d", t), float64(solveAmbiguity(pr)))
 		results[i] = pr
-		sp.End()
 	}
 	final := results[len(results)-1]
 	if final == nil {

@@ -291,10 +291,10 @@ func Collect(victim Victim, g *ObsGraph, inC, inH, inW int, cfg ProbeConfig) (*P
 }
 
 // CollectContext is Collect with a caller-supplied context; an obs.Recorder
-// attached to ctx receives per-trial and per-position spans plus the
-// victim-query and retry counters, and a converge.Ledger attached to ctx
-// counts every inference and receives about eight probe snapshots, each
-// noting the positions done so far (positions=k/N).
+// attached to ctx receives the probe-position, victim-query and retry
+// counters, and a converge.Ledger attached to ctx counts every inference
+// and receives about eight probe snapshots, each noting the positions done
+// so far (positions=k/N).
 func CollectContext(ctx context.Context, victim Victim, g *ObsGraph, inC, inH, inW int, cfg ProbeConfig) (*ProbeData, error) {
 	if err := cfg.Validate(); err != nil {
 		return nil, err
@@ -361,7 +361,7 @@ func CollectContext(ctx context.Context, victim Victim, g *ObsGraph, inC, inH, i
 		}
 		return nil
 	}
-	runOne := func(ctx context.Context, fam probe.Pattern, vals probe.Values, q int) ([]trace.SegmentObs, error) {
+	runOne := func(fam probe.Pattern, vals probe.Values, q int) ([]trace.SegmentObs, error) {
 		img := probe.Image(fam, vals, q, inC, inH, inW)
 		segs, retries, err := runObserved(ctx, victim, img, cfg, check)
 		pd.Retries += retries
@@ -389,21 +389,17 @@ func CollectContext(ctx context.Context, victim Victim, g *ObsGraph, inC, inH, i
 	total := cfg.Trials * len(families) * cfg.Q
 	step := max(total/8, 1)
 	for t := 0; t < cfg.Trials; t++ {
-		tctx, tspan := obs.Start(ctx, "probe.trial")
 		for fi, fam := range families {
 			vals := probe.RandomValues(rng, fam)
 			for q := 0; q < cfg.Q; q++ {
-				qctx, qspan := obs.Start(tctx, "probe.pos")
-				obs.Count(qctx, "probe.positions", "", 1)
+				obs.Count(ctx, "probe.positions", "", 1)
 				for n := range sums {
 					sums[n], sqs[n] = 0, 0
 				}
 				reps := 0
 				for r := 0; r < maxRep; r++ {
-					segs, err := runOne(qctx, fam, vals, q)
+					segs, err := runOne(fam, vals, q)
 					if err != nil {
-						qspan.End()
-						tspan.End()
 						return nil, err
 					}
 					agreed := r > 0
@@ -450,7 +446,6 @@ func CollectContext(ctx context.Context, victim Victim, g *ObsGraph, inC, inH, i
 				if reps > 1 {
 					varCnt++
 				}
-				qspan.End()
 				if done := (t*len(families)+fi)*cfg.Q + q + 1; done%step == 0 || done == total {
 					hook.snap("probe", nil, nil, nil, nil, func(s *converge.Snapshot) {
 						s.Note = fmt.Sprintf("positions=%d/%d", done, total)
@@ -458,7 +453,6 @@ func CollectContext(ctx context.Context, victim Victim, g *ObsGraph, inC, inH, i
 				}
 			}
 		}
-		tspan.End()
 	}
 	if varCnt > 0 {
 		for n := range pd.Sigma {

@@ -7,7 +7,6 @@ import (
 	"sort"
 
 	"github.com/huffduff/huffduff/internal/faults"
-	"github.com/huffduff/huffduff/internal/obs"
 )
 
 // newRNG centralizes seeding so the attack is reproducible end to end.
@@ -76,25 +75,6 @@ type TimingResult struct {
 	// SampleCount is how many accepted Δt samples backed each node's
 	// estimate.
 	SampleCount map[int]int
-}
-
-// Record publishes the timing channel's per-node diagnostics — recovered
-// K ratios, robust dispersions, and sample counts — as gauges labelled by
-// node ID. Safe on a nil result (a failed TimingChannelFromSamples) and a
-// nil recorder.
-func (t *TimingResult) Record(rec obs.Recorder) {
-	if t == nil || rec == nil {
-		return
-	}
-	for _, id := range sortedIntKeys(t.KRatio) {
-		rec.Gauge("timing.kratio", fmt.Sprintf("node=%d", id), t.KRatio[id])
-	}
-	for _, id := range sortedIntKeys(t.Dispersion) {
-		rec.Gauge("timing.dispersion", fmt.Sprintf("node=%d", id), t.Dispersion[id])
-	}
-	for _, id := range sortedIntKeys(t.SampleCount) {
-		rec.Gauge("timing.samples", fmt.Sprintf("node=%d", id), float64(t.SampleCount[id]))
-	}
 }
 
 // TimingChannelFromSamples converts observed encoding intervals into
@@ -173,17 +153,6 @@ func TimingChannelFromSamples(g *ObsGraph, dims *SpatialDims, samples [][]float6
 		res.KRatio[id] = perK[id] / perK[ref]
 	}
 	return res, nil
-}
-
-// sortedIntKeys returns the map's keys in ascending order, so per-node
-// diagnostics publish in a deterministic sequence.
-func sortedIntKeys[V any](m map[int]V) []int {
-	keys := make([]int, 0, len(m))
-	for k := range m {
-		keys = append(keys, k)
-	}
-	sort.Ints(keys)
-	return keys
 }
 
 // median returns the middle order statistic without mutating its argument.

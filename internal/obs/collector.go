@@ -4,18 +4,13 @@ import (
 	"math"
 	"sort"
 	"sync"
-	"time"
 )
 
-// Collector is the standard in-memory Recorder: it keeps every span and
-// metric of a campaign and can export them as a Chrome-trace/Perfetto JSON,
-// a metrics JSON, or a human-readable span tree. Safe for concurrent use.
+// Collector is the standard in-memory Recorder: it keeps every metric
+// series it is sent and exports them as a metrics JSON or in the Prometheus
+// text format. Safe for concurrent use.
 type Collector struct {
-	mu    sync.Mutex
-	base  time.Time
-	spans map[uint64]*spanRec
-	order []uint64 // span IDs in start order
-
+	mu       sync.Mutex
 	counters map[metricKey]float64
 	gauges   map[metricKey]float64
 	hists    map[metricKey]*histogram
@@ -32,45 +27,12 @@ func (k metricKey) String() string {
 	return k.name + "{" + k.label + "}"
 }
 
-// spanRec is one recorded span.
-type spanRec struct {
-	id, parent uint64
-	name       string
-	start, end time.Time
-	ended      bool
-	children   []uint64
-}
-
-// NewCollector returns an empty Collector; its trace timestamps are relative
-// to the moment of creation.
+// NewCollector returns an empty Collector.
 func NewCollector() *Collector {
 	return &Collector{
-		base:     time.Now(),
-		spans:    map[uint64]*spanRec{},
 		counters: map[metricKey]float64{},
 		gauges:   map[metricKey]float64{},
 		hists:    map[metricKey]*histogram{},
-	}
-}
-
-// SpanStart implements Recorder.
-func (c *Collector) SpanStart(name string, id, parent uint64, start time.Time) {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	c.spans[id] = &spanRec{id: id, parent: parent, name: name, start: start}
-	c.order = append(c.order, id)
-	if p, ok := c.spans[parent]; ok {
-		p.children = append(p.children, id)
-	}
-}
-
-// SpanEnd implements Recorder. Ends for unknown spans are ignored (the span
-// may predate the collector).
-func (c *Collector) SpanEnd(id uint64, end time.Time) {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	if s, ok := c.spans[id]; ok && !s.ended {
-		s.end, s.ended = end, true
 	}
 }
 

@@ -4,89 +4,7 @@ import (
 	"encoding/json"
 	"fmt"
 	"io"
-	"strings"
-	"time"
 )
-
-// traceEvent is one Chrome-trace event (the "JSON Array Format" Perfetto and
-// chrome://tracing both load).
-type traceEvent struct {
-	Name  string  `json:"name"`
-	Cat   string  `json:"cat,omitempty"`
-	Phase string  `json:"ph"`
-	TS    float64 `json:"ts"` // microseconds
-	PID   int     `json:"pid"`
-	TID   int     `json:"tid"`
-}
-
-// traceFile is the top-level Chrome-trace document.
-type traceFile struct {
-	TraceEvents     []traceEvent `json:"traceEvents"`
-	DisplayTimeUnit string       `json:"displayTimeUnit"`
-}
-
-// TraceJSON renders every recorded span as a Chrome-trace/Perfetto JSON
-// document. Spans are emitted depth-first in start order, so B/E pairs nest
-// properly even when timestamps collide at the export resolution. Spans that
-// never ended are closed at the latest timestamp the collector has seen.
-func (c *Collector) TraceJSON() ([]byte, error) {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-
-	latest := c.base
-	for _, s := range c.spans {
-		if s.ended && s.end.After(latest) {
-			latest = s.end
-		}
-		if s.start.After(latest) {
-			latest = s.start
-		}
-	}
-
-	var roots []uint64
-	for _, id := range c.order {
-		s := c.spans[id]
-		if _, ok := c.spans[s.parent]; !ok {
-			roots = append(roots, id)
-		}
-	}
-
-	ts := func(t time.Time) float64 {
-		us := float64(t.Sub(c.base)) / float64(time.Microsecond)
-		if us < 0 {
-			us = 0
-		}
-		return us
-	}
-	var events []traceEvent
-	var emit func(id uint64)
-	emit = func(id uint64) {
-		s := c.spans[id]
-		end := s.end
-		if !s.ended {
-			end = latest
-		}
-		events = append(events, traceEvent{Name: s.name, Cat: "attack", Phase: "B", TS: ts(s.start), PID: 1, TID: 1})
-		for _, ch := range s.children {
-			emit(ch)
-		}
-		events = append(events, traceEvent{Name: s.name, Cat: "attack", Phase: "E", TS: ts(end), PID: 1, TID: 1})
-	}
-	for _, id := range roots {
-		emit(id)
-	}
-	return json.MarshalIndent(traceFile{TraceEvents: events, DisplayTimeUnit: "ms"}, "", " ")
-}
-
-// WriteTrace writes the Chrome-trace JSON to w.
-func (c *Collector) WriteTrace(w io.Writer) error {
-	b, err := c.TraceJSON()
-	if err != nil {
-		return err
-	}
-	_, err = w.Write(b)
-	return err
-}
 
 // HistogramSnapshot is the exported form of one log-bucketed histogram.
 // Bucket keys are the upper bound of the bucket, formatted with %g.
@@ -155,77 +73,6 @@ func (c *Collector) WriteMetrics(w io.Writer) error {
 	}
 	_, err = w.Write(b)
 	return err
-}
-
-// treeAggregateMin is the sibling count above which same-named spans are
-// collapsed into one aggregate tree line (a probing campaign records
-// thousands of per-position spans; the tree stays readable).
-const treeAggregateMin = 4
-
-// Tree renders the span hierarchy as an indented human-readable tree with
-// per-span wall durations. Runs of more than treeAggregateMin same-named
-// siblings collapse into one aggregate line.
-func (c *Collector) Tree() string {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	var sb strings.Builder
-	var roots []uint64
-	for _, id := range c.order {
-		if _, ok := c.spans[c.spans[id].parent]; !ok {
-			roots = append(roots, id)
-		}
-	}
-	c.renderLevel(&sb, roots, 0)
-	return sb.String()
-}
-
-// renderLevel prints one sibling group at the given depth.
-func (c *Collector) renderLevel(sb *strings.Builder, ids []uint64, depth int) {
-	// Group consecutive same-named siblings.
-	type group struct {
-		name  string
-		spans []*spanRec
-	}
-	var groups []group
-	for _, id := range ids {
-		s := c.spans[id]
-		if n := len(groups); n > 0 && groups[n-1].name == s.name {
-			groups[n-1].spans = append(groups[n-1].spans, s)
-			continue
-		}
-		groups = append(groups, group{name: s.name, spans: []*spanRec{s}})
-	}
-	indent := strings.Repeat("  ", depth)
-	for _, g := range groups {
-		if len(g.spans) > treeAggregateMin {
-			var total time.Duration
-			for _, s := range g.spans {
-				total += c.durationOf(s)
-			}
-			fmt.Fprintf(sb, "%s%-*s x%-6d total %-10s avg %s\n",
-				indent, 28-2*depth, g.name, len(g.spans), fmtDur(total), fmtDur(total/time.Duration(len(g.spans))))
-			continue
-		}
-		for _, s := range g.spans {
-			fmt.Fprintf(sb, "%s%-*s %s\n", indent, 28-2*depth, s.name, fmtDur(c.durationOf(s)))
-			if len(s.children) > 0 {
-				c.renderLevel(sb, s.children, depth+1)
-			}
-		}
-	}
-}
-
-// durationOf returns a span's wall duration (0 when it never ended).
-func (c *Collector) durationOf(s *spanRec) time.Duration {
-	if !s.ended {
-		return 0
-	}
-	return s.end.Sub(s.start)
-}
-
-// fmtDur formats a duration compactly with millisecond-scale precision.
-func fmtDur(d time.Duration) string {
-	return d.Round(10 * time.Microsecond).String()
 }
 
 // SortedCounterKeys returns every counter series name in deterministic

@@ -2,26 +2,13 @@ package obs
 
 import (
 	"context"
-	"encoding/json"
-	"strings"
 	"sync"
 	"testing"
-	"time"
 )
 
 func TestNilRecorderIsNoop(t *testing.T) {
 	ctx := context.Background()
-	ctx2, sp := Start(ctx, "root")
-	if sp != nil {
-		t.Fatalf("Start without a recorder returned a span")
-	}
-	if ctx2 != ctx {
-		t.Fatalf("Start without a recorder derived a new context")
-	}
-	sp.End() // must not panic
-	Count(ctx, "c", "", 1)
-	Gauge(ctx, "g", "", 1)
-	Observe(ctx, "h", "", 1)
+	Count(ctx, "c", "", 1) // must not panic
 	if WithRecorder(ctx, nil) != ctx {
 		t.Fatalf("WithRecorder(nil) derived a new context")
 	}
@@ -34,21 +21,13 @@ func TestSpanHierarchyAndMetrics(t *testing.T) {
 	col := NewCollector()
 	ctx := WithRecorder(context.Background(), col)
 
-	ctx, root := Start(ctx, "attack")
-	cctx, cal := Start(ctx, "calibrate")
-	Count(cctx, "victim.inferences", "", 2)
-	cal.End()
-	pctx, probe := Start(ctx, "probe")
+	Count(ctx, "victim.inferences", "", 2)
 	for q := 0; q < 3; q++ {
-		_, p := Startf(pctx, "pos")
-		Count(pctx, "probe.positions", "", 1)
-		p.End()
+		Count(ctx, "probe.positions", "", 1)
 	}
-	probe.End()
-	Observe(ctx, "stage.seconds", "stage=probe", 0.25)
-	Gauge(ctx, "solution.space.count", "", 12)
-	root.End()
-	root.End() // idempotent
+	rec := RecorderFrom(ctx)
+	rec.Observe("stage.seconds", "stage=probe", 0.25)
+	rec.Gauge("runtime.goroutines", "", 12)
 
 	if got := col.CounterValue("victim.inferences", ""); got != 2 {
 		t.Fatalf("victim.inferences = %v, want 2", got)
@@ -56,8 +35,8 @@ func TestSpanHierarchyAndMetrics(t *testing.T) {
 	if got := col.CounterValue("probe.positions", ""); got != 3 {
 		t.Fatalf("probe.positions = %v, want 3", got)
 	}
-	if got := col.GaugeValue("solution.space.count", ""); got != 12 {
-		t.Fatalf("solution.space.count = %v, want 12", got)
+	if got := col.GaugeValue("runtime.goroutines", ""); got != 12 {
+		t.Fatalf("runtime.goroutines = %v, want 12", got)
 	}
 	snap := col.Metrics()
 	h, ok := snap.Histograms["stage.seconds{stage=probe}"]
@@ -70,91 +49,6 @@ func TestSpanHierarchyAndMetrics(t *testing.T) {
 	// 0.25 lands exactly on the 2^-2 bucket boundary.
 	if n := h.Buckets["0.25"]; n != 1 {
 		t.Fatalf("bucket 0.25 = %d, want 1; buckets %v", n, h.Buckets)
-	}
-
-	tree := col.Tree()
-	for _, want := range []string{"attack", "calibrate", "probe"} {
-		if !strings.Contains(tree, want) {
-			t.Fatalf("tree missing %q:\n%s", want, tree)
-		}
-	}
-}
-
-// TestTraceJSONNesting validates the Chrome-trace export: a traceEvents
-// array whose B/E events are properly nested per tid.
-func TestTraceJSONNesting(t *testing.T) {
-	col := NewCollector()
-	ctx := WithRecorder(context.Background(), col)
-	ctx, root := Start(ctx, "attack")
-	for _, stage := range []string{"calibrate", "probe", "solve", "timing"} {
-		sctx, sp := Start(ctx, stage)
-		_, inner := Start(sctx, stage+".inner")
-		inner.End()
-		sp.End()
-	}
-	root.End()
-
-	raw, err := col.TraceJSON()
-	if err != nil {
-		t.Fatal(err)
-	}
-	var doc struct {
-		TraceEvents []struct {
-			Name  string  `json:"name"`
-			Phase string  `json:"ph"`
-			TS    float64 `json:"ts"`
-		} `json:"traceEvents"`
-	}
-	if err := json.Unmarshal(raw, &doc); err != nil {
-		t.Fatalf("trace JSON does not parse: %v", err)
-	}
-	if len(doc.TraceEvents) != 2*(1+4+4) {
-		t.Fatalf("got %d events, want %d", len(doc.TraceEvents), 2*(1+4+4))
-	}
-	// B/E must balance like parentheses, with E matching the innermost B.
-	var stack []string
-	lastTS := -1.0
-	seen := map[string]bool{}
-	for _, ev := range doc.TraceEvents {
-		if ev.TS < lastTS {
-			t.Fatalf("timestamps regress at %q (%v < %v)", ev.Name, ev.TS, lastTS)
-		}
-		lastTS = ev.TS
-		switch ev.Phase {
-		case "B":
-			stack = append(stack, ev.Name)
-			seen[ev.Name] = true
-		case "E":
-			if len(stack) == 0 || stack[len(stack)-1] != ev.Name {
-				t.Fatalf("unbalanced E %q with stack %v", ev.Name, stack)
-			}
-			stack = stack[:len(stack)-1]
-		default:
-			t.Fatalf("unexpected phase %q", ev.Phase)
-		}
-	}
-	if len(stack) != 0 {
-		t.Fatalf("unclosed spans %v", stack)
-	}
-	for _, stage := range []string{"calibrate", "probe", "solve", "timing"} {
-		if !seen[stage] {
-			t.Fatalf("trace missing stage span %q", stage)
-		}
-	}
-}
-
-func TestUnendedSpanExports(t *testing.T) {
-	col := NewCollector()
-	ctx := WithRecorder(context.Background(), col)
-	_, sp := Start(ctx, "dangling")
-	_ = sp // never ended
-	time.Sleep(time.Millisecond)
-	raw, err := col.TraceJSON()
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !strings.Contains(string(raw), "dangling") {
-		t.Fatalf("unended span missing from trace: %s", raw)
 	}
 }
 
@@ -189,48 +83,31 @@ func TestHistogramBuckets(t *testing.T) {
 
 func TestNoopRecorder(t *testing.T) {
 	ctx := WithRecorder(context.Background(), Noop())
-	ctx, sp := Start(ctx, "x")
-	if sp == nil {
-		t.Fatalf("Noop recorder suppressed span creation")
+	rec := RecorderFrom(ctx)
+	if rec == nil {
+		t.Fatalf("Noop recorder not attached")
 	}
 	Count(ctx, "c", "", 1)
-	sp.End()
-}
-
-func TestMetricsOnlyDropsSpans(t *testing.T) {
-	col := NewCollector()
-	ctx := WithRecorder(context.Background(), MetricsOnly(col))
-	ctx, sp := Start(ctx, "campaign")
-	Count(ctx, "x", "", 2)
-	sp.End()
-	if col.CounterValue("x", "") != 2 {
-		t.Fatal("metric did not pass through")
-	}
-	if tree := col.Tree(); tree != "" {
-		t.Fatalf("span kept:\n%s", tree)
-	}
+	rec.Gauge("g", "", 1)
+	rec.Observe("h", "", 1)
 }
 
 // TestRecorderConcurrent exercises the Collector from concurrent goroutines;
 // it exists to run under -race (the Recorder contract requires thread
-// safety — spans and metrics may arrive from parallel probe workers).
+// safety — metrics may arrive from concurrent campaigns).
 func TestRecorderConcurrent(t *testing.T) {
 	col := NewCollector()
-	base := WithRecorder(context.Background(), col)
+	ctx := WithRecorder(context.Background(), col)
 	var wg sync.WaitGroup
 	for g := 0; g < 2; g++ {
 		wg.Add(1)
-		go func(g int) {
+		go func() {
 			defer wg.Done()
-			ctx, root := Startf(base, "worker%d", g)
 			for i := 0; i < 500; i++ {
-				ictx, sp := Start(ctx, "iter")
-				Count(ictx, "iters", "", 1)
-				Observe(ictx, "latency", "", float64(i+1)*1e-6)
-				sp.End()
+				Count(ctx, "iters", "", 1)
+				RecorderFrom(ctx).Observe("latency", "", float64(i+1)*1e-6)
 			}
-			root.End()
-		}(g)
+		}()
 	}
 	wg.Wait()
 	if got := col.CounterValue("iters", ""); got != 1000 {
@@ -239,8 +116,5 @@ func TestRecorderConcurrent(t *testing.T) {
 	snap := col.Metrics()
 	if h := snap.Histograms["latency"]; h.Count != 1000 {
 		t.Fatalf("latency histogram count = %d, want 1000", h.Count)
-	}
-	if _, err := col.TraceJSON(); err != nil {
-		t.Fatalf("trace export after concurrent recording: %v", err)
 	}
 }

@@ -4,14 +4,15 @@
 //
 // Three mechanisms compose:
 //
-//   - Stage opens an obs span AND tags the goroutine with a runtime/pprof
-//     label ("stage=<name>"), so any CPU profile captured while the pipeline
-//     runs can be sliced per stage with `pprof -tagfocus`. The simulator adds
-//     a second label dimension ("layer=<unit>") around each unit's
-//     simulation, giving stage×layer attribution for free.
-//   - Stage samples runtime/metrics at both span boundaries and publishes the
-//     deltas as `prof.stage.*` counters: bytes allocated, GC cycles entered,
-//     and estimated GC CPU seconds while the stage ran.
+//   - Stage tags the goroutine with a runtime/pprof label ("stage=<name>"),
+//     so any CPU profile captured while the pipeline runs can be sliced per
+//     stage with `pprof -tagfocus`. The simulator adds a second label
+//     dimension ("layer=<unit>") around each unit's simulation whenever its
+//     caller's context carries labels, giving stage×layer attribution for
+//     free.
+//   - Stage samples runtime/metrics at both stage boundaries and publishes
+//     the deltas as `prof.stage.*` counters: bytes allocated, GC cycles
+//     entered, and estimated GC CPU seconds while the stage ran.
 //   - RuntimeSampler (runtime.go) publishes point-in-time Go runtime gauges
 //     and the GC pause histogram for long-running services' /metrics.
 //
@@ -22,7 +23,7 @@
 //
 // This package intentionally reads the host clock: it measures the
 // *attacker's* cost, never the victim's. Device time stays in the cycle
-// model (`accel.` metrics); see DESIGN.md "Cost attribution".
+// model (accel.CampaignStats); see DESIGN.md "Cost attribution".
 package prof
 
 import (
@@ -43,7 +44,7 @@ const (
 	gcCPUMetric      = "/cpu/classes/gc/total:cpu-seconds"
 )
 
-// boundary is one runtime snapshot taken at a span edge.
+// boundary is one runtime snapshot taken at a stage edge.
 type boundary struct {
 	allocBytes uint64
 	gcCycles   uint64
@@ -70,11 +71,10 @@ func readBoundary(b *boundary) {
 	}
 }
 
-// Stage opens a cost-attributed pipeline-stage region: an obs span named
-// name, a goroutine pprof label stage=<name> (so CPU profile samples taken
-// inside the stage carry it), and a runtime snapshot. The returned closer
-// ends the span, restores the caller's label set, and publishes the stage's
-// deltas:
+// Stage opens a cost-attributed pipeline-stage region: a goroutine pprof
+// label stage=<name> (so CPU profile samples taken inside the stage carry
+// it) and a runtime snapshot. The returned closer restores the caller's
+// label set and publishes the stage's deltas:
 //
 //	stage.seconds{stage=<name>}              histogram, host wall time
 //	prof.stage.alloc_bytes{stage=<name>}     counter, bytes allocated
@@ -88,8 +88,7 @@ func Stage(ctx context.Context, name string) (context.Context, func()) {
 	if rec == nil {
 		return ctx, func() {}
 	}
-	sctx, sp := obs.Start(ctx, name)
-	lctx := pprof.WithLabels(sctx, pprof.Labels("stage", name))
+	lctx := pprof.WithLabels(ctx, pprof.Labels("stage", name))
 	pprof.SetGoroutineLabels(lctx)
 	var open boundary
 	readBoundary(&open)
@@ -98,7 +97,6 @@ func Stage(ctx context.Context, name string) (context.Context, func()) {
 		wall := time.Since(start).Seconds() //lint:ignore hosttime host-cost measurement, see package doc
 		var closeB boundary
 		readBoundary(&closeB)
-		sp.End()
 		// Restore whatever label set the caller's context carried, so
 		// sequential stages never inherit a finished stage's label.
 		pprof.SetGoroutineLabels(ctx)

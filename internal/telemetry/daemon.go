@@ -207,17 +207,24 @@ type RetryPolicy struct {
 	// MaxAttempts caps total run attempts per campaign, including the
 	// first (default 3).
 	MaxAttempts int
-	// BaseDelay is the backoff before attempt 2; it doubles per attempt up
-	// to MaxDelay (defaults 1s and 30s).
+	// BaseDelay is the backoff before attempt 2 (default 1s); it doubles
+	// per attempt up to retryMaxDelay.
 	BaseDelay time.Duration
-	MaxDelay  time.Duration
-	// Jitter spreads each delay uniformly in ±Jitter fraction (default
-	// 0.2), so a burst of same-class failures does not retry in lockstep.
-	Jitter float64
-	// Seed drives the jitter randomness (default 1), keeping retry
-	// schedules reproducible.
-	Seed int64
 }
+
+const (
+	// retryMaxDelay caps the backoff between attempts.
+	retryMaxDelay = 30 * time.Second
+	// retryJitter spreads each delay uniformly in ±retryJitter fraction,
+	// so a burst of same-class failures does not retry in lockstep.
+	retryJitter = 0.2
+	// retrySeed drives the jitter randomness, keeping retry schedules
+	// reproducible.
+	retrySeed = 1
+	// retryAfterSeconds is the backoff hint returned with queue-full and
+	// draining rejections.
+	retryAfterSeconds = 5
+)
 
 // withDefaults fills zero fields with the default policy.
 func (p RetryPolicy) withDefaults() RetryPolicy {
@@ -226,15 +233,6 @@ func (p RetryPolicy) withDefaults() RetryPolicy {
 	}
 	if p.BaseDelay <= 0 {
 		p.BaseDelay = time.Second
-	}
-	if p.MaxDelay <= 0 {
-		p.MaxDelay = 30 * time.Second
-	}
-	if p.Jitter == 0 {
-		p.Jitter = 0.2
-	}
-	if p.Seed == 0 {
-		p.Seed = 1
 	}
 	return p
 }
@@ -248,9 +246,9 @@ type DaemonConfig struct {
 	// rather than buffered without bound. Restart requeues and retries are
 	// internal and exempt.
 	QueueDepth int
-	// Recorder receives every campaign's spans and metrics, and the
-	// daemon's own counters — in huffduffd, obs.MetricsOnly of the
-	// Collector behind /metrics. Nil runs campaigns uninstrumented.
+	// Recorder receives every campaign's host-cost metrics and the
+	// daemon's own counters — in huffduffd, the Collector behind /metrics.
+	// Nil runs campaigns uninstrumented.
 	Recorder obs.Recorder
 	// Store is the daemon's durable log: every submission and state
 	// transition is written to it as the campaign's latest record, and
@@ -267,9 +265,6 @@ type DaemonConfig struct {
 	// Faults, when set, injects daemon-level failures (worker panics,
 	// stalled runs, store write errors) for chaos testing.
 	Faults *chaos.DaemonFaults
-	// RetryAfter is the backoff hint returned with queue-full and
-	// draining rejections (default 5s).
-	RetryAfter time.Duration
 }
 
 // Daemon runs campaign jobs on a supervised bounded worker pool and retains
@@ -325,15 +320,12 @@ func NewDaemon(cfg DaemonConfig) (*Daemon, error) {
 	if cfg.QueueDepth <= 0 {
 		cfg.QueueDepth = 16
 	}
-	if cfg.RetryAfter <= 0 {
-		cfg.RetryAfter = 5 * time.Second
-	}
 	cfg.Retry = cfg.Retry.withDefaults()
 	d := &Daemon{
 		cfg:      cfg,
 		nextID:   1,
 		byID:     map[int]*campaign{},
-		retryRng: rand.New(rand.NewSource(cfg.Retry.Seed)),
+		retryRng: rand.New(rand.NewSource(retrySeed)),
 	}
 	requeue, err := d.restore()
 	if err != nil {
@@ -581,8 +573,8 @@ func (d *Daemon) gauge(name string, v float64) {
 }
 
 // run executes one attempt of a campaign end to end, publishing progress
-// into the campaign's ledger, transitions into the store, and
-// spans/metrics into the shared recorder; on a retryable failure it
+// into the campaign's ledger, transitions into the store, and host-cost
+// metrics into the shared recorder; on a retryable failure it
 // schedules the next attempt with exponential backoff.
 func (d *Daemon) run(c *campaign) {
 	if d.killed.Load() {
@@ -686,19 +678,18 @@ func (d *Daemon) scheduleRetry(c *campaign, attempt int, err error, class string
 }
 
 // backoff computes the delay before the attempt following `attempt`:
-// BaseDelay doubled per completed attempt, capped at MaxDelay, spread by
-// ±Jitter from the daemon's seeded rng.
+// BaseDelay doubled per completed attempt, capped at retryMaxDelay, spread
+// by ±retryJitter from the daemon's seeded rng.
 func (d *Daemon) backoff(attempt int) time.Duration {
-	p := d.cfg.Retry
-	delay := p.BaseDelay
-	for i := 1; i < attempt && delay < p.MaxDelay; i++ {
+	delay := d.cfg.Retry.BaseDelay
+	for i := 1; i < attempt && delay < retryMaxDelay; i++ {
 		delay *= 2
 	}
-	if delay > p.MaxDelay {
-		delay = p.MaxDelay
+	if delay > retryMaxDelay {
+		delay = retryMaxDelay
 	}
 	d.mu.Lock()
-	jitter := 1 + p.Jitter*(2*d.retryRng.Float64()-1)
+	jitter := 1 + retryJitter*(2*d.retryRng.Float64()-1)
 	d.mu.Unlock()
 	if jitter < 0 {
 		jitter = 0
@@ -766,7 +757,6 @@ func (d *Daemon) attack(ctx context.Context, c *campaign, spec JobSpec) (*attack
 
 	acfg := accel.DefaultConfig()
 	acfg.Seed = spec.Seed
-	acfg.Obs = d.cfg.Recorder
 	machine := accel.NewMachine(acfg, arch, bind)
 	c.mu.Lock()
 	c.machine = machine

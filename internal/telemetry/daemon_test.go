@@ -263,7 +263,7 @@ func TestQueueFull(t *testing.T) {
 	// the rejection is 429 with both a Retry-After header and a structured
 	// JSON body, so clients can back off programmatically.
 	stall := chaos.NewDaemonFaults(chaos.DaemonFaultsConfig{StallProb: 1})
-	d := newTestDaemon(t, DaemonConfig{Workers: 1, QueueDepth: 1, Faults: stall, RetryAfter: 7 * time.Second})
+	d := newTestDaemon(t, DaemonConfig{Workers: 1, QueueDepth: 1, Faults: stall})
 	defer d.Kill()
 	base, stop := startServer(t, d, obs.NewCollector())
 	defer stop()
@@ -290,8 +290,8 @@ func TestQueueFull(t *testing.T) {
 		time.Sleep(10 * time.Millisecond)
 	}
 	defer resp.Body.Close()
-	if got := resp.Header.Get("Retry-After"); got != "7" {
-		t.Errorf("Retry-After header = %q, want %q", got, "7")
+	if got := resp.Header.Get("Retry-After"); got != "5" {
+		t.Errorf("Retry-After header = %q, want %q", got, "5")
 	}
 	var apiErr APIError
 	if err := json.NewDecoder(resp.Body).Decode(&apiErr); err != nil {
@@ -300,8 +300,8 @@ func TestQueueFull(t *testing.T) {
 	if !strings.Contains(apiErr.Error, "queue full") {
 		t.Errorf("429 body error = %q, want a queue-full message", apiErr.Error)
 	}
-	if apiErr.RetryAfterSeconds != 7 {
-		t.Errorf("429 body retry_after_seconds = %d, want 7", apiErr.RetryAfterSeconds)
+	if apiErr.RetryAfterSeconds != 5 {
+		t.Errorf("429 body retry_after_seconds = %d, want 5", apiErr.RetryAfterSeconds)
 	}
 
 	// The daemon-level sentinel backs the HTTP translation.
@@ -498,9 +498,7 @@ func TestStageLabelSurvivesWrappedVictims(t *testing.T) {
 				t.Fatal(err)
 			}
 			prune.GlobalMagnitude(bind.Net.Params(), 0.5)
-			acfg := accel.DefaultConfig()
-			acfg.Obs = rec
-			v := &stageLabelVictim{t: t, inner: tc.wrap(accel.NewMachine(acfg, arch, bind))}
+			v := &stageLabelVictim{t: t, inner: tc.wrap(accel.NewMachine(accel.DefaultConfig(), arch, bind))}
 			cfg := attack.DefaultConfig()
 			cfg.Probe.Trials, cfg.Probe.Q = 1, 2
 			cfg.Obs = rec

@@ -341,16 +341,12 @@ type APIError struct {
 }
 
 // writeAPIError writes a structured error response; withRetry adds the
-// Retry-After header and body field from DaemonConfig.RetryAfter.
+// Retry-After header and body field, retryAfterSeconds.
 func (s *Server) writeAPIError(w http.ResponseWriter, status int, err error, withRetry bool) {
 	body := APIError{Error: err.Error()}
 	if withRetry {
-		secs := int(s.d.cfg.RetryAfter.Round(time.Second) / time.Second)
-		if secs < 1 {
-			secs = 1
-		}
-		body.RetryAfterSeconds = secs
-		w.Header().Set("Retry-After", strconv.Itoa(secs))
+		body.RetryAfterSeconds = retryAfterSeconds
+		w.Header().Set("Retry-After", strconv.Itoa(retryAfterSeconds))
 	}
 	writeJSON(w, status, body)
 }
