@@ -455,15 +455,11 @@ func BenchmarkAblationSymbolicVsNumeric(b *testing.B) {
 	for i := 0; i < b.N; i++ {
 		// Symbolic prediction.
 		var eng symconv.Engine
-		symKeys := make([]symconv.Value, pat.Q)
-		for q := 0; q < pat.Q; q++ {
-			g := eng.ProbeGrid(pat, q, 32, 32)
-			for li, l := range layers {
-				g = eng.MaxPool(eng.Conv(g, fmt.Sprintf("l%d", li), l[0], l[1]), l[2])
-			}
-			symKeys[q] = symconv.Signature(g)
+		set := eng.Probes([]probe.Pattern{pat}, 32, 32)
+		for li, l := range layers {
+			set = eng.MaxPool(eng.Conv(set, fmt.Sprintf("l%d", li), l[0], l[1]), l[2])
 		}
-		symPat := symconv.ClassPattern(symKeys)
+		symPat := set.Pattern()
 
 		// Numeric random-evaluation surrogate: same structure, random
 		// weights, exact float comparison of sorted outputs.

@@ -39,40 +39,12 @@ import (
 //     nn's order; a linear output sums x·w over the nonzero inputs in input
 //     order, then adds the bias.
 
-// rect is the half-open rectangle of cells [y0, y1) × [x0, x1) of a feature
-// map, in every channel.
-type rect struct{ y0, y1, x0, x1 int }
-
-func (r rect) empty() bool { return r.y0 >= r.y1 || r.x0 >= r.x1 }
-
-// union returns the bounding rectangle of r and o.
-func (r rect) union(o rect) rect {
-	if r.empty() {
-		return o
-	}
-	if o.empty() {
-		return r
-	}
-	return rect{min(r.y0, o.y0), max(r.y1, o.y1), min(r.x0, o.x0), max(r.x1, o.x1)}
-}
-
-// cone returns the cells of an h×w output map whose window (size kernel, at
-// stride, with pad cells of padding) reads a cell of r.
-func (r rect) cone(kernel, stride, pad, h, w int) rect {
-	if r.empty() {
-		return rect{}
-	}
-	y0, y1 := nn.ConeSpan(r.y0, r.y1, kernel, stride, pad, h)
-	x0, x1 := nn.ConeSpan(r.x0, r.x1, kernel, stride, pad, w)
-	return rect{y0, y1, x0, x1}
-}
-
 // fmap is a C×H×W activation buffer, with the cells the current run
 // recomputed and its nonzero count.
 type fmap struct {
 	data    []float64
 	c, h, w int
-	dirty   rect
+	dirty   nn.Rect
 	nnz     int
 }
 
@@ -183,7 +155,7 @@ func newPlan(arch *models.Arch, bind *models.Binding) (*plan, error) {
 func (p *plan) begin(img []float64) {
 	in := &p.input
 	in.data = img
-	in.dirty = rect{0, in.h, 0, in.w}
+	in.dirty = nn.Rect{Y0: 0, Y1: in.h, X0: 0, X1: in.w}
 	if p.valid {
 		in.dirty = p.changed(img)
 	}
@@ -193,9 +165,9 @@ func (p *plan) begin(img []float64) {
 
 // changed returns the bounding rectangle of the cells, in any channel, whose
 // bits differ between img and the last input.
-func (p *plan) changed(img []float64) rect {
+func (p *plan) changed(img []float64) nn.Rect {
 	in := &p.input
-	r := rect{}
+	r := nn.Rect{}
 	for c := 0; c < in.c; c++ {
 		for y := 0; y < in.h; y++ {
 			row := (c*in.h + y) * in.w
@@ -209,7 +181,7 @@ func (p *plan) changed(img []float64) rect {
 				}
 			}
 			if x0 >= 0 {
-				r = r.union(rect{y, y + 1, x0, x1})
+				r = r.Union(nn.Rect{Y0: y, Y1: y + 1, X0: x0, X1: x1})
 			}
 		}
 	}
@@ -326,29 +298,29 @@ func newConvOp(conv *nn.Conv2D, bn *nn.BatchNorm2D, u models.Unit, in *fmap) *co
 
 func (c *convOp) run(in []*fmap, out *fmap) {
 	pre := c.pre
-	pre.dirty = in[0].dirty.cone(c.kernel, c.stride, c.pad, c.h, c.w)
-	if !pre.dirty.empty() {
+	pre.dirty = in[0].dirty.Cone(c.kernel, c.stride, c.pad, c.h, c.w)
+	if !pre.dirty.Empty() {
 		c.conv(in[0], pre.dirty)
 	}
 	if c.pool > 1 {
-		out.dirty = pre.dirty.cone(c.pool, c.pool, 0, out.h, out.w)
+		out.dirty = pre.dirty.Cone(c.pool, c.pool, 0, out.h, out.w)
 		maxPool(pre, out, c.pool)
 	}
 }
 
 // conv computes the cells r of every channel of c.pre from in.
-func (c *convOp) conv(in *fmap, r rect) {
+func (c *convOp) conv(in *fmap, r nn.Rect) {
 	out := c.pre
 	plane := out.h * out.w
 	s := c.stride
 	for d := range c.ys {
-		c.ys[d] = tapSpan(r.y0, r.y1, d-c.pad, s, in.h)
-		c.xs[d] = tapSpan(r.x0, r.x1, d-c.pad, s, in.w)
+		c.ys[d] = tapSpan(r.Y0, r.Y1, d-c.pad, s, in.h)
+		c.xs[d] = tapSpan(r.X0, r.X1, d-c.pad, s, in.w)
 	}
 	for k := 0; k < c.outC; k++ {
 		dst := out.data[k*plane : (k+1)*plane]
-		for y := r.y0; y < r.y1; y++ {
-			clear(dst[y*out.w+r.x0 : y*out.w+r.x1])
+		for y := r.Y0; y < r.Y1; y++ {
+			clear(dst[y*out.w+r.X0 : y*out.w+r.X1])
 		}
 		for _, t := range c.taps[c.start[k]:c.start[k+1]] {
 			dy, dx := t.ky-c.pad, t.kx-c.pad
@@ -371,8 +343,8 @@ func (c *convOp) conv(in *fmap, r rect) {
 				}
 			}
 		}
-		for y := r.y0; y < r.y1; y++ {
-			row := dst[y*out.w+r.x0 : y*out.w+r.x1]
+		for y := r.Y0; y < r.Y1; y++ {
+			row := dst[y*out.w+r.X0 : y*out.w+r.X1]
 			for j, v := range row {
 				if c.bias != nil {
 					v += c.bias[k]
@@ -408,8 +380,8 @@ func maxPool(in, out *fmap, p int) {
 	for k := 0; k < out.c; k++ {
 		src := in.data[k*in.h*in.w : (k+1)*in.h*in.w]
 		dst := out.data[k*out.h*out.w : (k+1)*out.h*out.w]
-		for y := r.y0; y < r.y1; y++ {
-			for x := r.x0; x < r.x1; x++ {
+		for y := r.Y0; y < r.Y1; y++ {
+			for x := r.X0; x < r.X1; x++ {
 				best := math.Inf(-1)
 				for dy := 0; dy < p; dy++ {
 					for _, v := range src[(y*p+dy)*in.w+x*p : (y*p+dy)*in.w+x*p+p] {
@@ -428,11 +400,11 @@ func maxPool(in, out *fmap, p int) {
 type addOp struct{ relu bool }
 
 func (a addOp) run(in []*fmap, out *fmap) {
-	r := in[0].dirty.union(in[1].dirty)
+	r := in[0].dirty.Union(in[1].dirty)
 	out.dirty = r
 	for k := 0; k < out.c; k++ {
-		for y := r.y0; y < r.y1; y++ {
-			lo, hi := (k*out.h+y)*out.w+r.x0, (k*out.h+y)*out.w+r.x1
+		for y := r.Y0; y < r.Y1; y++ {
+			lo, hi := (k*out.h+y)*out.w+r.X0, (k*out.h+y)*out.w+r.X1
 			b := in[1].data[lo:hi]
 			for j, v := range in[0].data[lo:hi] {
 				v += b[j]
@@ -450,13 +422,13 @@ type avgPoolOp struct{ pool int }
 
 func (a avgPoolOp) run(in []*fmap, out *fmap) {
 	src, p := in[0], a.pool
-	r := src.dirty.cone(p, p, 0, out.h, out.w)
+	r := src.dirty.Cone(p, p, 0, out.h, out.w)
 	out.dirty = r
 	norm := 1.0 / float64(p*p)
 	for k := 0; k < out.c; k++ {
 		plane := src.data[k*src.h*src.w : (k+1)*src.h*src.w]
-		for y := r.y0; y < r.y1; y++ {
-			for x := r.x0; x < r.x1; x++ {
+		for y := r.Y0; y < r.Y1; y++ {
+			for x := r.X0; x < r.X1; x++ {
 				s := 0.0
 				for dy := 0; dy < p; dy++ {
 					for _, v := range plane[(y*p+dy)*src.w+x*p : (y*p+dy)*src.w+x*p+p] {
@@ -478,11 +450,11 @@ type linearOp struct {
 
 func (l *linearOp) run(in []*fmap, out *fmap) {
 	x := in[0]
-	if x.dirty.empty() {
-		out.dirty = rect{}
+	if x.dirty.Empty() {
+		out.dirty = nn.Rect{}
 		return
 	}
-	out.dirty = rect{0, out.h, 0, out.w}
+	out.dirty = nn.Rect{Y0: 0, Y1: out.h, X0: 0, X1: out.w}
 	for j := range out.data {
 		row := l.w[j*l.in : (j+1)*l.in]
 		s := 0.0

@@ -85,13 +85,13 @@ func checkRecomputed(t testing.TB, m *Machine, all bool, what string) {
 	t.Helper()
 	if !all {
 		u := m.plan.units[0].out
-		if r := u.dirty; (r.y1-r.y0)*(r.x1-r.x0) >= u.h*u.w {
+		if r := u.dirty; r.Area() >= u.h*u.w {
 			t.Fatalf("%s: unit 0 recomputed all of its %dx%d map", what, u.h, u.w)
 		}
 		return
 	}
 	for i, u := range m.plan.units {
-		if !u.out.dirty.empty() {
+		if !u.out.dirty.Empty() {
 			t.Fatalf("%s: an identical input recomputed cells %+v of unit %d", what, u.out.dirty, i)
 		}
 	}

@@ -581,7 +581,7 @@ type solver struct {
 	observed map[int][]int // per node, memoized observed pattern
 
 	// Per-node assignment state (indexed by node ID).
-	grids [][][]symconv.Grid // [node][family][probe]
+	sets  []*symconv.Set // the probe set each node outputs
 	geom  map[int]Geom
 	exact map[int]bool
 	cand  map[int][]Geom
@@ -600,16 +600,6 @@ func (s *solver) observedOf(node int) []int {
 	p := s.pd.observedPartition(node, s.trials)
 	s.observed[node] = p
 	return p
-}
-
-func (s *solver) predictedPattern(gs [][]symconv.Grid) []int {
-	keys := make([]string, s.pd.Cfg.Q)
-	for q := range keys {
-		for f := range s.pd.Families {
-			keys[q] += fmt.Sprint(symconv.Signature(gs[f][q]))
-		}
-	}
-	return symconv.ClassPattern(keys)
 }
 
 // correctedDt rescales the observed encoding interval to cover the whole
@@ -733,22 +723,18 @@ func (s *solver) solveFrom(i int) bool {
 	n := g.Nodes[i]
 	switch n.Kind {
 	case NodeInput:
-		gs := make([][]symconv.Grid, len(s.pd.Families))
-		for f, fam := range s.pd.Families {
-			gs[f] = s.eng.ProbeGrids(fam, s.pd.InH, s.pd.InW)
-		}
-		s.grids[n.ID] = gs
+		s.sets[n.ID] = s.eng.Probes(s.pd.Families, s.pd.InH, s.pd.InW)
 		s.outH[0] = s.pd.InH
 		return s.solveFrom(i + 1)
 
 	case NodeConv:
-		in := s.grids[n.Deps[0]]
+		in := s.sets[n.Deps[0]]
 		inH := s.outH[n.Deps[0]]
 		observed := s.observedOf(n.ID)
 		type scored struct {
 			g     Geom
 			exact bool
-			gs    [][]symconv.Grid
+			set   *symconv.Set
 		}
 		var exactM, refineM []scored
 		for _, h := range s.pd.Cfg.hypotheses() {
@@ -760,19 +746,13 @@ func (s *solver) solveFrom(i int) bool {
 			if p < h.Pool || (h.Pool > 1 && p%h.Pool != 0) {
 				continue
 			}
-			gs := make([][]symconv.Grid, len(s.pd.Families))
-			for f := range s.pd.Families {
-				gs[f] = make([]symconv.Grid, s.pd.Cfg.Q)
-				for q := 0; q < s.pd.Cfg.Q; q++ {
-					c := s.eng.Conv(in[f][q], fmt.Sprintf("n%d_k%d_s%d", n.ID, h.Kernel, h.Stride), h.Kernel, h.Stride)
-					gs[f][q] = s.eng.MaxPool(c, h.Pool)
-				}
-			}
-			pred := s.predictedPattern(gs)
+			c := s.eng.Conv(in, fmt.Sprintf("n%d_k%d_s%d", n.ID, h.Kernel, h.Stride), h.Kernel, h.Stride)
+			set := s.eng.MaxPool(c, h.Pool)
+			pred := set.Pattern()
 			if !symconv.Refines(pred, observed) {
 				continue
 			}
-			m := scored{g: h, exact: symconv.SamePartition(pred, observed), gs: gs}
+			m := scored{g: h, exact: symconv.SamePartition(pred, observed), set: set}
 			if m.exact {
 				exactM = append(exactM, m)
 			} else {
@@ -792,7 +772,7 @@ func (s *solver) solveFrom(i int) bool {
 		for _, m := range ordered {
 			s.geom[n.ID] = m.g
 			s.exact[n.ID] = m.exact
-			s.grids[n.ID] = m.gs
+			s.sets[n.ID] = m.set
 			pad := (m.g.Kernel - 1) / 2
 			p := (inH+2*pad-m.g.Kernel)/m.g.Stride + 1
 			s.psumH[n.ID] = p
@@ -811,37 +791,30 @@ func (s *solver) solveFrom(i int) bool {
 		delete(s.geom, n.ID)
 		delete(s.psumH, n.ID)
 		delete(s.outH, n.ID)
-		s.grids[n.ID] = nil
+		s.sets[n.ID] = nil
 		if wasFirst {
 			s.firstConv = 0
 		}
 		return false
 
 	case NodeAdd:
-		a, b := s.grids[n.Deps[0]], s.grids[n.Deps[1]]
+		a, b := s.sets[n.Deps[0]], s.sets[n.Deps[1]]
 		if s.outH[n.Deps[0]] != s.outH[n.Deps[1]] {
 			s.failNote = fmt.Sprintf("node %d: residual branches have different spatial dims (%d vs %d)",
 				n.ID, s.outH[n.Deps[0]], s.outH[n.Deps[1]])
 			return false
 		}
-		gs := make([][]symconv.Grid, len(s.pd.Families))
-		for f := range s.pd.Families {
-			gs[f] = make([]symconv.Grid, s.pd.Cfg.Q)
-			for q := 0; q < s.pd.Cfg.Q; q++ {
-				gs[f][q] = s.eng.Add(a[f][q], b[f][q])
-			}
-		}
-		s.grids[n.ID] = gs
+		s.sets[n.ID] = s.eng.Add(a, b)
 		s.outH[n.ID] = s.outH[n.Deps[0]]
 		if ok := s.solveFrom(i + 1); ok {
 			return true
 		}
-		s.grids[n.ID] = nil
+		s.sets[n.ID] = nil
 		delete(s.outH, n.ID)
 		return false
 
 	case NodePool:
-		in := s.grids[n.Deps[0]]
+		in := s.sets[n.Deps[0]]
 		inH := s.outH[n.Deps[0]]
 		observed := s.observedOf(n.ID)
 		factors := append([]int(nil), s.pd.Cfg.PoolNodeFactors...)
@@ -855,24 +828,18 @@ func (s *solver) solveFrom(i int) bool {
 			if f < 1 || inH%f != 0 {
 				continue
 			}
-			gs := make([][]symconv.Grid, len(s.pd.Families))
-			for fi := range s.pd.Families {
-				gs[fi] = make([]symconv.Grid, s.pd.Cfg.Q)
-				for q := 0; q < s.pd.Cfg.Q; q++ {
-					gs[fi][q] = s.eng.AvgPool(in[fi][q], f)
-				}
-			}
-			if !symconv.Refines(s.predictedPattern(gs), observed) {
+			set := s.eng.AvgPool(in, f)
+			if !symconv.Refines(set.Pattern(), observed) {
 				continue
 			}
 			s.pools[n.ID] = f
-			s.grids[n.ID] = gs
+			s.sets[n.ID] = set
 			s.outH[n.ID] = inH / f
 			if s.consistent(n.ID) && s.solveFrom(i+1) {
 				return true
 			}
 			delete(s.pools, n.ID)
-			s.grids[n.ID] = nil
+			s.sets[n.ID] = nil
 			delete(s.outH, n.ID)
 		}
 		if s.failNote == "" {
@@ -903,7 +870,7 @@ func (pd *ProbeData) Solve(trials int) (*ProbeResult, error) {
 		eng:      &symconv.Engine{},
 		trials:   trials,
 		observed: map[int][]int{},
-		grids:    make([][][]symconv.Grid, len(pd.Graph.Nodes)),
+		sets:     make([]*symconv.Set, len(pd.Graph.Nodes)),
 		geom:     map[int]Geom{},
 		exact:    map[int]bool{},
 		cand:     map[int][]Geom{},

@@ -103,3 +103,41 @@ func ConeSpan(lo, hi, kernel, stride, pad, out int) (int, int) {
 	}
 	return first, last
 }
+
+// Rect is the half-open rectangle of cells [Y0, Y1) × [X0, X1) of a feature
+// map.
+type Rect struct{ Y0, Y1, X0, X1 int }
+
+// Empty reports whether r holds no cell.
+func (r Rect) Empty() bool { return r.Y0 >= r.Y1 || r.X0 >= r.X1 }
+
+// Area returns the number of cells in r.
+func (r Rect) Area() int {
+	if r.Empty() {
+		return 0
+	}
+	return (r.Y1 - r.Y0) * (r.X1 - r.X0)
+}
+
+// Union returns the bounding rectangle of r and o.
+func (r Rect) Union(o Rect) Rect {
+	if r.Empty() {
+		return o
+	}
+	if o.Empty() {
+		return r
+	}
+	return Rect{min(r.Y0, o.Y0), max(r.Y1, o.Y1), min(r.X0, o.X0), max(r.X1, o.X1)}
+}
+
+// Cone returns the cells of an h×w output map whose window (size kernel, at
+// stride, with pad cells of padding) reads a cell of r: ConeSpan on each
+// axis, or the empty Rect{} if either span is empty.
+func (r Rect) Cone(kernel, stride, pad, h, w int) Rect {
+	y0, y1 := ConeSpan(r.Y0, r.Y1, kernel, stride, pad, h)
+	x0, x1 := ConeSpan(r.X0, r.X1, kernel, stride, pad, w)
+	if c := (Rect{y0, y1, x0, x1}); !c.Empty() {
+		return c
+	}
+	return Rect{}
+}

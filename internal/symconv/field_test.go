@@ -77,19 +77,19 @@ func TestVarInterning(t *testing.T) {
 }
 
 // row returns a 1×len(vals) grid.
-func row(vals ...Value) Grid { return Grid{H: 1, W: len(vals), Cells: vals} }
+func row(vals ...Value) Grid { return whole(1, len(vals), vals) }
 
 // TestSumCanonicalization: a sum does not depend on the order of its terms
 // (an avg-pool window is order-free), and different sums differ.
 func TestSumCanonicalization(t *testing.T) {
 	var e Engine
 	a, b, c, d := variable("a"), variable("b"), variable("c"), variable("d")
-	abcd := e.AvgPool(Grid{H: 2, W: 2, Cells: []Value{a, b, c, d}}, 2).Cells[0]
-	dbca := e.AvgPool(Grid{H: 2, W: 2, Cells: []Value{d, b, c, a}}, 2).Cells[0]
+	abcd := cells(e.AvgPool(single(whole(2, 2, []Value{a, b, c, d})), 2))[0]
+	dbca := cells(e.AvgPool(single(whole(2, 2, []Value{d, b, c, a})), 2))[0]
 	if abcd != dbca {
 		t.Fatal("avg pool depends on window order")
 	}
-	if aacd := e.AvgPool(Grid{H: 2, W: 2, Cells: []Value{a, a, c, d}}, 2).Cells[0]; aacd == abcd {
+	if aacd := cells(e.AvgPool(single(whole(2, 2, []Value{a, a, c, d})), 2))[0]; aacd == abcd {
 		t.Fatal("different sums collided")
 	}
 }
@@ -99,12 +99,12 @@ func TestSumCanonicalization(t *testing.T) {
 func TestSumDropsZeroTerms(t *testing.T) {
 	var e Engine
 	pat := probe.Pattern{M: 2, N: 2, Q: 1, FeatRow: 1}
-	g := e.ProbeGrid(pat, 0, 4, 6)
-	padded := Grid{H: 6, W: 8, Cells: make([]Value, 48)}
+	g := probeImage(pat, 0, 4, 6)
+	padded := whole(6, 8, make([]Value, 48))
 	for y := 0; y < g.H; y++ {
 		copy(padded.Cells[(y+1)*padded.W+1:], g.Cells[y*g.W:(y+1)*g.W])
 	}
-	out, outPadded := e.Conv(g, "l", 3, 1), e.Conv(padded, "l", 3, 1)
+	out, outPadded := e.Conv(single(g), "l", 3, 1).Backgrounds[0], e.Conv(single(padded), "l", 3, 1).Backgrounds[0]
 	for y := 0; y < out.H; y++ {
 		for x := 0; x < out.W; x++ {
 			if out.At(y, x) != outPadded.At(y+1, x+1) {
@@ -119,15 +119,15 @@ func TestSumDropsZeroTerms(t *testing.T) {
 // not collapse to a.
 func TestSumSingleUnitTermCollapses(t *testing.T) {
 	var e Engine
-	zeros := Grid{H: 3, W: 3, Cells: make([]Value, 9)}
+	zeros := whole(3, 3, make([]Value, 9))
 	bias := variable("l_b")
-	for i, v := range e.Conv(zeros, "l", 3, 1).Cells {
+	for i, v := range cells(e.Conv(single(zeros), "l", 3, 1)) {
 		if v != bias {
 			t.Fatalf("cell %d of a conv over zeros = %#x, want the bias %#x", i, v, bias)
 		}
 	}
 	a, w := variable("a"), variable("l_w0_0")
-	got := e.Conv(row(a), "l", 1, 1).Cells[0]
+	got := cells(e.Conv(single(row(a)), "l", 1, 1))[0]
 	for l := range got {
 		if mul(w[l], a[l]) == a[l] {
 			t.Fatal("w·a collapsed to a")
@@ -145,15 +145,15 @@ func TestSumSingleUnitTermCollapses(t *testing.T) {
 func TestAdd(t *testing.T) {
 	var e Engine
 	a, b := variable("a"), variable("b")
-	if !slices.Equal(e.Add(row(a, b), row(b, a)).Cells, e.Add(row(b, a), row(a, b)).Cells) {
+	if !slices.Equal(cells(e.Add(single(row(a, b)), single(row(b, a)))), cells(e.Add(single(row(b, a)), single(row(a, b))))) {
 		t.Fatal("Add not commutative")
 	}
-	if e.Add(row(a), row(Value{})).Cells[0] != a {
+	if cells(e.Add(single(row(a)), single(row(Value{}))))[0] != a {
 		t.Fatal("a+0 != a")
 	}
-	g := e.ProbeGrid(probe.Pattern{M: 2, N: 2, Q: 1, FeatRow: 1}, 0, 4, 6)
-	zero := Grid{H: g.H, W: g.W, Cells: make([]Value, len(g.Cells))}
-	if !slices.Equal(e.Add(g, zero).Cells, g.Cells) || Signature(e.Add(g, zero)) != Signature(g) {
+	g := probeImage(probe.Pattern{M: 2, N: 2, Q: 1, FeatRow: 1}, 0, 4, 6)
+	zero := whole(g.H, g.W, make([]Value, len(g.Cells)))
+	if sum := e.Add(single(g), single(zero)).Backgrounds[0]; !slices.Equal(sum.Cells, g.Cells) || wholeSignature(sum) != wholeSignature(g) {
 		t.Fatal("grid+0 != grid")
 	}
 }
@@ -163,11 +163,11 @@ func TestAdd(t *testing.T) {
 func TestDuplicateTermsDistinctFromSingle(t *testing.T) {
 	var e Engine
 	a, b := variable("a"), variable("b")
-	if e.Add(row(a), row(a)).Cells[0] == a {
+	if cells(e.Add(single(row(a)), single(row(a))))[0] == a {
 		t.Fatal("a+a == a")
 	}
-	aabb := e.AvgPool(row(a, a, b, b).reshape(2, 2), 2).Cells[0]
-	abbb := e.AvgPool(row(a, b, b, b).reshape(2, 2), 2).Cells[0]
+	aabb := cells(e.AvgPool(single(row(a, a, b, b).reshape(2, 2)), 2))[0]
+	abbb := cells(e.AvgPool(single(row(a, b, b, b).reshape(2, 2)), 2))[0]
 	if aabb == abbb {
 		t.Fatal("sums with different multiplicities collided")
 	}
@@ -179,7 +179,7 @@ func TestDuplicateTermsDistinctFromSingle(t *testing.T) {
 func TestMaxCanonicalization(t *testing.T) {
 	var e Engine
 	a, b, c := variable("a"), variable("b"), variable("c")
-	max4 := func(vals ...Value) Value { return e.MaxPool(row(vals...).reshape(2, 2), 2).Cells[0] }
+	max4 := func(vals ...Value) Value { return cells(e.MaxPool(single(row(vals...).reshape(2, 2)), 2))[0] }
 	if max4(a, b, c, c) != max4(c, a, b, a) {
 		t.Fatal("max not order-independent")
 	}
@@ -200,18 +200,19 @@ func TestMaxCanonicalization(t *testing.T) {
 func TestNestedStructuralEquality(t *testing.T) {
 	var e Engine
 	a, b, c, d := variable("a"), variable("b"), variable("c"), variable("d")
-	max4 := func(vals ...Value) Value { return e.MaxPool(row(vals...).reshape(2, 2), 2).Cells[0] }
-	avg4 := func(vals ...Value) Value { return e.AvgPool(row(vals...).reshape(2, 2), 2).Cells[0] }
-	inner1 := e.Add(row(avg4(a, b, c, d)), row(b)).Cells[0]
-	inner2 := e.Add(row(b), row(avg4(d, c, b, a))).Cells[0]
+	max4 := func(vals ...Value) Value { return cells(e.MaxPool(single(row(vals...).reshape(2, 2)), 2))[0] }
+	avg4 := func(vals ...Value) Value { return cells(e.AvgPool(single(row(vals...).reshape(2, 2)), 2))[0] }
+	sum := func(u, v Value) Value { return cells(e.Add(single(row(u)), single(row(v))))[0] }
+	inner1 := sum(avg4(a, b, c, d), b)
+	inner2 := sum(b, avg4(d, c, b, a))
 	if max4(inner1, a, a, a) != max4(a, a, inner2, a) {
 		t.Fatal("nested expressions built along different paths differ")
 	}
-	inner3 := e.Add(row(avg4(a, b, c, c)), row(b)).Cells[0]
+	inner3 := sum(avg4(a, b, c, c), b)
 	if max4(inner1, a, a, a) == max4(inner3, a, a, a) {
 		t.Fatal("different nested expressions collided")
 	}
 }
 
 // reshape views a 1×(h·w) grid as h×w.
-func (g Grid) reshape(h, w int) Grid { return Grid{H: h, W: w, Cells: g.Cells} }
+func (g Grid) reshape(h, w int) Grid { return whole(h, w, g.Cells) }

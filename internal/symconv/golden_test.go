@@ -51,29 +51,25 @@ func TestPartitionsMatchInternerGoldens(t *testing.T) {
 	}
 	for _, c := range gold.Cases {
 		var e Engine
-		sigs := make([]Value, c.Pattern.Q)
-		for q := range sigs {
-			g := e.ProbeGrid(c.Pattern, q, c.H, c.W)
-			var saved Grid
-			for i, op := range c.Ops {
-				switch op.Op {
-				case "conv":
-					g = e.Conv(g, fmt.Sprintf("c%d", i), op.K, op.S)
-				case "maxpool":
-					g = e.MaxPool(g, op.W)
-				case "avgpool":
-					g = e.AvgPool(g, op.W)
-				case "save":
-					saved = g
-				case "add":
-					g = e.Add(g, saved)
-				default:
-					t.Fatalf("%s: unknown op %q", c.Name, op.Op)
-				}
+		s := e.Probes([]probe.Pattern{c.Pattern}, c.H, c.W)
+		var saved *Set
+		for i, op := range c.Ops {
+			switch op.Op {
+			case "conv":
+				s = e.Conv(s, fmt.Sprintf("c%d", i), op.K, op.S)
+			case "maxpool":
+				s = e.MaxPool(s, op.W)
+			case "avgpool":
+				s = e.AvgPool(s, op.W)
+			case "save":
+				saved = s
+			case "add":
+				s = e.Add(s, saved)
+			default:
+				t.Fatalf("%s: unknown op %q", c.Name, op.Op)
 			}
-			sigs[q] = Signature(g)
 		}
-		if got := ClassPattern(sigs); !slices.Equal(got, c.Want) {
+		if got := s.Pattern(); !slices.Equal(got, c.Want) {
 			t.Errorf("%s: predicted %s, interner predicted %s", c.Name, PatternString(got), PatternString(c.Want))
 		}
 	}

@@ -61,17 +61,11 @@ func randomStack(rng *rand.Rand) (stack [][3]int, pat probe.Pattern, ok bool) {
 // after every layer of stack.
 func stackPatterns(pat probe.Pattern, stack [][3]int) [][]int {
 	var eng Engine
-	sigs := make([][]Value, len(stack))
-	for q := 0; q < pat.Q; q++ {
-		g := eng.ProbeGrid(pat, q, 32, 32)
-		for li, l := range stack {
-			g = eng.MaxPool(eng.Conv(g, fmt.Sprintf("l%d", li), l[0], l[1]), l[2])
-			sigs[li] = append(sigs[li], Signature(g))
-		}
-	}
+	s := eng.Probes([]probe.Pattern{pat}, 32, 32)
 	out := make([][]int, len(stack))
-	for li := range sigs {
-		out[li] = ClassPattern(sigs[li])
+	for li, l := range stack {
+		s = eng.MaxPool(eng.Conv(s, fmt.Sprintf("l%d", li), l[0], l[1]), l[2])
+		out[li] = s.Pattern()
 	}
 	return out
 }

@@ -14,19 +14,11 @@ import (
 func predict(t *testing.T, pat probe.Pattern, h, w int, layers [][3]int) []int {
 	t.Helper()
 	var e Engine
-	grids := e.ProbeGrids(pat, h, w)
+	s := e.Probes([]probe.Pattern{pat}, h, w)
 	for li, l := range layers {
-		for i := range grids {
-			g := e.Conv(grids[i], tag(li), l[0], l[1])
-			g = e.MaxPool(g, l[2])
-			grids[i] = g
-		}
+		s = e.MaxPool(e.Conv(s, tag(li), l[0], l[1]), l[2])
 	}
-	sigs := make([]Value, len(grids))
-	for i, g := range grids {
-		sigs[i] = Signature(g)
-	}
-	return ClassPattern(sigs)
+	return s.Pattern()
 }
 
 func tag(i int) string { return string(rune('L')) + string(rune('0'+i)) }
@@ -204,23 +196,20 @@ func TestPredictionRefinesNumericObservation(t *testing.T) {
 func TestAddGrids(t *testing.T) {
 	var e Engine
 	pat := probe.Pattern{M: 0, N: 1, Q: 2, FeatRow: 0}
-	g := e.ProbeGrids(pat, 1, 6)
-	sum := e.Add(g[0], g[0])
-	if Signature(sum) == Signature(g[0]) {
+	g0, g1 := single(probeImage(pat, 0, 1, 6)), single(probeImage(pat, 1, 1, 6))
+	if wholeSignature(e.Add(g0, g0).Backgrounds[0]) == wholeSignature(g0.Backgrounds[0]) {
 		t.Fatal("a+a should differ from a")
 	}
-	sum2 := e.Add(g[0], g[1])
-	sum3 := e.Add(g[1], g[0])
-	if Signature(sum2) != Signature(sum3) {
+	if wholeSignature(e.Add(g0, g1).Backgrounds[0]) != wholeSignature(e.Add(g1, g0).Backgrounds[0]) {
 		t.Fatal("grid addition not commutative")
 	}
 }
 
 func TestAddShapeMismatchPanics(t *testing.T) {
 	var e Engine
-	pat := probe.Pattern{M: 0, N: 1, Q: 1, FeatRow: 0}
-	a := e.ProbeGrid(pat, 0, 1, 4)
-	b := e.ProbeGrid(pat, 0, 1, 6)
+	pats := []probe.Pattern{{M: 0, N: 1, Q: 1, FeatRow: 0}}
+	a := e.Probes(pats, 1, 4)
+	b := e.Probes(pats, 1, 6)
 	defer func() {
 		if recover() == nil {
 			t.Fatal("expected panic")
@@ -267,14 +256,8 @@ func TestRefines(t *testing.T) {
 func TestAvgPoolChangesPattern(t *testing.T) {
 	pat := probe.Pattern{M: 0, N: 1, Q: 8, FeatRow: 0}
 	var e Engine
-	grids := e.ProbeGrids(pat, 1, 20)
-	var sigsPool, sigsNo []Value
-	for _, g := range grids {
-		c := e.Conv(g, "l0", 3, 1)
-		sigsNo = append(sigsNo, Signature(c))
-		sigsPool = append(sigsPool, Signature(e.AvgPool(c, 2)))
-	}
-	if SamePartition(ClassPattern(sigsNo), ClassPattern(sigsPool)) {
+	c := e.Conv(e.Probes([]probe.Pattern{pat}, 1, 20), "l0", 3, 1)
+	if SamePartition(c.Pattern(), e.AvgPool(c, 2).Pattern()) {
 		t.Fatal("avg pooling did not change the predicted pattern")
 	}
 }

@@ -87,66 +87,72 @@ func (s SegmentObs) EncodingTime() float64 { return s.LastWrite - s.FirstWrite }
 // Dependencies are recovered by matching read addresses against earlier
 // segments' write ranges (the read-after-write rule of §3.2).
 func Analyze(t *Trace) ([]SegmentObs, error) {
-	if len(t.Accesses) == 0 {
+	acc := t.Accesses
+	if len(acc) == 0 {
 		return nil, fmt.Errorf("trace: empty trace: %w", faults.ErrTraceCorrupt)
 	}
-	// Pass 1: which addresses are ever written (weights are read-only).
+	// Segment i is acc[starts[i]:starts[i+1]].
+	starts := []int{0}
+	for i := 1; i < len(acc); i++ {
+		if acc[i].Time < acc[i-1].Time {
+			return nil, fmt.Errorf("trace: accesses out of order at t=%g: %w", acc[i].Time, faults.ErrTraceCorrupt)
+		}
+		if acc[i].Op == Read && acc[i-1].Op == Write {
+			starts = append(starts, i)
+		}
+	}
+	starts = append(starts, len(acc))
+
+	// Every write span, sorted by start. A read's producer is the segment of
+	// the first span in this order that contains its address (spans are
+	// matched by containment, and chaos-padded, duplicated or swapped
+	// events can make them overlap).
 	type span struct {
 		lo, hi  uint64 // [lo, hi)
 		segment int
 	}
-	var writeSpans []span
-
-	// Split into segments.
-	var segments [][]Access
-	cur := []Access{t.Accesses[0]}
-	for _, a := range t.Accesses[1:] {
-		prev := cur[len(cur)-1]
-		if a.Time < prev.Time {
-			return nil, fmt.Errorf("trace: accesses out of order at t=%g: %w", a.Time, faults.ErrTraceCorrupt)
-		}
-		if a.Op == Read && prev.Op == Write {
-			segments = append(segments, cur)
-			cur = nil
-		}
-		cur = append(cur, a)
-	}
-	segments = append(segments, cur)
-
-	// Collect write spans per segment (coalescing is unnecessary; spans are
-	// matched by containment).
-	writtenEver := func(addr uint64) (int, bool) {
-		for _, s := range writeSpans {
-			if addr >= s.lo && addr < s.hi {
-				return s.segment, true
+	var spans []span
+	for i := range len(starts) - 1 {
+		for _, a := range acc[starts[i]:starts[i+1]] {
+			if a.Op == Write {
+				spans = append(spans, span{a.Addr, a.Addr + uint64(a.Bytes), i})
 			}
+		}
+	}
+	sort.Slice(spans, func(i, j int) bool { return spans[i].lo < spans[j].lo })
+	// reach[i] is the largest end among spans[:i+1]. No span before the
+	// first i whose reach exceeds addr contains addr, span i ends past it,
+	// and every later span starts at or after span i; so span i is the
+	// first to contain addr if it starts at or before addr, and else none
+	// does.
+	reach := make([]uint64, len(spans))
+	for i, s := range spans {
+		reach[i] = s.hi
+		if i > 0 {
+			reach[i] = max(reach[i-1], s.hi)
+		}
+	}
+	producer := func(addr uint64) (int, bool) {
+		i := sort.Search(len(reach), func(i int) bool { return reach[i] > addr })
+		if i < len(spans) && spans[i].lo <= addr {
+			return spans[i].segment, true
 		}
 		return 0, false
 	}
-	obs := make([]SegmentObs, len(segments))
-	for i, seg := range segments {
-		for _, a := range seg {
-			if a.Op == Write {
-				writeSpans = append(writeSpans, span{a.Addr, a.Addr + uint64(a.Bytes), i})
-			}
-		}
-	}
-	// Keep spans sorted for deterministic dep ordering (search is linear;
-	// traces are small).
-	sort.Slice(writeSpans, func(i, j int) bool { return writeSpans[i].lo < writeSpans[j].lo })
 
-	for i, seg := range segments {
+	obs := make([]SegmentObs, len(starts)-1)
+	for i := range obs {
 		o := &obs[i]
 		o.Index = i
 		o.FirstWrite = -1
 		depSet := map[int]bool{}
-		for _, a := range seg {
+		for _, a := range acc[starts[i]:starts[i+1]] {
 			switch a.Op {
 			case Read:
-				if producer, ok := writtenEver(a.Addr); ok {
+				if p, ok := producer(a.Addr); ok {
 					o.InputBytes += a.Bytes
-					if producer != i {
-						depSet[producer] = true
+					if p != i {
+						depSet[p] = true
 					}
 				} else {
 					o.WeightBytes += a.Bytes
