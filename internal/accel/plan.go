@@ -23,15 +23,18 @@ import (
 // linear layer recomputes every output if any input changed. A fully changed
 // input runs the same code with the whole map as its rectangle. Cells outside
 // the rectangle keep the last run's values, which is exact because
-// everything they read is bitwise unchanged.
+// everything they read is bitwise unchanged, and so a unit's nonzero count
+// changes only by what changed inside its rectangle.
 //
 // The arithmetic is nn's eval-mode forward pass, equal bit for bit up to
 // the sign of a zero, which ReLU, nnz counts, every codec and the zero-pad
 // defence ignore:
 //   - a conv output sums its filter's nonzero weights times their inputs in
 //     (c, ky, kx) order, as tensor.MatMul does when it skips zero weights,
-//     then adds the bias. Padded taps are skipped: MatMul adds w·0 for
-//     them, which can change only the sign of a zero sum;
+//     then adds the bias. A tap on padding reads a zero of the conv's
+//     zero-bordered input copy and adds w·0, as MatMul does; adding ±0
+//     leaves a nonzero partial sum unchanged, so only a zero sum's sign
+//     can differ;
 //   - batch norm is g*((x-m)*is)+b with is = 1/√(var+eps), exactly as
 //     nn.BatchNorm2D computes it in eval mode. A folded scale and shift
 //     rounds differently;
@@ -52,14 +55,19 @@ func newFmap(c, h, w int) fmap {
 	return fmap{data: make([]float64, c*h*w), c: c, h: h, w: w}
 }
 
-func (f *fmap) countNNZ() {
+// nnzIn returns the number of nonzeros in the cells r of every channel.
+func (f *fmap) nnzIn(r nn.Rect) int {
 	n := 0
-	for _, v := range f.data {
-		if v != 0 {
-			n++
+	for k := 0; k < f.c; k++ {
+		for y := r.Y0; y < r.Y1; y++ {
+			for _, v := range f.data[(k*f.h+y)*f.w+r.X0 : (k*f.h+y)*f.w+r.X1] {
+				if v != 0 {
+					n++
+				}
+			}
 		}
 	}
-	f.nnz = n
+	return n
 }
 
 // density is 1 - tensor.Sparsity(0), evaluated the same way.
@@ -67,9 +75,11 @@ func (f *fmap) density() float64 {
 	return 1 - (1 - float64(f.nnz)/float64(len(f.data)))
 }
 
-// op computes a unit's output cells that its inputs' changes reach and sets
-// out.dirty to them.
+// op is a unit's computation.
 type op interface {
+	// reach returns the output cells whose inputs include a changed cell.
+	reach(in []*fmap) nn.Rect
+	// run computes the cells out.dirty, which reach returned.
 	run(in []*fmap, out *fmap)
 }
 
@@ -155,12 +165,13 @@ func newPlan(arch *models.Arch, bind *models.Binding) (*plan, error) {
 func (p *plan) begin(img []float64) {
 	in := &p.input
 	in.data = img
-	in.dirty = nn.Rect{Y0: 0, Y1: in.h, X0: 0, X1: in.w}
+	all := nn.Rect{Y0: 0, Y1: in.h, X0: 0, X1: in.w}
+	in.dirty = all
 	if p.valid {
 		in.dirty = p.changed(img)
 	}
 	p.valid = false
-	in.countNNZ()
+	in.nnz = in.nnzIn(all)
 }
 
 // changed returns the bounding rectangle of the cells, in any channel, whose
@@ -188,11 +199,15 @@ func (p *plan) changed(img []float64) nn.Rect {
 	return r
 }
 
-// run computes unit i and counts its output's nonzeros.
+// run computes unit i and updates its output's nonzero count over the
+// cells it recomputed.
 func (p *plan) run(i int) {
 	u := &p.units[i]
+	r := u.op.reach(u.in)
+	u.out.nnz -= u.out.nnzIn(r)
+	u.out.dirty = r
 	u.op.run(u.in, &u.out)
-	u.out.countNNZ()
+	u.out.nnz += u.out.nnzIn(r)
 }
 
 // commit ends a run in which every unit was computed: the input becomes the
@@ -214,12 +229,11 @@ func (p *plan) macs(i int) (dense, effectual float64) {
 	return u.denseMACs, u.denseMACs * u.wDensity * u.in[0].density()
 }
 
-// tap is one nonzero conv weight and where it reads: input plane offset off
-// and kernel offsets (ky, kx).
+// tap is one nonzero conv weight w and the offset pos, in its conv's padded
+// input, of the cell it reads from the first cell of an output's window.
 type tap struct {
-	off    int
-	ky, kx int
-	w      float64
+	pos int
+	w   float64
 }
 
 // convOp is conv, then bias, batch norm and ReLU, then max pool.
@@ -237,26 +251,28 @@ type convOp struct {
 	// output when pool is 1.
 	pre  *fmap
 	h, w int
-	// ys[ky] and xs[kx] are the output rows and columns of a run's
-	// rectangle whose tap (ky, kx) lands inside the input.
-	ys, xs []span
+	// padded is the input with pad zero cells on every side, rows pw cells
+	// wide; each run refreshes it over the cells its producer recomputed.
+	// It is nil when pad is 0: the conv then reads its input directly.
+	padded []float64
+	pw     int
 }
-
-// span is the half-open range [lo, hi).
-type span struct{ lo, hi int }
 
 func newConvOp(conv *nn.Conv2D, bn *nn.BatchNorm2D, u models.Unit, in *fmap) *convOp {
 	c := &convOp{
 		outC: conv.OutC, kernel: conv.Kernel, stride: conv.Stride, pad: conv.Pad, pool: u.Pool,
 		start: make([]int, conv.OutC+1),
 		relu:  u.ReLU,
-		ys:    make([]span, conv.Kernel),
-		xs:    make([]span, conv.Kernel),
+		pw:    in.w + 2*conv.Pad,
 	}
 	c.h, c.w = conv.OutSize(in.h, in.w)
 	if c.pool > 1 {
 		pre := newFmap(c.outC, c.h, c.w)
 		c.pre = &pre
+	}
+	ph := in.h + 2*c.pad
+	if c.pad > 0 {
+		c.padded = make([]float64, in.c*ph*c.pw)
 	}
 	k, cg := conv.Kernel, conv.InC/conv.Groups
 	outCg := conv.OutC / conv.Groups
@@ -274,7 +290,7 @@ func newConvOp(conv *nn.Conv2D, bn *nn.BatchNorm2D, u models.Unit, in *fmap) *co
 			for ky := 0; ky < k; ky++ {
 				for kx := 0; kx < k; kx++ {
 					if v := w[((oc*cg+cc)*k+ky)*k+kx]; v != 0 {
-						c.taps = append(c.taps, tap{off: (first + cc) * in.h * in.w, ky: ky, kx: kx, w: v})
+						c.taps = append(c.taps, tap{pos: ((first+cc)*ph+ky)*c.pw + kx, w: v})
 					}
 				}
 			}
@@ -296,55 +312,85 @@ func newConvOp(conv *nn.Conv2D, bn *nn.BatchNorm2D, u models.Unit, in *fmap) *co
 	return c
 }
 
+func (c *convOp) reach(in []*fmap) nn.Rect {
+	r := in[0].dirty.Cone(c.kernel, c.stride, c.pad, c.h, c.w)
+	if c.pool > 1 {
+		r = r.Cone(c.pool, c.pool, 0, c.h/c.pool, c.w/c.pool)
+	}
+	return r
+}
+
 func (c *convOp) run(in []*fmap, out *fmap) {
+	src := in[0].data
+	if c.padded != nil {
+		c.refresh(in[0])
+		src = c.padded
+	}
 	pre := c.pre
 	pre.dirty = in[0].dirty.Cone(c.kernel, c.stride, c.pad, c.h, c.w)
 	if !pre.dirty.Empty() {
-		c.conv(in[0], pre.dirty)
+		c.conv(src, pre.dirty)
 	}
 	if c.pool > 1 {
-		out.dirty = pre.dirty.Cone(c.pool, c.pool, 0, out.h, out.w)
 		maxPool(pre, out, c.pool)
 	}
 }
 
-// conv computes the cells r of every channel of c.pre from in.
-func (c *convOp) conv(in *fmap, r nn.Rect) {
+// refresh copies the cells in recomputed into the padded copy of in.
+func (c *convOp) refresh(in *fmap) {
+	r := in.dirty
+	ph := in.h + 2*c.pad
+	for ch := 0; ch < in.c; ch++ {
+		for y := r.Y0; y < r.Y1; y++ {
+			row := in.data[(ch*in.h+y)*in.w:]
+			copy(c.padded[(ch*ph+y+c.pad)*c.pw+c.pad+r.X0:], row[r.X0:r.X1])
+		}
+	}
+}
+
+// conv computes the cells r of every channel of c.pre from src, the padded
+// input. It sums each block of four adjacent cells of a row in registers,
+// over one pass of the filter's taps, and the row's last cells one by one.
+func (c *convOp) conv(src []float64, r nn.Rect) {
 	out := c.pre
 	plane := out.h * out.w
-	s := c.stride
-	for d := range c.ys {
-		c.ys[d] = tapSpan(r.Y0, r.Y1, d-c.pad, s, in.h)
-		c.xs[d] = tapSpan(r.X0, r.X1, d-c.pad, s, in.w)
-	}
+	s, pw := c.stride, c.pw
 	for k := 0; k < c.outC; k++ {
+		taps := c.taps[c.start[k]:c.start[k+1]]
 		dst := out.data[k*plane : (k+1)*plane]
 		for y := r.Y0; y < r.Y1; y++ {
-			clear(dst[y*out.w+r.X0 : y*out.w+r.X1])
-		}
-		for _, t := range c.taps[c.start[k]:c.start[k+1]] {
-			dy, dx := t.ky-c.pad, t.kx-c.pad
-			ys, xs := c.ys[t.ky], c.xs[t.kx]
-			if xs.lo >= xs.hi {
-				continue
-			}
-			for y := ys.lo; y < ys.hi; y++ {
-				src := in.data[t.off+(y*s+dy)*in.w:]
-				d := dst[y*out.w+xs.lo : y*out.w+xs.hi]
-				ix := xs.lo*s + dx
-				if s == 1 {
-					for j, v := range src[ix : ix+len(d)] {
-						d[j] += t.w * v
-					}
-					continue
-				}
-				for j := range d {
-					d[j] += t.w * src[ix+j*s]
-				}
-			}
-		}
-		for y := r.Y0; y < r.Y1; y++ {
 			row := dst[y*out.w+r.X0 : y*out.w+r.X1]
+			// at is the padded input's offset of row[j]'s window.
+			at := y*s*pw + r.X0*s
+			j := 0
+			for ; j+4 <= len(row); j, at = j+4, at+4*s {
+				var a0, a1, a2, a3 float64
+				if s == 1 {
+					for _, t := range taps {
+						x := src[at+t.pos : at+t.pos+4]
+						a0 += t.w * x[0]
+						a1 += t.w * x[1]
+						a2 += t.w * x[2]
+						a3 += t.w * x[3]
+					}
+				} else {
+					for _, t := range taps {
+						x := src[at+t.pos:]
+						a0 += t.w * x[0]
+						a1 += t.w * x[s]
+						a2 += t.w * x[2*s]
+						a3 += t.w * x[3*s]
+					}
+				}
+				row[j], row[j+1], row[j+2], row[j+3] = a0, a1, a2, a3
+			}
+			for ; j < len(row); j, at = j+1, at+s {
+				a := 0.0
+				for _, t := range taps {
+					a += t.w * src[at+t.pos]
+				}
+				row[j] = a
+			}
 			for j, v := range row {
 				if c.bias != nil {
 					v += c.bias[k]
@@ -359,18 +405,6 @@ func (c *convOp) conv(in *fmap, r nn.Rect) {
 			}
 		}
 	}
-}
-
-// tapSpan returns the outputs o in [lo, hi) whose input o*s+d lies in
-// [0, n).
-func tapSpan(lo, hi, d, s, n int) span {
-	if d < 0 {
-		lo = max(lo, (-d+s-1)/s)
-	}
-	if n-1-d < 0 {
-		return span{}
-	}
-	return span{lo, min(hi, (n-1-d)/s+1)}
 }
 
 // maxPool computes out's dirty cells as the maxima of their p×p windows
@@ -399,9 +433,10 @@ func maxPool(in, out *fmap, p int) {
 // addOp is an elementwise residual sum, then ReLU.
 type addOp struct{ relu bool }
 
+func (addOp) reach(in []*fmap) nn.Rect { return in[0].dirty.Union(in[1].dirty) }
+
 func (a addOp) run(in []*fmap, out *fmap) {
-	r := in[0].dirty.Union(in[1].dirty)
-	out.dirty = r
+	r := out.dirty
 	for k := 0; k < out.c; k++ {
 		for y := r.Y0; y < r.Y1; y++ {
 			lo, hi := (k*out.h+y)*out.w+r.X0, (k*out.h+y)*out.w+r.X1
@@ -420,10 +455,12 @@ func (a addOp) run(in []*fmap, out *fmap) {
 // avgPoolOp averages pool×pool windows.
 type avgPoolOp struct{ pool int }
 
+func (a avgPoolOp) reach(in []*fmap) nn.Rect {
+	return in[0].dirty.Cone(a.pool, a.pool, 0, in[0].h/a.pool, in[0].w/a.pool)
+}
+
 func (a avgPoolOp) run(in []*fmap, out *fmap) {
-	src, p := in[0], a.pool
-	r := src.dirty.Cone(p, p, 0, out.h, out.w)
-	out.dirty = r
+	src, p, r := in[0], a.pool, out.dirty
 	norm := 1.0 / float64(p*p)
 	for k := 0; k < out.c; k++ {
 		plane := src.data[k*src.h*src.w : (k+1)*src.h*src.w]
@@ -448,13 +485,19 @@ type linearOp struct {
 	relu    bool
 }
 
+// reach is the whole 1×1 output if any input changed.
+func (l *linearOp) reach(in []*fmap) nn.Rect {
+	if in[0].dirty.Empty() {
+		return nn.Rect{}
+	}
+	return nn.Rect{Y0: 0, Y1: 1, X0: 0, X1: 1}
+}
+
 func (l *linearOp) run(in []*fmap, out *fmap) {
 	x := in[0]
-	if x.dirty.Empty() {
-		out.dirty = nn.Rect{}
+	if out.dirty.Empty() {
 		return
 	}
-	out.dirty = nn.Rect{Y0: 0, Y1: out.h, X0: 0, X1: out.w}
 	for j := range out.data {
 		row := l.w[j*l.in : (j+1)*l.in]
 		s := 0.0

@@ -203,21 +203,21 @@ func TestInferenceMatchesForward(t *testing.T) {
 }
 
 // FuzzInferenceMatchesForward checks the inference plan against nn's
-// forward pass on sequences of rectangular edits the fuzzer chooses. Each
-// edit is six bytes: a channel mask and repeat flag, the rectangle's
-// corners and a value.
+// forward pass on sequences of rectangular edits the fuzzer chooses, on a
+// victim it chooses: MobileNetV2 has grouped taps, and branchy's 13-cell
+// rows leave each block of four a tail. Each edit is six bytes: a channel
+// mask and repeat flag, the rectangle's corners and a value.
 func FuzzInferenceMatchesForward(f *testing.F) {
-	f.Add(false, int64(1), []byte{7, 16, 17, 16, 17, 200, 1, 16, 18, 17, 18, 0, 0x80, 0, 0, 0, 0, 0})
-	f.Add(true, int64(2), []byte{1, 0, 32, 0, 32, 255, 6, 31, 32, 0, 1, 9, 0x87, 5, 9, 20, 30, 100})
-	archs := []*models.Arch{models.SmallCNN(), models.ResNet18(16)}
-	f.Fuzz(func(t *testing.T, resnet bool, seed int64, edits []byte) {
+	f.Add(uint8(0), int64(1), []byte{7, 16, 17, 16, 17, 200, 1, 16, 18, 17, 18, 0, 0x80, 0, 0, 0, 0, 0})
+	f.Add(uint8(1), int64(2), []byte{1, 0, 32, 0, 32, 255, 6, 31, 32, 0, 1, 9, 0x87, 5, 9, 20, 30, 100})
+	f.Add(uint8(2), int64(3), []byte{2, 15, 3, 30, 2, 50, 0x80, 0, 0, 0, 0, 0, 5, 0, 1, 28, 4, 0})
+	f.Add(uint8(3), int64(4), []byte{4, 7, 2, 11, 2, 90, 3, 0, 15, 12, 1, 0, 0x81, 0, 0, 0, 0, 0, 1, 3, 5, 0, 12, 77})
+	archs := []*models.Arch{models.SmallCNN(), models.ResNet18(16), models.MobileNetV2(8), branchy()}
+	f.Fuzz(func(t *testing.T, model uint8, seed int64, edits []byte) {
 		if len(edits) > 6*32 {
 			edits = edits[:6*32]
 		}
-		arch := archs[0]
-		if resnet {
-			arch = archs[1]
-		}
+		arch := archs[int(model)%len(archs)]
 		m := deployRandomized(t, arch, 0.5, seed%4)
 		c, h, w := arch.InC, arch.InH, arch.InW
 		img := tensor.New(c, h, w)

@@ -235,7 +235,7 @@ func TestSolutionSpaceContainsTruth(t *testing.T) {
 func TestSmallCNNCostPins(t *testing.T) {
 	checkCostPins(t, smallCNNDense.get(t).costs, attackCosts{
 		queries: 3074, deviceCycles: 24_257_256, traceEvents: 2_165_366, solutions: 13,
-		cellsEvaluated: 182_610, log10Volume: 1.114, queriesTo90Pct: 3074,
+		cellsEvaluated: 108_053, log10Volume: 1.114, queriesTo90Pct: 3074,
 	})
 }
 
@@ -373,7 +373,7 @@ func TestAttackResNetStyleGraph(t *testing.T) {
 
 	checkCostPins(t, run.costs, attackCosts{
 		queries: 578, deviceCycles: 5_208_434, traceEvents: 1_366_113, solutions: 4,
-		cellsEvaluated: 2_471_982, log10Volume: 10.637, queriesTo90Pct: 578,
+		cellsEvaluated: 1_502_723, log10Volume: 10.637, queriesTo90Pct: 578,
 	})
 	checkSolveGoldens(t, "resnet18_16", res.Data)
 }

@@ -737,6 +737,9 @@ func (s *solver) solveFrom(i int) bool {
 			set   *symconv.Set
 		}
 		var exactM, refineM []scored
+		// A conv's set depends on its kernel and stride alone, so the
+		// hypotheses that differ only in their pool share one.
+		convs := map[[2]int]*symconv.Set{}
 		for _, h := range s.pd.Cfg.hypotheses() {
 			if inH < h.Kernel {
 				continue // kernels larger than the map are out of scope
@@ -746,7 +749,12 @@ func (s *solver) solveFrom(i int) bool {
 			if p < h.Pool || (h.Pool > 1 && p%h.Pool != 0) {
 				continue
 			}
-			c := s.eng.Conv(in, fmt.Sprintf("n%d_k%d_s%d", n.ID, h.Kernel, h.Stride), h.Kernel, h.Stride)
+			ks := [2]int{h.Kernel, h.Stride}
+			c, ok := convs[ks]
+			if !ok {
+				c = s.eng.Conv(in, fmt.Sprintf("n%d_k%d_s%d", n.ID, h.Kernel, h.Stride), h.Kernel, h.Stride)
+				convs[ks] = c
+			}
 			set := s.eng.MaxPool(c, h.Pool)
 			pred := set.Pattern()
 			if !symconv.Refines(pred, observed) {

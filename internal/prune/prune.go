@@ -36,20 +36,27 @@ func GlobalMagnitude(params []*nn.Param, keep float64) {
 		panic(fmt.Sprintf("prune: keep fraction %g out of (0,1]", keep))
 	}
 	ps := prunable(params)
+	// One entry per alive weight: ps[param].W.Data[idx] has magnitude mag.
 	type entry struct {
-		p   *nn.Param
-		idx int
-		mag float64
+		mag        float64
+		param, idx int32
 	}
-	var alive []entry
-	total := 0
+	total, n := 0, 0
 	for _, p := range ps {
 		total += p.W.Size()
+		if p.Mask == nil {
+			n += p.W.Size()
+		} else {
+			n += p.Mask.NNZ(0)
+		}
+	}
+	alive := make([]entry, 0, n)
+	for pi, p := range ps {
 		for i, v := range p.W.Data {
 			if p.Mask != nil && p.Mask.Data[i] == 0 {
 				continue
 			}
-			alive = append(alive, entry{p, i, math.Abs(v)})
+			alive = append(alive, entry{math.Abs(v), int32(pi), int32(i)})
 		}
 	}
 	target := int(float64(total) * keep)
@@ -57,10 +64,13 @@ func GlobalMagnitude(params []*nn.Param, keep float64) {
 		ensureMasks(ps)
 		return
 	}
+	// Which of two equal magnitudes is pruned depends only on their order
+	// here, since sort.Slice's permutation is a function of the length and
+	// of less: the entries' layout does not change the masks.
 	sort.Slice(alive, func(i, j int) bool { return alive[i].mag < alive[j].mag })
 	ensureMasks(ps)
 	for _, e := range alive[:len(alive)-target] {
-		e.p.Mask.Data[e.idx] = 0
+		ps[e.param].Mask.Data[e.idx] = 0
 	}
 	for _, p := range ps {
 		p.ApplyMask()

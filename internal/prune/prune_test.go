@@ -3,6 +3,8 @@ package prune
 import (
 	"math"
 	"math/rand"
+	"slices"
+	"sort"
 	"testing"
 
 	"github.com/huffduff/huffduff/internal/dataset"
@@ -64,6 +66,83 @@ func TestGlobalMagnitudeMonotone(t *testing.T) {
 	}
 	if math.Abs(s2-0.75) > 0.01 {
 		t.Fatalf("sparsity = %g, want ~0.75", s2)
+	}
+}
+
+// globalMagnitudeReference is GlobalMagnitude's plain form, 24-byte entries
+// appended from nil: the reference its compact entries must match.
+func globalMagnitudeReference(params []*nn.Param, keep float64) {
+	ps := prunable(params)
+	type entry struct {
+		p   *nn.Param
+		idx int
+		mag float64
+	}
+	var alive []entry
+	total := 0
+	for _, p := range ps {
+		total += p.W.Size()
+		for i, v := range p.W.Data {
+			if p.Mask != nil && p.Mask.Data[i] == 0 {
+				continue
+			}
+			alive = append(alive, entry{p, i, math.Abs(v)})
+		}
+	}
+	target := int(float64(total) * keep)
+	if target >= len(alive) {
+		ensureMasks(ps)
+		return
+	}
+	sort.Slice(alive, func(i, j int) bool { return alive[i].mag < alive[j].mag })
+	ensureMasks(ps)
+	for _, e := range alive[:len(alive)-target] {
+		e.p.Mask.Data[e.idx] = 0
+	}
+	for _, p := range ps {
+		p.ApplyMask()
+	}
+}
+
+// TestGlobalMagnitudeMatchesReference compares GlobalMagnitude's masks and
+// weights with the reference's on zoo networks whose weights are quantized
+// so that magnitudes tie, over two rounds, the second over the first's
+// masks.
+func TestGlobalMagnitudeMatchesReference(t *testing.T) {
+	archs := []*models.Arch{models.SmallCNN(), models.ResNet18(16), models.VGGS(8), models.MobileNetV2(8)}
+	build := func(arch *models.Arch) []*nn.Param {
+		bind, err := arch.Build(rand.New(rand.NewSource(7)))
+		if err != nil {
+			t.Fatal(err)
+		}
+		ps := bind.Net.Params()
+		for _, p := range ps {
+			for i, v := range p.W.Data {
+				p.W.Data[i] = math.Round(v*32) / 32
+			}
+		}
+		return ps
+	}
+	for _, arch := range archs {
+		for _, keep := range []float64{0.1, 0.5, 0.6} {
+			got, want := build(arch), build(arch)
+			for round, k := range []float64{keep, keep / 2} {
+				GlobalMagnitude(got, k)
+				globalMagnitudeReference(want, k)
+				for i, p := range got {
+					q := want[i]
+					if (p.Mask == nil) != (q.Mask == nil) {
+						t.Fatalf("%s keep %g round %d: %s mask presence differs", arch.Name, keep, round, p.Name)
+					}
+					if p.Mask != nil && !slices.Equal(p.Mask.Data, q.Mask.Data) {
+						t.Fatalf("%s keep %g round %d: %s masks differ", arch.Name, keep, round, p.Name)
+					}
+					if !slices.Equal(p.W.Data, q.W.Data) {
+						t.Fatalf("%s keep %g round %d: %s weights differ", arch.Name, keep, round, p.Name)
+					}
+				}
+			}
+		}
 	}
 }
 
